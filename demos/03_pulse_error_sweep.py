@@ -14,21 +14,19 @@ import numpy as np
 from dfsgates import (
     BathModel,
     InterleavingPlan,
-    build_logical_basis,
     error_sweep,
     schedule_u3,
     sweep_csv_lines,
 )
 
 n = 4
-basis = build_logical_basis(n)
 schedule = schedule_u3(n, 1, 2, np.pi / 4)
 plan = InterleavingPlan()  # 4 XY-4 cycles per segment
 bath = BathModel.zero(n)  # isolate pulse errors
 
 grid = [round(-0.1 + 0.005 * i, 12) for i in range(41)]
-flip = error_sweep(schedule, basis, plan, bath, "flip", grid)
-detuning = error_sweep(schedule, basis, plan, bath, "detuning", grid)
+flip = error_sweep(schedule, plan, bath, "flip", grid)
+detuning = error_sweep(schedule, plan, bath, "detuning", grid)
 
 print("error     F(flip)    F(detuning)")
 for (_, value, f_flip), (_, _, f_det) in zip(flip[::5], detuning[::5]):

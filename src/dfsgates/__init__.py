@@ -16,11 +16,9 @@ Layers, bottom up:
 
 from .dfs import (
     LogicalBasis,
-    LogicalOperator,
     basis_dump,
     build_logical_basis,
     dfs_decomposition,
-    logical_operator,
     logical_pauli,
     project_to_logical,
     sector_projector,
@@ -35,7 +33,6 @@ from .errors import (
     LengthMismatchError,
     LogicalIndexError,
     NotHermitianError,
-    NotInvolutoryError,
     NotOrthonormalError,
     OddQubitCountError,
     TooFewQubitsError,
@@ -63,7 +60,6 @@ from .linalg import (
     ATOL_NORM,
     ATOL_STRUCT,
     expm_hermitian,
-    expm_involutory,
     is_hermitian,
     is_unitary,
     kron,
@@ -82,10 +78,6 @@ from .noise import (
     decoupling_order_probe,
     error_sweep,
     fit_error_order,
-    gate_fidelity_under_error,
-    ideal_pulse,
-    imperfect_pulse_detuning,
-    imperfect_pulse_flip,
     interleave,
     pulse,
     reduced_system_propagator,

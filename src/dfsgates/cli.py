@@ -14,6 +14,7 @@ failed, 2 invalid configuration.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -62,6 +63,9 @@ DEFAULTS = {
     "dt_ladder": "0.1,0.05,0.025",
     "total_time": 2.0,
 }
+
+# Largest number of steps one sweep range may have; finer grids exit 2.
+MAX_GRID_STEPS = 10_000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,18 +141,48 @@ def _resolve(args: argparse.Namespace) -> dict:
     return merged
 
 
+def _check_values(cfg: dict) -> None:
+    """Reject non-finite or out-of-range numeric options."""
+    for key in ("angle", "bath_width", "step", "total_time"):
+        if not math.isfinite(cfg[key]):
+            raise ValueError(f"{key} must be finite, got {cfg[key]!r}")
+    if cfg["bath_width"] < 0:
+        raise ValueError(f"bath_width must be >= 0, got {cfg['bath_width']!r}")
+    if cfg["step"] <= 0:
+        raise ValueError("step must be positive")
+
+
 def _parse_range(text: str) -> tuple[float, float]:
     lo, hi = (float(part) for part in text.split(":"))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"range {text!r} must have finite bounds")
     if hi < lo:
         raise ValueError(f"empty range {text!r}")
     return lo, hi
 
 
+def _grid_steps(lo: float, hi: float, step: float) -> int:
+    """Number of steps from lo to hi, refused above MAX_GRID_STEPS."""
+    steps = (hi - lo) / step
+    if not steps <= MAX_GRID_STEPS:
+        raise ValueError(
+            f"grid {lo:g}:{hi:g} at step {step:g} has {steps:.3g} steps, "
+            f"more than {MAX_GRID_STEPS}"
+        )
+    return int(round(steps))
+
+
 def _grid(lo: float, hi: float, step: float) -> list[float]:
-    if step <= 0:
-        raise ValueError("step must be positive")
-    count = int(round((hi - lo) / step))
-    return [round(lo + i * step, 12) for i in range(count + 1)]
+    return [round(lo + i * step, 12) for i in range(_grid_steps(lo, hi, step) + 1)]
+
+
+def _parse_ladder(text: str) -> list[float]:
+    dts = [float(part) for part in text.split(",")]
+    if not all(math.isfinite(dt) and dt > 0 for dt in dts):
+        raise ValueError(f"dt ladder {text!r} must hold positive, finite spacings")
+    if len(set(dts)) < 2:
+        raise ValueError(f"dt ladder {text!r} needs at least 2 distinct spacings")
+    return dts
 
 
 def _schedule(cfg: dict):
@@ -208,13 +242,15 @@ def cmd_verify(cfg: dict) -> int:
 
 def cmd_sweep(cfg: dict) -> int:
     schedule = _schedule(cfg)
-    basis = build_logical_basis(cfg["n"])
     plan = InterleavingPlan(cycles_per_segment=cfg["cycles"])
     bath = _bath(cfg)
+    grids = {
+        kind: _grid(*_parse_range(cfg[range_key]), cfg["step"])
+        for kind, range_key in (("detuning", "delta_range"), ("flip", "eps_range"))
+    }
     rows = []
-    for kind, range_key in (("detuning", "delta_range"), ("flip", "eps_range")):
-        lo, hi = _parse_range(cfg[range_key])
-        rows += error_sweep(schedule, basis, plan, bath, kind, _grid(lo, hi, cfg["step"]))
+    for kind, grid in grids.items():
+        rows += error_sweep(schedule, plan, bath, kind, grid)
     lines = sweep_csv_lines(rows, cfg["seed"], plan, schedule)
     out = Path(cfg["out"])
     out.write_text("\n".join(lines) + "\n")
@@ -227,7 +263,7 @@ def cmd_decouple(cfg: dict) -> int:
         bath = BathModel.zero(cfg["n"])
     else:
         bath = _bath(cfg)
-    dts = [float(part) for part in cfg["dt_ladder"].split(",")]
+    dts = _parse_ladder(cfg["dt_ladder"])
     points = decoupling_order_probe(bath, dts, cfg["total_time"])
     bare = bare_evolution_error(bath, cfg["total_time"])
     print(f"decouple n={cfg['n']} bath={cfg['bath']} seed={cfg['seed']} "
@@ -250,6 +286,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve(args)
+        _check_values(cfg)
         if args.command == "verify":
             return cmd_verify(cfg)
         if args.command == "sweep":

@@ -101,25 +101,12 @@ def sector_projector(group: DecouplingGroup, sx: int, sz: int) -> np.ndarray:
     return (np.eye(dim) + sx * xmat) @ (np.eye(dim) + sz * zmat) / 4
 
 
-@dataclass(frozen=True, eq=False)
-class LogicalOperator:
-    """A logical Pauli acting on one encoded qubit, in the logical basis."""
-
-    which: str  # "Y" or "Z"
-    target: int
-    matrix: np.ndarray = field(repr=False)
-
-
 def logical_pauli(n_logical: int, which: str, j: int) -> np.ndarray:
     """Dense I (x) ... (x) sigma_which (x) ... (x) I on logical slot j (1-indexed)."""
     if not 1 <= j <= n_logical:
         raise LogicalIndexError(f"logical index {j} outside 1..{n_logical}")
     sigma = {"Y": SIGMA_Y, "Z": SIGMA_Z}[which]
     return kron_all(sigma if i == j else SIGMA_I for i in range(1, n_logical + 1))
-
-
-def logical_operator(basis: LogicalBasis, which: str, j: int) -> LogicalOperator:
-    return LogicalOperator(which, j, logical_pauli(basis.n_logical, which, j))
 
 
 def project_to_logical(u_physical: np.ndarray, basis: LogicalBasis) -> np.ndarray:

@@ -9,10 +9,6 @@ class NotHermitianError(DfsGatesError):
     """Matrix expected to be Hermitian is not, within tolerance."""
 
 
-class NotInvolutoryError(DfsGatesError):
-    """Matrix squared does not equal a positive multiple of the identity."""
-
-
 class NotOrthonormalError(DfsGatesError):
     """Vectors expected to be orthonormal are not, within tolerance."""
 

@@ -255,14 +255,10 @@ def _frame_groups(schedule: GateSchedule, basis: LogicalBasis) -> list[list[np.n
     raise ValueError(f"unknown schedule kind {schedule.kind!r}")
 
 
-def _segment_propagators(segment: ScheduleSegment, fractions) -> list[np.ndarray]:
-    """exp(-i * f * area * H) for each fraction f, one eigendecomposition."""
-    h = segment.hamiltonian.to_matrix()
+def _segment_propagators(h: np.ndarray, area: float, fractions) -> list[np.ndarray]:
+    """exp(-i * f * area * h) for each fraction f, one eigendecomposition."""
     evals, vecs = np.linalg.eigh(h)
-    return [
-        (vecs * np.exp(-1j * f * segment.area * evals)) @ vecs.conj().T
-        for f in fractions
-    ]
+    return [(vecs * np.exp(-1j * f * area * evals)) @ vecs.conj().T for f in fractions]
 
 
 def verify_holonomy(
@@ -288,7 +284,7 @@ def verify_holonomy(
     prefix = np.eye(2**schedule.n_physical, dtype=np.complex128)
     for segment in schedule.segments:
         h = segment.hamiltonian.to_matrix()
-        for u_frac in _segment_propagators(segment, fractions):
+        for u_frac in _segment_propagators(h, segment.area, fractions):
             u_t = u_frac @ prefix
             for group in groups:
                 moved = [u_t @ vec for vec in group]
@@ -296,7 +292,8 @@ def verify_holonomy(
                     ha = h @ a
                     for b in moved:
                         worst = max(worst, abs(np.vdot(b, ha)))
-        prefix = _segment_propagators(segment, [1.0])[0] @ prefix
+        # The last fraction is exactly 1.0, so u_frac is the whole segment.
+        prefix = u_frac @ prefix
 
     defect = spectral_norm(
         subspace_projector([prefix @ v for v in flat0]) - subspace_projector(flat0)

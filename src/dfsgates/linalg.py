@@ -12,12 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NotHermitianError,
-    NotInvolutoryError,
-    NotOrthonormalError,
-)
+from .errors import DimensionMismatchError, NotHermitianError, NotOrthonormalError
 
 # Structural checks (hermiticity, unitarity, orthonormality, leakage) use
 # ATOL_STRUCT; vector norms and frozen amplitudes use the tighter ATOL_NORM.
@@ -76,28 +71,6 @@ def expm_hermitian(h: np.ndarray, scale: float, atol: float = ATOL_STRUCT) -> np
         raise NotHermitianError("matrix is not Hermitian within tolerance")
     evals, vecs = np.linalg.eigh(h)
     return (vecs * np.exp(-1j * scale * evals)) @ vecs.conj().T
-
-
-def expm_involutory(h: np.ndarray, scale: float, atol: float = ATOL_STRUCT) -> np.ndarray:
-    """Closed-form exp(-i * scale * h) for h with h @ h = c * I, c > 0.
-
-    Every gate Hamiltonian built from an anticommuting pair of Pauli
-    strings with cos/sin weights satisfies this, so the exponential
-    collapses to cos(scale*sqrt(c)) * I - i * sin(scale*sqrt(c))/sqrt(c) * h.
-
-    Raises
-    ------
-    NotInvolutoryError
-        If h squared is not a positive multiple of the identity within atol.
-    """
-    h = np.asarray(h, dtype=np.complex128)
-    dim = h.shape[0]
-    h2 = h @ h
-    c = float(np.real(np.trace(h2)) / dim)
-    if c <= 0 or np.abs(h2 - c * np.eye(dim)).max() > atol:
-        raise NotInvolutoryError("matrix squared is not a positive multiple of identity")
-    root = np.sqrt(c)
-    return np.cos(scale * root) * np.eye(dim) - 1j * (np.sin(scale * root) / root) * h
 
 
 def phase_invariant_fidelity(u: np.ndarray, v: np.ndarray) -> float:

@@ -1,12 +1,17 @@
 """Dynamical-decoupling cycles, imperfect pulses, baths, and gate fidelities.
 
 The decoupling sequence is XY-4: free (or computational) evolution sliced
-into equal intervals with a global pi pulse after each slice, axes
-ordered X, Y, X, Y. Two pulse imperfections are modelled, both relative:
+into four equal intervals with a global pi pulse after each slice, axes
+ordered X, Y, X, Y. One function builds that cycle from a slice
+propagator; `dd_cycle` applies it to idle evolution and `interleave`
+raises it to the number of cycles per gate segment. With ideal pulses
+the cycle is the decoupling-group conjugation product of Viola, Knill &
+Lloyd, PRL 82, 2417 (1999). Two pulse imperfections are modelled, both
+relative:
 
-    flip-angle error eps:  rotation angle (1 + eps) * theta_p
+    flip-angle error eps:  rotation angle (1 + eps) * pi
     detuning error delta:  axis tilted out of the transverse plane by
-                           delta and angle stretched to theta_p * sqrt(1 + delta**2)
+                           delta and angle stretched to pi * sqrt(1 + delta**2)
 
 The same flip error is applied to every qubit and pulse (a shared drive,
 which is also the worst case for coherent accumulation).
@@ -39,7 +44,6 @@ from .linalg import (
 from .pauli import PauliString, PauliSum, build_decoupling_group, group_average
 
 _AXES = ("x", "y", "z")
-_XY4 = ("x", "y", "x", "y")
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,6 @@ class DDErrorModel:
 
     epsilon: float = 0.0
     delta: float = 0.0
-    theta_p: float = math.pi
 
     @property
     def is_ideal(self) -> bool:
@@ -63,17 +66,10 @@ class InterleavingPlan:
     """How densely XY-4 cycles are packed into each schedule segment."""
 
     cycles_per_segment: int = 4
-    slices_per_cycle: int = 4  # fixed by XY-4
 
     def __post_init__(self):
-        if self.slices_per_cycle != 4:
-            raise ValueError("XY-4 fixes slices_per_cycle at 4")
         if self.cycles_per_segment < 1:
             raise ValueError("need at least one cycle per segment")
-
-    @property
-    def pulses_per_segment(self) -> int:
-        return self.cycles_per_segment * self.slices_per_cycle
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,7 +133,7 @@ def single_qubit_pulse(axis: str, errors: DDErrorModel = IDEAL_PULSES) -> np.nda
     The detuning tilts the rotation axis to
     (cos az, sin az, delta) / sqrt(1 + delta**2) with azimuth az = 0 (x) or
     pi/2 (y), and the flip error rescales the rotation angle; both reduce
-    to the nominal theta_p rotation at zero error.
+    to the nominal pi rotation at zero error.
     """
     azimuth = {"x": 0.0, "y": math.pi / 2}[axis]
     delta = errors.delta
@@ -145,7 +141,7 @@ def single_qubit_pulse(axis: str, errors: DDErrorModel = IDEAL_PULSES) -> np.nda
     direction = (
         math.cos(azimuth) * SIGMA_X + math.sin(azimuth) * SIGMA_Y + delta * SIGMA_Z
     ) / norm
-    angle = (1 + errors.epsilon) * errors.theta_p * norm
+    angle = (1 + errors.epsilon) * math.pi * norm
     return math.cos(angle / 2) * SIGMA_I - 1j * math.sin(angle / 2) * direction
 
 
@@ -165,17 +161,16 @@ def pulse(
     return p
 
 
-def ideal_pulse(axis: str, n: int) -> np.ndarray:
-    """Perfect global pi pulse, equal to (-i)^n times the global Pauli string."""
-    return pulse(axis, n)
+def _xy4_cycle(f: np.ndarray, n_system: int, errors: DDErrorModel) -> np.ndarray:
+    """P_y F P_x F P_y F P_x F for the slice propagator f.
 
-
-def imperfect_pulse_flip(axis: str, n: int, epsilon: float) -> np.ndarray:
-    return pulse(axis, n, DDErrorModel(epsilon=epsilon))
-
-
-def imperfect_pulse_detuning(axis: str, n: int, delta: float) -> np.ndarray:
-    return pulse(axis, n, DDErrorModel(delta=delta))
+    Each of the two pulses acts on the first n_system qubits of f's
+    register and is built once.
+    """
+    dim = f.shape[0]
+    x_f = pulse("x", n_system, errors, total_dim=dim) @ f
+    y_f = pulse("y", n_system, errors, total_dim=dim) @ f
+    return y_f @ (x_f @ (y_f @ x_f))
 
 
 def dd_cycle(
@@ -188,17 +183,13 @@ def dd_cycle(
 
     With ideal pulses this equals the decoupling-group conjugation product
     up to a global phase, so the first-order average Hamiltonian over the
-    cycle is the commutant projection of free_h.
+    cycle is the commutant projection of free_h. Pulses act on the first
+    n_system qubits (default: the whole register).
     """
     free_h = np.asarray(free_h, dtype=np.complex128)
-    dim = free_h.shape[0]
     if n_system is None:
-        n_system = dim.bit_length() - 1
-    f = expm_hermitian(free_h, dt)
-    u = np.eye(dim, dtype=np.complex128)
-    for axis in _XY4:
-        u = pulse(axis, n_system, errors, total_dim=dim) @ f @ u
-    return u
+        n_system = free_h.shape[0].bit_length() - 1
+    return _xy4_cycle(expm_hermitian(free_h, dt), n_system, errors)
 
 
 def interleave(
@@ -209,27 +200,27 @@ def interleave(
 ) -> np.ndarray:
     """Propagator of the schedule with XY-4 decoupling threaded through it.
 
-    Each segment occupies unit time split into 4 * cycles_per_segment
-    equal slices; a slice evolves under the segment Hamiltonian (scaled so
-    the full segment accumulates its pulse area) plus the bath coupling,
-    exactly exponentiated together, and is followed by one DD pulse. With
-    zero bath and ideal pulses the result equals the bare schedule
-    propagator up to a global phase, because every gate Hamiltonian
-    commutes with the pulse strings.
+    Each segment occupies unit time and runs c = cycles_per_segment XY-4
+    cycles. A cycle's slice lasts 1/(4c) and evolves under the segment
+    Hamiltonian (scaled so the full segment accumulates its pulse area)
+    plus the bath coupling, exactly exponentiated together; the segment
+    propagator is that one cycle raised to the c-th power. With zero bath
+    and ideal pulses the result equals the bare schedule propagator up to
+    a global phase, because every gate Hamiltonian commutes with the pulse
+    strings.
     """
     if bath.n_system != schedule.n_physical:
         raise DimensionMismatchError(
             f"bath on {bath.n_system} system qubits, schedule on {schedule.n_physical}"
         )
-    dim = bath.dim
     bath_h = bath.hamiltonian_matrix()
-    slices = plan.pulses_per_segment
-    u = np.eye(dim, dtype=np.complex128)
+    cycles = plan.cycles_per_segment
+    u = np.eye(bath.dim, dtype=np.complex128)
     for segment in schedule.segments:
         seg_h = segment.hamiltonian.embedded(bath.total_qubits).to_matrix()
-        slice_u = expm_hermitian(segment.area * seg_h + bath_h, 1.0 / slices)
-        for m in range(slices):
-            u = pulse(_XY4[m % 4], schedule.n_physical, errors, total_dim=dim) @ slice_u @ u
+        f = expm_hermitian(segment.area * seg_h + bath_h, 1.0 / (4 * cycles))
+        cycle = _xy4_cycle(f, schedule.n_physical, errors)
+        u = np.linalg.matrix_power(cycle, cycles) @ u
     return u
 
 
@@ -241,47 +232,33 @@ def reduced_system_propagator(u: np.ndarray, bath: BathModel) -> np.ndarray:
     return u[::stride, ::stride]
 
 
-def gate_fidelity_under_error(
-    schedule: GateSchedule,
-    basis,
-    plan: InterleavingPlan,
-    errors: DDErrorModel,
-    bath: BathModel,
-) -> float:
-    """Trace-overlap fidelity between the decoupled propagators with ideal
-    and with imperfect pulses, on the full register (bath-reduced when a
-    bath-qubit model is used).
-    """
-    if basis is not None and basis.n_physical != schedule.n_physical:
-        raise DimensionMismatchError("basis and schedule disagree on qubit count")
-    ideal_errors = DDErrorModel(theta_p=errors.theta_p)
-    u_id = interleave(schedule, bath, plan, ideal_errors)
-    u_im = u_id if errors.is_ideal else interleave(schedule, bath, plan, errors)
-    return phase_invariant_fidelity(
-        reduced_system_propagator(u_id, bath), reduced_system_propagator(u_im, bath)
-    )
-
-
 def error_sweep(
     schedule: GateSchedule,
-    basis,
     plan: InterleavingPlan,
     bath: BathModel,
     kind: str,
     values,
 ) -> list[tuple[str, float, float]]:
-    """Fidelity versus error strength for one error kind ("flip" | "detuning")."""
+    """Fidelity versus error strength for one error kind ("flip" | "detuning").
+
+    Each fidelity is the trace overlap between the decoupled propagators
+    with imperfect and with ideal pulses, on the full register
+    (bath-reduced when a bath-qubit model is used). The ideal reference is
+    computed once per sweep and reused at the zero-error point.
+    """
+    if kind not in ("flip", "detuning"):
+        raise ValueError(f"unknown error kind {kind!r}")
+    reference = reduced_system_propagator(interleave(schedule, bath, plan), bath)
     rows = []
     for value in values:
-        if kind == "flip":
-            errors = DDErrorModel(epsilon=float(value))
-        elif kind == "detuning":
-            errors = DDErrorModel(delta=float(value))
-        else:
-            raise ValueError(f"unknown error kind {kind!r}")
-        rows.append(
-            (kind, float(value), gate_fidelity_under_error(schedule, basis, plan, errors, bath))
+        value = float(value)
+        errors = DDErrorModel(epsilon=value) if kind == "flip" else DDErrorModel(delta=value)
+        noisy = (
+            reference
+            if errors.is_ideal
+            else reduced_system_propagator(interleave(schedule, bath, plan, errors), bath)
         )
+        rows.append((kind, value, phase_invariant_fidelity(reference, noisy)))
     return rows
 
 

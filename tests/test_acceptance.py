@@ -159,16 +159,15 @@ def test_criterion_5_u3_block_identity():
 
 def test_criterion_6_pulse_error_behavior():
     start = time.perf_counter()
-    basis = build_logical_basis(4)
     schedule = schedule_u3(4, 1, 2, np.pi / 4)
     plan = InterleavingPlan()  # default packing
     bath = BathModel.zero(4)
     grid = [round(-0.1 + 0.005 * i, 12) for i in range(41)]
     flip = dict(
-        (v, f) for _, v, f in error_sweep(schedule, basis, plan, bath, "flip", grid)
+        (v, f) for _, v, f in error_sweep(schedule, plan, bath, "flip", grid)
     )
     detuning = dict(
-        (v, f) for _, v, f in error_sweep(schedule, basis, plan, bath, "detuning", grid)
+        (v, f) for _, v, f in error_sweep(schedule, plan, bath, "detuning", grid)
     )
 
     ok = flip[0.0] >= 1 - 1e-9 and detuning[0.0] >= 1 - 1e-9

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import io
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dfsgates.cli import main
+from dfsgates.cli import MAX_GRID_STEPS, _grid_steps, main
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +68,16 @@ class TestSweep:
         by_key = {(r.split(",")[0], float(r.split(",")[1])): float(r.split(",")[2]) for r in rows}
         assert by_key[("flip", 0.0)] >= 1 - 1e-9
         assert by_key[("detuning", 0.0)] >= 1 - 1e-9
+        # Rows written by the pulse-by-pulse interleaving loop.
+        for golden in (
+            "detuning,-0.1,0.979052578400,0,2,u3,0.785398163397",
+            "detuning,0,1.000000000000,0,2,u3,0.785398163397",
+            "detuning,0.05,0.996782462116,0,2,u3,0.785398163397",
+            "flip,-0.05,0.989647282870,0,2,u3,0.785398163397",
+            "flip,0,1.000000000000,0,2,u3,0.785398163397",
+            "flip,0.1,0.925688819600,0,2,u3,0.785398163397",
+        ):
+            assert golden in rows
 
     def test_monotone_near_zero(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"
@@ -130,3 +146,89 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "verify", "--config", str(cfg))
         assert code == 2
         assert "unknown config key" in err
+
+
+def run_quiet(*argv):
+    """Exit code and stderr of one CLI call, without pytest fixtures."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+def assert_config_error(*argv):
+    code, err = run_quiet(*argv)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def out_csv(tmp_path_factory):
+    """Where a sweep would write; module-scoped so hypothesis can reuse it."""
+    return tmp_path_factory.mktemp("bad_input") / "x.csv"
+
+
+not_finite = st.sampled_from([math.inf, -math.inf, math.nan])
+finite = st.floats(allow_nan=False, allow_infinity=False)
+not_positive_finite = st.floats().filter(lambda x: not (math.isfinite(x) and x > 0))
+good_rung = st.floats(min_value=1e-6, max_value=10.0)
+
+
+class TestInputValidation:
+    @settings(max_examples=30, deadline=None)
+    @given(step=not_positive_finite)
+    def test_sweep_step_must_be_positive_and_finite(self, out_csv, step):
+        assert_config_error("sweep", f"--step={step!r}", "--out", str(out_csv))
+        assert not out_csv.exists()
+
+    @settings(max_examples=30, deadline=None)
+    @given(bound=not_finite, other=finite, which=st.sampled_from(["eps", "delta"]),
+           lower=st.booleans())
+    def test_sweep_range_bounds_must_be_finite(self, out_csv, bound, other, which, lower):
+        lo, hi = (bound, other) if lower else (other, bound)
+        assert_config_error("sweep", f"--{which}-range={lo!r}:{hi!r}", "--out", str(out_csv))
+        assert not out_csv.exists()
+
+    @given(lo=st.floats(-1e6, 1e6), span=st.floats(0.0, 1e6),
+           step=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    def test_grid_step_count_is_capped(self, lo, span, step):
+        hi = lo + span
+        try:
+            steps = _grid_steps(lo, hi, step)
+        except ValueError:
+            assert (hi - lo) / step > MAX_GRID_STEPS
+        else:
+            assert 0 <= steps <= MAX_GRID_STEPS
+
+    def test_fine_step_refused_before_the_grid_exists(self):
+        # ~2e11 points: the count is refused without building the list.
+        with pytest.raises(ValueError, match="more than"):
+            _grid_steps(-0.1, 0.1, 1e-12)
+        assert _grid_steps(-0.1, 0.1, 0.005) == 40
+        assert _grid_steps(0.0, 1.0, 1.0 / MAX_GRID_STEPS) == MAX_GRID_STEPS
+
+    @settings(max_examples=30, deadline=None)
+    @given(rungs=st.lists(good_rung, max_size=4), bad=not_positive_finite, at=st.integers(0, 4))
+    def test_ladder_rungs_must_be_positive_and_finite(self, rungs, bad, at):
+        rungs.insert(min(at, len(rungs)), bad)
+        assert_config_error("decouple", "--dt-ladder=" + ",".join(map(repr, rungs)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(rung=good_rung, repeats=st.integers(1, 4))
+    def test_ladder_needs_two_distinct_rungs(self, rung, repeats):
+        assert_config_error("decouple", "--dt-ladder=" + ",".join([repr(rung)] * repeats))
+
+    @settings(max_examples=30, deadline=None)
+    @given(width=st.one_of(not_finite, st.floats(max_value=0.0, exclude_max=True)),
+           command=st.sampled_from(["sweep", "decouple", "verify"]))
+    def test_bath_width_must_be_finite_and_non_negative(self, out_csv, width, command):
+        assert_config_error(command, "--bath", "scalar", f"--bath-width={width!r}",
+                            "--out", str(out_csv))
+
+    @settings(max_examples=20, deadline=None)
+    @given(value=not_finite, call=st.sampled_from(
+        [("verify", "angle"), ("sweep", "angle"), ("decouple", "angle"),
+         ("decouple", "total-time")]))
+    def test_angle_and_total_time_must_be_finite(self, out_csv, value, call):
+        command, option = call
+        assert_config_error(command, f"--{option}={value!r}", "--out", str(out_csv))

@@ -7,7 +7,6 @@ from dfsgates.dfs import (
     basis_dump,
     build_logical_basis,
     dfs_decomposition,
-    logical_operator,
     logical_pauli,
     project_to_logical,
     sector_projector,
@@ -106,12 +105,12 @@ class TestSectorDecomposition:
 
 class TestLogicalOperators:
     def test_z1_diagonal(self):
-        op = logical_operator(build_logical_basis(4), "Z", 1)
-        assert np.allclose(op.matrix, np.diag([1, 1, -1, -1]))
+        n_logical = build_logical_basis(4).n_logical
+        assert np.allclose(logical_pauli(n_logical, "Z", 1), np.diag([1, 1, -1, -1]))
 
     def test_y2_form(self):
-        op = logical_operator(build_logical_basis(4), "Y", 2)
-        assert np.allclose(op.matrix, kron(SIGMA_I, SIGMA_Y))
+        n_logical = build_logical_basis(4).n_logical
+        assert np.allclose(logical_pauli(n_logical, "Y", 2), kron(SIGMA_I, SIGMA_Y))
 
     def test_anticommutation_same_target(self):
         y = logical_pauli(2, "Y", 1)

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import expm_oracle, kron_oracle, random_hermitian, random_unitary
-from dfsgates.errors import NotHermitianError, NotInvolutoryError, NotOrthonormalError
+from dfsgates.errors import NotHermitianError, NotOrthonormalError
 from dfsgates.linalg import (
     SIGMA_I,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     expm_hermitian,
-    expm_involutory,
     is_unitary,
     kron,
     kron_all,
@@ -78,13 +77,21 @@ class TestExpmHermitian:
             assert is_unitary(u1)
 
 
+def involutory_exp_oracle(h: np.ndarray, scale: float) -> np.ndarray:
+    """exp(-i scale h) for h @ h = c I: cos(scale sqrt(c)) I - i sin(scale sqrt(c)) / sqrt(c) h."""
+    dim = h.shape[0]
+    root = np.sqrt(np.real(np.trace(h @ h)) / dim)
+    assert np.allclose(h @ h, root**2 * np.eye(dim), atol=1e-10)
+    return np.cos(scale * root) * np.eye(dim) - 1j * (np.sin(scale * root) / root) * h
+
+
 class TestExpmInvolutory:
+    """expm_hermitian on generators that square to a multiple of the
+    identity, as every gate segment does, against the closed form."""
+
     def test_zz_half_pi(self):
         zz = kron(SIGMA_Z, SIGMA_Z)
-        assert np.allclose(expm_involutory(zz, np.pi / 2), -1j * zz, atol=1e-12)
-
-    def test_zero_scale(self):
-        assert np.allclose(expm_involutory(SIGMA_X, 0.0), np.eye(2))
+        assert np.allclose(expm_hermitian(zz, np.pi / 2), -1j * zz, atol=1e-12)
 
     def test_cos_sin_combination_of_anticommuting_pair(self):
         # A = Z (x) Z and B = X (x) I anticommute, so h**2 = I for any theta
@@ -93,12 +100,8 @@ class TestExpmInvolutory:
             h = np.cos(theta) * a + np.sin(theta) * b
             assert np.allclose(h @ h, np.eye(4), atol=1e-12)
             assert np.allclose(
-                expm_involutory(h, 0.7), expm_hermitian(h, 0.7), atol=1e-10
+                expm_hermitian(h, 0.7), involutory_exp_oracle(h, 0.7), atol=1e-10
             )
-
-    def test_rejects_non_involutory(self):
-        with pytest.raises(NotInvolutoryError):
-            expm_involutory(np.diag([1.0, 2.0]).astype(complex), 1.0)
 
     def test_agrees_with_general_path_random(self, rng):
         # h = V diag(+-sqrt(c)) V† squares to c * I
@@ -111,7 +114,7 @@ class TestExpmInvolutory:
             h = (h + h.conj().T) / 2
             s = rng.uniform(-2, 2)
             assert np.allclose(
-                expm_involutory(h, s), expm_hermitian(h, s), atol=1e-10
+                expm_hermitian(h, s), involutory_exp_oracle(h, s), atol=1e-10
             )
 
 

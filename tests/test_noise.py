@@ -3,9 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dfsgates.dfs import build_logical_basis
 from dfsgates.errors import BadPartitionError, DimensionMismatchError, DimensionTooLargeError
-from dfsgates.gates import evolve_schedule, schedule_u1, schedule_u3
+from dfsgates.gates import evolve_schedule, schedule_u1, schedule_u2, schedule_u3
 from dfsgates.linalg import (
     SIGMA_X,
     SIGMA_Y,
@@ -25,10 +24,6 @@ from dfsgates.noise import (
     decoupling_order_probe,
     error_sweep,
     fit_error_order,
-    gate_fidelity_under_error,
-    ideal_pulse,
-    imperfect_pulse_detuning,
-    imperfect_pulse_flip,
     interleave,
     pulse,
     reduced_system_propagator,
@@ -40,27 +35,28 @@ from dfsgates.pauli import pauli_to_matrix, PauliString
 
 class TestPulses:
     def test_ideal_single_x(self):
-        assert np.allclose(ideal_pulse("x", 1), -1j * SIGMA_X, atol=1e-12)
+        assert np.allclose(pulse("x", 1), -1j * SIGMA_X, atol=1e-12)
 
     def test_ideal_four_x_is_global_string(self):
+        # (-i)^4 = 1, so the ideal pulse is the global Pauli string itself
         expected = pauli_to_matrix(PauliString.uniform(4, "X"))
-        assert np.allclose(ideal_pulse("x", 4), expected, atol=1e-12)
+        assert np.allclose(pulse("x", 4), expected, atol=1e-12)
 
     def test_ideal_equals_zero_error(self):
         for axis in ("x", "y"):
-            assert np.allclose(ideal_pulse(axis, 2), pulse(axis, 2, IDEAL_PULSES))
-            assert np.allclose(ideal_pulse(axis, 2), imperfect_pulse_flip(axis, 2, 0.0))
-            assert np.allclose(ideal_pulse(axis, 2), imperfect_pulse_detuning(axis, 2, 0.0))
+            assert np.array_equal(pulse(axis, 2), pulse(axis, 2, IDEAL_PULSES))
+            assert np.allclose(pulse(axis, 2), pulse(axis, 2, DDErrorModel(epsilon=0.0)))
+            assert np.allclose(pulse(axis, 2), pulse(axis, 2, DDErrorModel(delta=0.0)))
 
     def test_flip_closed_form(self):
         eps = 0.07
         angle = (1 + eps) * np.pi / 2
         expected = np.cos(angle) * np.eye(2) - 1j * np.sin(angle) * SIGMA_X
-        assert np.allclose(imperfect_pulse_flip("x", 1, eps), expected, atol=1e-12)
+        assert np.allclose(pulse("x", 1, DDErrorModel(epsilon=eps)), expected, atol=1e-12)
 
     def test_flip_full_turn(self):
         # eps = 1 doubles the pi rotation into a 2*pi turn, i.e. -I per qubit
-        assert np.allclose(imperfect_pulse_flip("x", 1, 1.0), -np.eye(2), atol=1e-12)
+        assert np.allclose(pulse("x", 1, DDErrorModel(epsilon=1.0)), -np.eye(2), atol=1e-12)
 
     def test_detuning_axis_tilt(self):
         delta = 0.2
@@ -75,14 +71,14 @@ class TestPulses:
 
     def test_detuning_unitary_any_delta(self):
         for delta in (-0.5, -0.1, 0.05, 0.5):
-            assert is_unitary(imperfect_pulse_detuning("y", 3, delta), atol=1e-12)
+            assert is_unitary(pulse("y", 3, DDErrorModel(delta=delta)), atol=1e-12)
 
     def test_y_pulse_azimuth(self):
         assert np.allclose(single_qubit_pulse("y"), -1j * SIGMA_Y, atol=1e-12)
 
     def test_too_many_qubits_rejected(self):
         with pytest.raises(DimensionTooLargeError):
-            ideal_pulse("x", 9)
+            pulse("x", 9)
 
 
 class TestDDCycle:
@@ -161,51 +157,105 @@ class TestInterleave:
     def test_plan_validation(self):
         with pytest.raises(ValueError):
             InterleavingPlan(cycles_per_segment=0)
-        with pytest.raises(ValueError):
-            InterleavingPlan(slices_per_cycle=3)
+
+
+def interleave_oracle(schedule, bath, plan, errors):
+    """Pulse-by-pulse XY-4 threading: after each of the 4 * cycles slices of
+    a segment, one global pulse, axes X, Y, X, Y, ..."""
+    dim = bath.dim
+    bath_h = bath.hamiltonian_matrix()
+    slices = 4 * plan.cycles_per_segment
+    u = np.eye(dim, dtype=np.complex128)
+    for segment in schedule.segments:
+        seg_h = segment.hamiltonian.embedded(bath.total_qubits).to_matrix()
+        slice_u = expm_hermitian(segment.area * seg_h + bath_h, 1.0 / slices)
+        for m in range(slices):
+            u = pulse("xy"[m % 2], schedule.n_physical, errors, total_dim=dim) @ slice_u @ u
+    return u
+
+
+def _oracle_cases():
+    baths = {
+        "none": lambda n: BathModel.zero(n),
+        "scalar": lambda n: BathModel.random(n, 0.1, seed=n, kind="scalar"),
+        "qubit": lambda n: BathModel.random(n, 0.1, seed=n, kind="qubit"),
+    }
+    gates = {
+        "u1": lambda n: schedule_u1(n, n - 2, 0.7),
+        "u2": lambda n: schedule_u2(n, 1, 0.4),
+        "u3": lambda n: schedule_u3(n, 1, n - 2, 0.6),
+    }
+    cases = [
+        (n, b, g, c)
+        for n in (4, 6) for b in ("none", "scalar") for g in gates for c in (1, 2, 4, 5)
+    ]
+    # 256-dimensional registers are slow under the oracle: one cycle count per gate.
+    cases += [(4, "qubit", "u1", 5), (4, "qubit", "u2", 1), (4, "qubit", "u3", 2)]
+    cases += [(8, "scalar", "u1", 2), (8, "scalar", "u2", 1), (8, "scalar", "u3", 4)]
+    return [
+        pytest.param(n, baths[b], gates[g], c, id=f"n{n}-{b}-{g}-c{c}")
+        for n, b, g, c in cases
+    ]
+
+
+class TestInterleaveOracle:
+    @pytest.mark.parametrize("n, make_bath, make_schedule, cycles", _oracle_cases())
+    def test_matches_pulse_by_pulse_loop(self, n, make_bath, make_schedule, cycles):
+        # The cycle power regroups the products, so agreement is to rounding.
+        # Fidelities near 0.5 at the grid edges (flip error 0.1) differ by up
+        # to ~2.4e-15, hence the fidelity bound of 1e-14.
+        schedule, bath, plan = make_schedule(n), make_bath(n), InterleavingPlan(cycles)
+        ref_ideal = interleave_oracle(schedule, bath, plan, IDEAL_PULSES)
+        new_ideal = interleave(schedule, bath, plan)
+        assert np.abs(new_ideal - ref_ideal).max() <= 1e-13
+        for errors in (DDErrorModel(epsilon=0.1), DDErrorModel(delta=-0.1)):
+            ref = interleave_oracle(schedule, bath, plan, errors)
+            new = interleave(schedule, bath, plan, errors)
+            assert np.abs(new - ref).max() <= 1e-13
+            f_ref = phase_invariant_fidelity(
+                reduced_system_propagator(ref_ideal, bath), reduced_system_propagator(ref, bath)
+            )
+            f_new = phase_invariant_fidelity(
+                reduced_system_propagator(new_ideal, bath), reduced_system_propagator(new, bath)
+            )
+            assert abs(f_new - f_ref) <= 1e-14
 
 
 class TestGateFidelity:
     def test_zero_errors_unity(self):
-        basis = build_logical_basis(4)
         plan = InterleavingPlan()
         bath = BathModel.zero(4)
         for schedule in (
             schedule_u1(4, 1, 0.7),
             schedule_u3(4, 1, 2, np.pi / 4),
         ):
-            f = gate_fidelity_under_error(schedule, basis, plan, IDEAL_PULSES, bath)
-            assert f >= 1 - 1e-9
+            for kind in ("flip", "detuning"):
+                [(_, _, f)] = error_sweep(schedule, plan, bath, kind, [0.0])
+                assert f >= 1 - 1e-9
 
     def test_flip_degrades_more_than_detuning(self):
-        basis = build_logical_basis(4)
         plan = InterleavingPlan()
         bath = BathModel.zero(4)
         schedule = schedule_u3(4, 1, 2, np.pi / 4)
-        for e in (0.05, 0.1):
-            f_flip = gate_fidelity_under_error(
-                schedule, basis, plan, DDErrorModel(epsilon=e), bath
-            )
-            f_det = gate_fidelity_under_error(
-                schedule, basis, plan, DDErrorModel(delta=e), bath
-            )
+        values = [0.05, 0.1]
+        flip = error_sweep(schedule, plan, bath, "flip", values)
+        detuning = error_sweep(schedule, plan, bath, "detuning", values)
+        for (_, _, f_flip), (_, _, f_det) in zip(flip, detuning):
             assert f_det >= f_flip
 
     def test_sweep_rows_deterministic(self):
-        basis = build_logical_basis(4)
         plan = InterleavingPlan(2)
         bath = BathModel.zero(4)
         schedule = schedule_u3(4, 1, 2, np.pi / 4)
         values = [-0.05, 0.0, 0.05]
-        a = error_sweep(schedule, basis, plan, bath, "flip", values)
-        b = error_sweep(schedule, basis, plan, bath, "flip", values)
+        a = error_sweep(schedule, plan, bath, "flip", values)
+        b = error_sweep(schedule, plan, bath, "flip", values)
         assert a == b
 
     def test_unknown_kind_rejected(self):
-        basis = build_logical_basis(4)
         with pytest.raises(ValueError):
             error_sweep(
-                schedule_u1(4, 1, 0.1), basis, InterleavingPlan(1),
+                schedule_u1(4, 1, 0.1), InterleavingPlan(1),
                 BathModel.zero(4), "phase", [0.0],
             )
 
