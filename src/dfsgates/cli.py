@@ -66,6 +66,8 @@ DEFAULTS = {
 
 # Largest number of steps one sweep range may have; finer grids exit 2.
 MAX_GRID_STEPS = 10_000
+# Largest number of holonomy samples per segment `verify` accepts.
+MAX_SAMPLES = 1024
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,6 +152,8 @@ def _check_values(cfg: dict) -> None:
         raise ValueError(f"bath_width must be >= 0, got {cfg['bath_width']!r}")
     if cfg["step"] <= 0:
         raise ValueError("step must be positive")
+    if not 1 <= cfg["samples"] <= MAX_SAMPLES:
+        raise ValueError(f"samples must be in 1..{MAX_SAMPLES}, got {cfg['samples']!r}")
 
 
 def _parse_range(text: str) -> tuple[float, float]:

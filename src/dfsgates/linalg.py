@@ -66,11 +66,24 @@ def expm_hermitian(h: np.ndarray, scale: float, atol: float = ATOL_STRUCT) -> np
     NotHermitianError
         If h deviates from its own conjugate transpose by more than atol.
     """
+    evals, vecs = _eigh_hermitian(h, atol)
+    return (vecs * np.exp(-1j * scale * evals)) @ vecs.conj().T
+
+
+def _eigh_hermitian(h: np.ndarray, atol: float = ATOL_STRUCT) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of h, after checking that h is Hermitian.
+
+    The one eigendecomposition path behind every propagator in the package.
+
+    Raises
+    ------
+    NotHermitianError
+        If h deviates from its own conjugate transpose by more than atol.
+    """
     h = np.asarray(h, dtype=np.complex128)
     if not is_hermitian(h, atol):
         raise NotHermitianError("matrix is not Hermitian within tolerance")
-    evals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * scale * evals)) @ vecs.conj().T
+    return np.linalg.eigh(h)
 
 
 def phase_invariant_fidelity(u: np.ndarray, v: np.ndarray) -> float:
@@ -99,8 +112,19 @@ def subspace_projector(basis, atol: float = ATOL_STRUCT) -> np.ndarray:
     NotOrthonormalError
         If the Gram matrix of the input deviates from the identity.
     """
-    b = np.asarray(list(basis), dtype=np.complex128)
-    gram = b.conj() @ b.T
-    if np.abs(gram - np.eye(b.shape[0])).max() > atol:
+    frame = _orthonormal_frame(basis, atol)
+    return frame @ frame.conj().T
+
+
+def _orthonormal_frame(vectors, atol: float = ATOL_STRUCT) -> np.ndarray:
+    """The vectors as the columns of one d x r matrix, checked orthonormal.
+
+    Raises
+    ------
+    NotOrthonormalError
+        If the Gram matrix of the input deviates from the identity.
+    """
+    frame = np.asarray(list(vectors), dtype=np.complex128).T
+    if np.abs(frame.conj().T @ frame - np.eye(frame.shape[1])).max() > atol:
         raise NotOrthonormalError("basis vectors are not orthonormal within tolerance")
-    return b.T @ b.conj()
+    return frame

@@ -53,6 +53,13 @@ class DDErrorModel:
     epsilon: float = 0.0
     delta: float = 0.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.epsilon) and math.isfinite(self.delta)):
+            raise ValueError(
+                f"pulse errors must be finite, got epsilon={self.epsilon!r}, "
+                f"delta={self.delta!r}"
+            )
+
     @property
     def is_ideal(self) -> bool:
         return self.epsilon == 0.0 and self.delta == 0.0
@@ -85,12 +92,18 @@ class BathModel:
     n_system: int
     couplings: np.ndarray = field(repr=False)  # shape (n_system, 3), real
 
+    def __post_init__(self):
+        if not np.isfinite(self.couplings).all():
+            raise ValueError("bath couplings must be finite")
+
     @classmethod
     def zero(cls, n: int, kind: str = "scalar") -> "BathModel":
         return cls(kind, n, np.zeros((n, 3)))
 
     @classmethod
     def random(cls, n: int, width: float, seed: int, kind: str = "scalar") -> "BathModel":
+        if not (math.isfinite(width) and width >= 0):
+            raise ValueError(f"width must be finite and >= 0, got {width!r}")
         rng = np.random.default_rng(seed)
         return cls(kind, n, rng.uniform(-width, width, size=(n, 3)))
 

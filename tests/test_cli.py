@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfsgates.cli import MAX_GRID_STEPS, _grid_steps, main
+import dfsgates.cli as cli
+from dfsgates.cli import MAX_GRID_STEPS, MAX_SAMPLES, _grid_steps, main
 
 
 def run_cli(capsys, *argv):
@@ -50,6 +51,33 @@ class TestVerify:
     def test_odd_n_is_config_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--gate", "u1", "--n", "5")
         assert code == 2
+
+    @pytest.mark.parametrize("gate, target", [
+        ("u1", ["--j", "6"]), ("u2", ["--j", "2"]), ("u3", ["--k", "2", "--l", "5"]),
+    ])
+    def test_n8_all_rows_pass(self, capsys, gate, target):
+        code, out, _ = run_cli(capsys, "verify", "--gate", gate, "--n", "8", *target,
+                               "--angle", "0.9")
+        assert code == 0
+        rows = [line for line in out.splitlines() if line.startswith("  ")]
+        assert len(rows) == (6 if gate == "u3" else 5)
+        assert all(row.endswith("PASS") for row in rows)
+        assert out.strip().endswith("result: PASS")
+
+    def test_samples_at_cap_passes(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--gate", "u1", "--samples", str(MAX_SAMPLES))
+        assert code == 0
+        assert out.strip().endswith("result: PASS")
+
+    def test_bad_samples_refused_before_evolution(self, capsys, monkeypatch):
+        def no_evolution(schedule):
+            raise AssertionError("evolution ran")
+
+        monkeypatch.setattr(cli, "evolve_schedule", no_evolution)
+        for samples in ("0", str(MAX_SAMPLES + 1)):
+            code, _, err = run_cli(capsys, "verify", "--samples", samples)
+            assert code == 2
+            assert err.startswith("error: samples")
 
 
 class TestSweep:
@@ -224,6 +252,11 @@ class TestInputValidation:
     def test_bath_width_must_be_finite_and_non_negative(self, out_csv, width, command):
         assert_config_error(command, "--bath", "scalar", f"--bath-width={width!r}",
                             "--out", str(out_csv))
+
+    @settings(max_examples=30, deadline=None)
+    @given(samples=st.one_of(st.integers(max_value=0), st.integers(min_value=MAX_SAMPLES + 1)))
+    def test_verify_samples_must_be_in_range(self, samples):
+        assert_config_error("verify", f"--samples={samples}")
 
     @settings(max_examples=20, deadline=None)
     @given(value=not_finite, call=st.sampled_from(

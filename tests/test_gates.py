@@ -1,12 +1,24 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from dfsgates.dfs import build_logical_basis, logical_pauli, project_to_logical
-from dfsgates.errors import BadIndexPairError, LogicalIndexError
+from dfsgates.dfs import LogicalBasis, build_logical_basis, logical_pauli, project_to_logical
+from dfsgates.errors import (
+    BadIndexPairError,
+    DfsGatesError,
+    LengthMismatchError,
+    LogicalIndexError,
+    NotOrthonormalError,
+    OddQubitCountError,
+    TooFewQubitsError,
+)
 from dfsgates.gates import (
     GateSchedule,
+    ScheduleSegment,
+    _frame_groups,
     analytic_target,
     barred_transform,
     evolve_schedule,
@@ -22,7 +34,12 @@ from dfsgates.gates import (
     u3_subspace_swap_defect,
     verify_holonomy,
 )
-from dfsgates.linalg import is_unitary, phase_invariant_fidelity
+from dfsgates.linalg import (
+    is_unitary,
+    phase_invariant_fidelity,
+    spectral_norm,
+    subspace_projector,
+)
 from dfsgates.pauli import PauliString, PauliSum, build_decoupling_group, commutes
 
 ANGLES = (0.0, np.pi / 7, np.pi / 4, 1.0, np.pi / 2)
@@ -246,6 +263,137 @@ class TestHolonomy:
         with pytest.raises(ValueError):
             verify_holonomy(schedule_u1(4, 1, 0.5), basis, 0)
 
+    def test_non_orthonormal_frame_rejected(self):
+        basis = build_logical_basis(4)
+        states = basis.states.copy()
+        states[1] = (states[0] + states[1]) / np.sqrt(2)
+        skewed = LogicalBasis(basis.n_physical, basis.labels, states)
+        for schedule in (schedule_u1(4, 1, 0.5), schedule_u2(4, 1, 0.5),
+                         schedule_u3(4, 1, 2, 0.5)):
+            with pytest.raises(NotOrthonormalError):
+                verify_holonomy(schedule, skewed)
+        with pytest.raises(NotOrthonormalError):
+            u3_subspace_swap_defect(schedule_u3(4, 1, 2, 0.5), skewed)
+
+
+def holonomy_oracle(schedule, basis, samples_per_segment=8):
+    """Projector-difference certifier: full d x d propagators, one vdot per
+    frame-vector pair per sample, and ||P_U - P_V|| from a d x d SVD."""
+    groups = _frame_groups(schedule, basis)
+    flat0 = [vec for group in groups for vec in group]
+    fractions = [m / samples_per_segment for m in range(samples_per_segment + 1)]
+    worst = 0.0
+    prefix = np.eye(2**schedule.n_physical, dtype=np.complex128)
+    for segment in schedule.segments:
+        h = segment.hamiltonian.to_matrix()
+        evals, vecs = np.linalg.eigh(h)
+        for f in fractions:
+            u_frac = (vecs * np.exp(-1j * f * segment.area * evals)) @ vecs.conj().T
+            u_t = u_frac @ prefix
+            for group in groups:
+                moved = [u_t @ vec for vec in group]
+                for a in moved:
+                    ha = h @ a
+                    for b in moved:
+                        worst = max(worst, abs(np.vdot(b, ha)))
+        prefix = u_frac @ prefix
+    defect = 0.0
+    for group in [flat0, *groups]:
+        defect = max(
+            defect,
+            spectral_norm(
+                subspace_projector([prefix @ v for v in group]) - subspace_projector(group)
+            ),
+        )
+    swap = None
+    if schedule.kind == "u3":
+        seg = schedule.segments[0]
+        evals, vecs = np.linalg.eigh(seg.hamiltonian.to_matrix())
+        u_boundary = (vecs * np.exp(-1j * seg.area * evals)) @ vecs.conj().T
+        swap = 0.0
+        for pa, pb in zip(groups[::2], groups[1::2]):
+            for src, dst in ((pa, pb), (pb, pa)):
+                swap = max(
+                    swap,
+                    spectral_norm(
+                        subspace_projector([u_boundary @ v for v in src])
+                        - subspace_projector(dst)
+                    ),
+                )
+    leakage = leakage_of(project_to_logical(prefix, basis))
+    return defect, worst, leakage, swap
+
+
+def certify(schedule, basis):
+    report = verify_holonomy(schedule, basis)
+    swap = u3_subspace_swap_defect(schedule, basis) if schedule.kind == "u3" else None
+    return (report.cyclic_defect, report.max_parallel_transport_violation,
+            report.leakage, swap)
+
+
+def _passing_cases():
+    cases = []
+    for n in (4, 6):
+        for kind in ("u1", "u2"):
+            cases += [(kind, n, (j,), 0.7) for j in range(1, n - 1)]
+        cases += [("u3", n, (k, l), 0.6) for k in range(1, n - 1) for l in range(k + 1, n - 1)]
+    cases += [("u1", 8, (6,), 1.1), ("u2", 8, (3,), 0.4), ("u3", 8, (2, 5), 0.9)]
+    return [
+        pytest.param(kind, n, target, angle, id=f"n{n}-{kind}-{'-'.join(map(str, target))}")
+        for kind, n, target, angle in cases
+    ]
+
+
+def _schedule(kind, n, target, angle):
+    make = {"u1": schedule_u1, "u2": schedule_u2, "u3": schedule_u3}[kind]
+    return make(n, *target, angle)
+
+
+def _scale_first_area(schedule):
+    first, *rest = schedule.segments
+    return GateSchedule(
+        schedule.kind, schedule.n_physical, schedule.target, schedule.angle,
+        (ScheduleSegment(first.hamiltonian, 0.77 * first.area), *rest),
+    )
+
+
+def _perturb_last_segment(schedule):
+    n = schedule.n_physical
+    *rest, last = schedule.segments
+    extra = PauliSum.from_terms(n, [(0.3, PauliString.from_sites(n, {2: "Z", 3: "Z"}))])
+    return GateSchedule(
+        schedule.kind, n, schedule.target, schedule.angle,
+        (*rest, ScheduleSegment(last.hamiltonian + extra, last.area)),
+    )
+
+
+class TestCertifierOracle:
+    @pytest.mark.parametrize("kind, n, target, angle", _passing_cases())
+    def test_passing_schedules_match_projector_oracle(self, kind, n, target, angle):
+        schedule = _schedule(kind, n, target, angle)
+        basis = build_logical_basis(n)
+        new, ref = certify(schedule, basis), holonomy_oracle(schedule, basis)
+        for got, want in zip(new, ref):
+            if want is not None:
+                assert want <= 1e-10
+                assert abs(got - want) <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["u1", "u2", "u3"])
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("breaker", [_scale_first_area, _perturb_last_segment])
+    def test_broken_schedules_fail_as_the_oracle_does(self, kind, n, breaker):
+        target = (1, n - 2) if kind == "u3" else (n - 2,)
+        schedule = breaker(_schedule(kind, n, target, 0.6))
+        basis = build_logical_basis(n)
+        new, ref = certify(schedule, basis), holonomy_oracle(schedule, basis)
+        for got, want in zip(new, ref):
+            if want is not None:
+                assert abs(got - want) <= 1e-12 * want + 1e-14
+        # Either the frame no longer closes or H acts inside a subspace.
+        assert max(new[0], new[1]) > 1e-3
+        if kind == "u3" and breaker is _scale_first_area:
+            assert new[3] > 1e-3
+
 
 class TestU3Blocks:
     def test_phi_zero(self):
@@ -345,3 +493,66 @@ class TestSerialization:
             for a, b in zip(restored.segments, s.segments):
                 assert a.area == pytest.approx(b.area)
                 assert a.hamiltonian.isclose(b.hamiltonian)
+
+
+def edited_json(schedule, **changes):
+    """schedule_to_json output with top-level fields replaced."""
+    data = json.loads(schedule_to_json(schedule))
+    data.update(changes)
+    return json.dumps(data)
+
+
+class TestScheduleFromJsonValidation:
+    def test_unknown_kind(self):
+        with pytest.raises(DfsGatesError, match="kind"):
+            schedule_from_json(edited_json(schedule_u1(4, 1, 0.3), kind="u4"))
+
+    def test_odd_qubit_count(self):
+        with pytest.raises(OddQubitCountError):
+            schedule_from_json(edited_json(schedule_u1(4, 1, 0.3), n_physical=5))
+
+    def test_too_few_qubits(self):
+        with pytest.raises(TooFewQubitsError):
+            schedule_from_json(edited_json(schedule_u1(4, 1, 0.3), n_physical=2))
+
+    def test_non_integer_qubit_count(self):
+        with pytest.raises(DfsGatesError, match="integer"):
+            schedule_from_json(edited_json(schedule_u1(4, 1, 0.3), n_physical=4.0))
+
+    def test_single_target_arity(self):
+        for target in ([], [1, 2]):
+            with pytest.raises(LogicalIndexError):
+                schedule_from_json(edited_json(schedule_u2(4, 1, 0.3), target=target))
+
+    def test_pair_target_arity(self):
+        for target in ([1], [1, 2, 3]):
+            with pytest.raises(BadIndexPairError):
+                schedule_from_json(edited_json(schedule_u3(6, 1, 2, 0.3), target=target))
+
+    def test_single_target_out_of_range(self):
+        for target in ([0], [3]):
+            with pytest.raises(LogicalIndexError):
+                schedule_from_json(edited_json(schedule_u1(4, 1, 0.3), target=target))
+
+    def test_pair_target_out_of_range(self):
+        for target in ([2, 1], [1, 1], [0, 2], [1, 5]):
+            with pytest.raises(BadIndexPairError):
+                schedule_from_json(edited_json(schedule_u3(6, 1, 2, 0.3), target=target))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_angle(self, bad):
+        with pytest.raises(DfsGatesError, match="finite"):
+            schedule_from_json(edited_json(schedule_u3(4, 1, 2, 0.3), angle=bad))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_area(self, bad):
+        data = json.loads(schedule_to_json(schedule_u2(4, 1, 0.3)))
+        data["segments"][2]["area"] = bad
+        with pytest.raises(DfsGatesError, match="finite"):
+            schedule_from_json(json.dumps(data))
+
+    def test_hamiltonian_on_other_qubit_count(self):
+        data = json.loads(schedule_to_json(schedule_u1(6, 1, 0.3)))
+        data["n_physical"] = 4
+        with pytest.raises(LengthMismatchError):
+            schedule_from_json(json.dumps(data))

@@ -280,6 +280,35 @@ class TestBathModels:
     def test_zero_bath(self):
         assert BathModel.zero(4).is_zero()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coupling_rejected(self, bad):
+        couplings = np.zeros((4, 3))
+        couplings[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            BathModel("scalar", 4, couplings)
+
+    @pytest.mark.parametrize("width", [np.nan, np.inf, -np.inf])
+    def test_non_finite_width_rejected(self, width):
+        with pytest.raises(ValueError, match="width"):
+            BathModel.random(4, width, seed=1)
+
+    def test_negative_width_rejected(self):
+        with pytest.raises(ValueError, match="width"):
+            BathModel.random(4, -0.1, seed=1)
+        assert BathModel.random(4, 0.0, seed=1).is_zero()
+
+
+class TestDDErrorModel:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_flip_error_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            DDErrorModel(epsilon=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_detuning_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            DDErrorModel(delta=bad)
+
 
 class TestDecouplingProbe:
     def test_zero_bath_exact(self):
