@@ -25,8 +25,8 @@ plan = InterleavingPlan()  # 4 XY-4 cycles per segment
 bath = BathModel.zero(n)  # isolate pulse errors
 
 grid = [round(-0.1 + 0.005 * i, 12) for i in range(41)]
-flip = error_sweep(schedule, plan, bath, "flip", grid)
-detuning = error_sweep(schedule, plan, bath, "detuning", grid)
+rows = error_sweep(schedule, plan, bath, {"flip": grid, "detuning": grid})
+flip, detuning = rows[: len(grid)], rows[len(grid) :]
 
 print("error     F(flip)    F(detuning)")
 for (_, value, f_flip), (_, _, f_det) in zip(flip[::5], detuning[::5]):
@@ -43,5 +43,5 @@ mean_det = np.mean([fid for _, _, fid in detuning])
 print(f"mean fidelity: flip {mean_flip:.4f} vs detuning {mean_det:.4f}")
 
 out = Path("pulse_error_sweep.csv")
-out.write_text("\n".join(sweep_csv_lines(flip + detuning, 0, plan, schedule)) + "\n")
+out.write_text("\n".join(sweep_csv_lines(rows, 0, plan, schedule)) + "\n")
 print(f"wrote {out} ({2 * len(grid)} rows)")

@@ -79,7 +79,6 @@ from .noise import (
     error_sweep,
     fit_error_order,
     interleave,
-    pulse,
     reduced_system_propagator,
     single_qubit_pulse,
     sweep_csv_lines,

@@ -252,9 +252,7 @@ def cmd_sweep(cfg: dict) -> int:
         kind: _grid(*_parse_range(cfg[range_key]), cfg["step"])
         for kind, range_key in (("detuning", "delta_range"), ("flip", "eps_range"))
     }
-    rows = []
-    for kind, grid in grids.items():
-        rows += error_sweep(schedule, plan, bath, kind, grid)
+    rows = error_sweep(schedule, plan, bath, grids)
     lines = sweep_csv_lines(rows, cfg["seed"], plan, schedule)
     out = Path(cfg["out"])
     out.write_text("\n".join(lines) + "\n")

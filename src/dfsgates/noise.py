@@ -3,8 +3,8 @@
 The decoupling sequence is XY-4: free (or computational) evolution sliced
 into four equal intervals with a global pi pulse after each slice, axes
 ordered X, Y, X, Y. One function builds that cycle from a slice
-propagator; `dd_cycle` applies it to idle evolution and `interleave`
-raises it to the number of cycles per gate segment. With ideal pulses
+propagator; `dd_cycle` applies it to idle evolution, and `interleave` and
+`error_sweep` raise it to the number of cycles per gate segment. With ideal pulses
 the cycle is the decoupling-group conjugation product of Viola, Knill &
 Lloyd, PRL 82, 2417 (1999). Two pulse imperfections are modelled, both
 relative:
@@ -25,6 +25,7 @@ coupled through tau_x (N = 4 only, dimension 256).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,13 +38,17 @@ from .linalg import (
     SIGMA_Y,
     SIGMA_Z,
     expm_hermitian,
-    kron,
-    kron_all,
     phase_invariant_fidelity,
 )
 from .pauli import PauliString, PauliSum, build_decoupling_group, group_average
 
 _AXES = ("x", "y", "z")
+
+# Largest number of XY-4 cycles per gate segment. The segment propagator is
+# the cycle raised to this power by repeated squaring, and its departure
+# from unitarity grows in proportion to the power: ~1e-10 at this bound on
+# 256 dimensions; far beyond it the entries overflow and fidelities are nan.
+MAX_CYCLES_PER_SEGMENT = 10_000
 
 
 @dataclass(frozen=True)
@@ -75,8 +80,11 @@ class InterleavingPlan:
     cycles_per_segment: int = 4
 
     def __post_init__(self):
-        if self.cycles_per_segment < 1:
-            raise ValueError("need at least one cycle per segment")
+        if not 1 <= self.cycles_per_segment <= MAX_CYCLES_PER_SEGMENT:
+            raise ValueError(
+                f"cycles per segment must be in 1..{MAX_CYCLES_PER_SEGMENT}, "
+                f"got {self.cycles_per_segment!r}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,31 +166,26 @@ def single_qubit_pulse(axis: str, errors: DDErrorModel = IDEAL_PULSES) -> np.nda
     return math.cos(angle / 2) * SIGMA_I - 1j * math.sin(angle / 2) * direction
 
 
-def pulse(
-    axis: str, n: int, errors: DDErrorModel = IDEAL_PULSES, total_dim: int | None = None
-) -> np.ndarray:
-    """Global pulse: the single-qubit rotation tensored over n system qubits.
+def _pulse_times(p: np.ndarray, n_system: int, m: np.ndarray) -> np.ndarray:
+    """(p (x) ... (x) p (x) I) @ m, with p on each of the first n_system qubits.
 
-    With total_dim set (bath-qubit register), the pulse acts on the first
-    n qubits and as identity on the rest.
+    Each factor is one local 2x2 product on the reshaped row index of m, so
+    the global pulse is never built as a dense matrix; qubits past
+    n_system (a bath register) are left alone.
     """
-    if n > 8:
-        raise DimensionTooLargeError(f"{n} qubits exceeds 8")
-    p = kron_all([single_qubit_pulse(axis, errors)] * n)
-    if total_dim is not None and total_dim != p.shape[0]:
-        p = kron(p, np.eye(total_dim // p.shape[0]))
-    return p
+    for k in range(n_system):
+        m = (p @ m.reshape(2**k, 2, -1)).reshape(m.shape)
+    return m
 
 
 def _xy4_cycle(f: np.ndarray, n_system: int, errors: DDErrorModel) -> np.ndarray:
     """P_y F P_x F P_y F P_x F for the slice propagator f.
 
     Each of the two pulses acts on the first n_system qubits of f's
-    register and is built once.
+    register and is applied to f once.
     """
-    dim = f.shape[0]
-    x_f = pulse("x", n_system, errors, total_dim=dim) @ f
-    y_f = pulse("y", n_system, errors, total_dim=dim) @ f
+    x_f = _pulse_times(single_qubit_pulse("x", errors), n_system, f)
+    y_f = _pulse_times(single_qubit_pulse("y", errors), n_system, f)
     return y_f @ (x_f @ (y_f @ x_f))
 
 
@@ -205,6 +208,40 @@ def dd_cycle(
     return _xy4_cycle(expm_hermitian(free_h, dt), n_system, errors)
 
 
+def _segment_slices(
+    schedule: GateSchedule, bath: BathModel, plan: InterleavingPlan
+) -> list[np.ndarray]:
+    """Slice propagator exp(-i (area_s H_s + H_bath) / (4c)) of each segment s.
+
+    These do not depend on the pulse errors, so a sweep builds them once.
+    """
+    if bath.n_system != schedule.n_physical:
+        raise DimensionMismatchError(
+            f"bath on {bath.n_system} system qubits, schedule on {schedule.n_physical}"
+        )
+    bath_h = bath.hamiltonian_matrix()
+    scale = 1.0 / (4 * plan.cycles_per_segment)
+    return [
+        expm_hermitian(
+            segment.area * segment.hamiltonian.embedded(bath.total_qubits).to_matrix() + bath_h,
+            scale,
+        )
+        for segment in schedule.segments
+    ]
+
+
+def _decoupled_propagator(
+    slices: list[np.ndarray], bath: BathModel, plan: InterleavingPlan, errors: DDErrorModel
+) -> np.ndarray:
+    """Product over segments of one XY-4 cycle of the segment's slice,
+    raised to cycles_per_segment."""
+    u = np.eye(bath.dim, dtype=np.complex128)
+    for f in slices:
+        cycle = _xy4_cycle(f, bath.n_system, errors)
+        u = np.linalg.matrix_power(cycle, plan.cycles_per_segment) @ u
+    return u
+
+
 def interleave(
     schedule: GateSchedule,
     bath: BathModel,
@@ -222,19 +259,7 @@ def interleave(
     a global phase, because every gate Hamiltonian commutes with the pulse
     strings.
     """
-    if bath.n_system != schedule.n_physical:
-        raise DimensionMismatchError(
-            f"bath on {bath.n_system} system qubits, schedule on {schedule.n_physical}"
-        )
-    bath_h = bath.hamiltonian_matrix()
-    cycles = plan.cycles_per_segment
-    u = np.eye(bath.dim, dtype=np.complex128)
-    for segment in schedule.segments:
-        seg_h = segment.hamiltonian.embedded(bath.total_qubits).to_matrix()
-        f = expm_hermitian(segment.area * seg_h + bath_h, 1.0 / (4 * cycles))
-        cycle = _xy4_cycle(f, schedule.n_physical, errors)
-        u = np.linalg.matrix_power(cycle, cycles) @ u
-    return u
+    return _decoupled_propagator(_segment_slices(schedule, bath, plan), bath, plan, errors)
 
 
 def reduced_system_propagator(u: np.ndarray, bath: BathModel) -> np.ndarray:
@@ -249,29 +274,34 @@ def error_sweep(
     schedule: GateSchedule,
     plan: InterleavingPlan,
     bath: BathModel,
-    kind: str,
-    values,
+    grids: Mapping[str, Iterable[float]],
 ) -> list[tuple[str, float, float]]:
-    """Fidelity versus error strength for one error kind ("flip" | "detuning").
+    """Fidelity versus error strength for each error kind in grids.
 
+    grids maps an error kind ("flip" | "detuning") to the error values to
+    sweep; rows come out as (kind, value, fidelity) in the mapping's order.
     Each fidelity is the trace overlap between the decoupled propagators
     with imperfect and with ideal pulses, on the full register
-    (bath-reduced when a bath-qubit model is used). The ideal reference is
-    computed once per sweep and reused at the zero-error point.
+    (bath-reduced when a bath-qubit model is used). The segment slice
+    propagators and the ideal reference are computed once per call and
+    shared by every kind and value; the reference is reused at zero error.
     """
-    if kind not in ("flip", "detuning"):
-        raise ValueError(f"unknown error kind {kind!r}")
-    reference = reduced_system_propagator(interleave(schedule, bath, plan), bath)
+    for kind in grids:
+        if kind not in ("flip", "detuning"):
+            raise ValueError(f"unknown error kind {kind!r}")
+    slices = _segment_slices(schedule, bath, plan)
+
+    def reduced(errors: DDErrorModel) -> np.ndarray:
+        return reduced_system_propagator(_decoupled_propagator(slices, bath, plan, errors), bath)
+
+    reference = reduced(IDEAL_PULSES)
     rows = []
-    for value in values:
-        value = float(value)
-        errors = DDErrorModel(epsilon=value) if kind == "flip" else DDErrorModel(delta=value)
-        noisy = (
-            reference
-            if errors.is_ideal
-            else reduced_system_propagator(interleave(schedule, bath, plan, errors), bath)
-        )
-        rows.append((kind, value, phase_invariant_fidelity(reference, noisy)))
+    for kind, values in grids.items():
+        for value in values:
+            value = float(value)
+            errors = DDErrorModel(epsilon=value) if kind == "flip" else DDErrorModel(delta=value)
+            noisy = reference if errors.is_ideal else reduced(errors)
+            rows.append((kind, value, phase_invariant_fidelity(reference, noisy)))
     return rows
 
 

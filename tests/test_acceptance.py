@@ -163,12 +163,10 @@ def test_criterion_6_pulse_error_behavior():
     plan = InterleavingPlan()  # default packing
     bath = BathModel.zero(4)
     grid = [round(-0.1 + 0.005 * i, 12) for i in range(41)]
-    flip = dict(
-        (v, f) for _, v, f in error_sweep(schedule, plan, bath, "flip", grid)
-    )
-    detuning = dict(
-        (v, f) for _, v, f in error_sweep(schedule, plan, bath, "detuning", grid)
-    )
+    curves = {"flip": {}, "detuning": {}}
+    for kind, v, f in error_sweep(schedule, plan, bath, {"flip": grid, "detuning": grid}):
+        curves[kind][v] = f
+    flip, detuning = curves["flip"], curves["detuning"]
 
     ok = flip[0.0] >= 1 - 1e-9 and detuning[0.0] >= 1 - 1e-9
     ok &= min(f for v, f in flip.items() if 0.02 < abs(v) <= 0.1) < 0.9

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import dfsgates.cli as cli
 from dfsgates.cli import MAX_GRID_STEPS, MAX_SAMPLES, _grid_steps, main
+from dfsgates.noise import MAX_CYCLES_PER_SEGMENT
 
 
 def run_cli(capsys, *argv):
@@ -106,6 +107,37 @@ class TestSweep:
             "flip,0.1,0.925688819600,0,2,u3,0.785398163397",
         ):
             assert golden in rows
+
+    # Whole CSVs on 256-dimensional registers, recorded with dense global
+    # pulses and slice propagators rebuilt for every sweep point.
+    @pytest.mark.parametrize("argv, golden", [
+        (["--n", "8", "--bath", "scalar", "--gate", "u3", "--k", "2", "--l", "5",
+          "--angle", "0.9", "--seed", "4"], [
+            "detuning,-0.1,0.964359698460,4,2,u3,0.9",
+            "detuning,-0.05,0.994937603213,4,2,u3,0.9",
+            "detuning,0,1.000000000000,4,2,u3,0.9",
+            "flip,0,1.000000000000,4,2,u3,0.9",
+            "flip,0.05,0.980853881622,4,2,u3,0.9",
+            "flip,0.1,0.836882524176,4,2,u3,0.9",
+        ]),
+        (["--n", "4", "--bath", "qubit", "--gate", "u1", "--j", "2",
+          "--angle", "0.6", "--seed", "3"], [
+            "detuning,-0.1,0.978085379328,3,2,u1,0.6",
+            "detuning,-0.05,0.997222753229,3,2,u1,0.6",
+            "detuning,0,1.000000000000,3,2,u1,0.6",
+            "flip,0,1.000000000000,3,2,u1,0.6",
+            "flip,0.05,0.989860862780,3,2,u1,0.6",
+            "flip,0.1,0.899390358499,3,2,u1,0.6",
+        ]),
+    ], ids=["n8-scalar-u3", "n4-qubit-u1"])
+    def test_golden_rows_256_dims(self, capsys, tmp_path, argv, golden):
+        out_path = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", *argv, "--cycles", "2", "--eps-range=0:0.1",
+            "--delta-range=-0.1:0", "--step", "0.05", "--out", str(out_path),
+        )
+        assert code == 0
+        assert out_path.read_text().splitlines()[1:] == golden
 
     def test_monotone_near_zero(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"
@@ -257,6 +289,24 @@ class TestInputValidation:
     @given(samples=st.one_of(st.integers(max_value=0), st.integers(min_value=MAX_SAMPLES + 1)))
     def test_verify_samples_must_be_in_range(self, samples):
         assert_config_error("verify", f"--samples={samples}")
+
+    @settings(max_examples=30, deadline=None)
+    @given(cycles=st.one_of(st.integers(max_value=0),
+                            st.integers(min_value=MAX_CYCLES_PER_SEGMENT + 1)),
+           from_config=st.booleans())
+    def test_sweep_cycles_must_be_in_range(self, out_csv, cycles, from_config):
+        # Far above the cap the cycle power overflowed and every fidelity
+        # was written as nan with exit 0.
+        if from_config:
+            cfg = out_csv.parent / "cycles.cfg"
+            cfg.write_text(f"cycles = {cycles}\n")
+            argv = ["--config", str(cfg)]
+        else:
+            argv = [f"--cycles={cycles}"]
+        code, err = run_quiet("sweep", *argv, "--step", "0.1", "--out", str(out_csv))
+        assert code == 2
+        assert err.startswith("error: cycles per segment") and "Traceback" not in err
+        assert not out_csv.exists()
 
     @settings(max_examples=20, deadline=None)
     @given(value=not_finite, call=st.sampled_from(

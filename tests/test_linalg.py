@@ -118,6 +118,13 @@ class TestExpmInvolutory:
             )
 
 
+def trace_fidelity(u, v):
+    """|Tr(u v†)| / sqrt(Tr(u u†) Tr(v v†)) from the d x d products themselves."""
+    num = abs(np.trace(u @ v.conj().T))
+    den = np.sqrt(np.real(np.trace(u @ u.conj().T)) * np.real(np.trace(v @ v.conj().T)))
+    return float(min(num / den, 1.0))
+
+
 class TestPhaseInvariantFidelity:
     def test_self(self, rng):
         u = random_unitary(8, rng)
@@ -142,6 +149,18 @@ class TestPhaseInvariantFidelity:
         u = random_unitary(4, rng)
         v = u @ expm_hermitian(kron(SIGMA_Z, SIGMA_I), 0.2)
         assert phase_invariant_fidelity(u, v) < 1 - 1e-4
+
+    @pytest.mark.parametrize("dim", [4, 16, 64, 256])
+    def test_matches_trace_formula(self, rng, dim):
+        # Unitary pairs, near-equal and unrelated, and their strided blocks:
+        # the non-unitary shape of a bath-reduced propagator.
+        stride = 2 ** (dim.bit_length() // 2)
+        for _ in range(8):
+            u = random_unitary(dim, rng)
+            for v in (u @ expm_hermitian(random_hermitian(dim, rng), 1e-3),
+                      random_unitary(dim, rng)):
+                for a, b in ((u, v), (u[::stride, ::stride], v[::stride, ::stride])):
+                    assert abs(phase_invariant_fidelity(a, b) - trace_fidelity(a, b)) <= 1e-15
 
 
 class TestSubspaceProjector:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import dfsgates.noise as noise
 from dfsgates.errors import BadPartitionError, DimensionMismatchError, DimensionTooLargeError
 from dfsgates.gates import evolve_schedule, schedule_u1, schedule_u2, schedule_u3
 from dfsgates.linalg import (
@@ -11,10 +12,12 @@ from dfsgates.linalg import (
     SIGMA_Z,
     expm_hermitian,
     is_unitary,
+    kron,
     kron_all,
     phase_invariant_fidelity,
 )
 from dfsgates.noise import (
+    MAX_CYCLES_PER_SEGMENT,
     BathModel,
     DDErrorModel,
     IDEAL_PULSES,
@@ -25,12 +28,25 @@ from dfsgates.noise import (
     error_sweep,
     fit_error_order,
     interleave,
-    pulse,
     reduced_system_propagator,
     single_qubit_pulse,
     symbolic_bath_average,
 )
 from dfsgates.pauli import pauli_to_matrix, PauliString
+
+
+def pulse(
+    axis: str, n: int, errors: DDErrorModel = IDEAL_PULSES, total_dim: int | None = None
+) -> np.ndarray:
+    """Dense global pulse: the single-qubit rotation tensored over n system
+    qubits, and identity on the rest of a total_dim register. The oracle for
+    the library's local 2x2 pulse contractions."""
+    if n > 8:
+        raise DimensionTooLargeError(f"{n} qubits exceeds 8")
+    p = kron_all([single_qubit_pulse(axis, errors)] * n)
+    if total_dim is not None and total_dim != p.shape[0]:
+        p = kron(p, np.eye(total_dim // p.shape[0]))
+    return p
 
 
 class TestPulses:
@@ -155,8 +171,54 @@ class TestInterleave:
             interleave(schedule_u1(4, 1, 0.3), BathModel.zero(6), InterleavingPlan(1))
 
     def test_plan_validation(self):
-        with pytest.raises(ValueError):
-            InterleavingPlan(cycles_per_segment=0)
+        for cycles in (0, -3, MAX_CYCLES_PER_SEGMENT + 1, 10**20):
+            with pytest.raises(ValueError, match="cycles per segment"):
+                InterleavingPlan(cycles_per_segment=cycles)
+        assert InterleavingPlan(MAX_CYCLES_PER_SEGMENT).cycles_per_segment == MAX_CYCLES_PER_SEGMENT
+
+    def test_cycle_cap_stays_unitary(self):
+        # At the cap the repeated squaring still returns a unitary, and the
+        # zero-bath, ideal-pulse propagator is still the bare gate.
+        schedule = schedule_u1(4, 1, 0.5)
+        dressed = interleave(schedule, BathModel.zero(4), InterleavingPlan(MAX_CYCLES_PER_SEGMENT))
+        assert is_unitary(dressed, atol=1e-9)
+        assert phase_invariant_fidelity(evolve_schedule(schedule), dressed) >= 1 - 1e-9
+
+
+class TestLocalPulses:
+    """The library applies a global pulse as n local 2x2 products; the dense
+    Kronecker pulse times the matrix is the oracle."""
+
+    ERRORS = (IDEAL_PULSES, DDErrorModel(epsilon=0.07), DDErrorModel(delta=-0.13),
+              DDErrorModel(epsilon=-0.05, delta=0.2))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_system_register(self, rng, n):
+        dim = 2**n
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        for errors in self.ERRORS:
+            for axis in "xy":
+                local = noise._pulse_times(single_qubit_pulse(axis, errors), n, m)
+                assert np.abs(local - pulse(axis, n, errors) @ m).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bath_register(self, rng, n):
+        # n system qubits first, n bath qubits after: pulses leave the bath
+        # half alone. Up to 2**8, the largest bath register the library
+        # builds, the oracle is the full dense kron(pulse, I) @ m. Above it a
+        # dense d x d matrix grows to 64 GiB (n = 8), so three columns are
+        # checked against the dense system pulse on the leading index.
+        dim = 2 ** (2 * n)
+        cols = dim if dim <= 256 else 3
+        m = rng.normal(size=(dim, cols)) + 1j * rng.normal(size=(dim, cols))
+        for errors in self.ERRORS:
+            for axis in "xy":
+                local = noise._pulse_times(single_qubit_pulse(axis, errors), n, m)
+                if dim <= 256:
+                    dense = pulse(axis, n, errors, total_dim=dim) @ m
+                else:
+                    dense = (pulse(axis, n, errors) @ m.reshape(2**n, -1)).reshape(m.shape)
+                assert np.abs(local - dense).max() <= 1e-14
 
 
 def interleave_oracle(schedule, bath, plan, errors):
@@ -229,17 +291,17 @@ class TestGateFidelity:
             schedule_u1(4, 1, 0.7),
             schedule_u3(4, 1, 2, np.pi / 4),
         ):
-            for kind in ("flip", "detuning"):
-                [(_, _, f)] = error_sweep(schedule, plan, bath, kind, [0.0])
-                assert f >= 1 - 1e-9
+            rows = error_sweep(schedule, plan, bath, {"flip": [0.0], "detuning": [0.0]})
+            assert [kind for kind, _, _ in rows] == ["flip", "detuning"]
+            assert all(f >= 1 - 1e-9 for _, _, f in rows)
 
     def test_flip_degrades_more_than_detuning(self):
         plan = InterleavingPlan()
         bath = BathModel.zero(4)
         schedule = schedule_u3(4, 1, 2, np.pi / 4)
         values = [0.05, 0.1]
-        flip = error_sweep(schedule, plan, bath, "flip", values)
-        detuning = error_sweep(schedule, plan, bath, "detuning", values)
+        rows = error_sweep(schedule, plan, bath, {"flip": values, "detuning": values})
+        flip, detuning = rows[:2], rows[2:]
         for (_, _, f_flip), (_, _, f_det) in zip(flip, detuning):
             assert f_det >= f_flip
 
@@ -248,15 +310,47 @@ class TestGateFidelity:
         bath = BathModel.zero(4)
         schedule = schedule_u3(4, 1, 2, np.pi / 4)
         values = [-0.05, 0.0, 0.05]
-        a = error_sweep(schedule, plan, bath, "flip", values)
-        b = error_sweep(schedule, plan, bath, "flip", values)
+        a = error_sweep(schedule, plan, bath, {"flip": values})
+        b = error_sweep(schedule, plan, bath, {"flip": values})
         assert a == b
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("kind", ["scalar", "qubit"])
+    def test_rows_match_interleave(self, kind):
+        # One sweep shares its slices across kinds and values; each row must
+        # still be the fidelity of two independent interleave calls.
+        schedule, bath = schedule_u2(4, 2, 0.6), BathModel.random(4, 0.1, seed=3, kind=kind)
+        plan = InterleavingPlan(2)
+        rows = error_sweep(schedule, plan, bath, {"detuning": [-0.05, 0.0], "flip": [0.07]})
+        assert [(k, v) for k, v, _ in rows] == [("detuning", -0.05), ("detuning", 0.0),
+                                                ("flip", 0.07)]
+        reference = reduced_system_propagator(interleave(schedule, bath, plan), bath)
+        for kind_, value, fid in rows:
+            errors = DDErrorModel(epsilon=value) if kind_ == "flip" else DDErrorModel(delta=value)
+            noisy = reduced_system_propagator(interleave(schedule, bath, plan, errors), bath)
+            assert abs(fid - phase_invariant_fidelity(reference, noisy)) <= 1e-15
+
+    def test_slices_built_once_per_sweep(self, monkeypatch):
+        calls = []
+
+        def counting_expm(h, scale):
+            calls.append(scale)
+            return expm_hermitian(h, scale)
+
+        monkeypatch.setattr(noise, "expm_hermitian", counting_expm)
+        schedule = schedule_u2(4, 1, 0.3)
+        grids = {"flip": [-0.1, 0.0, 0.1], "detuning": [-0.1, 0.0, 0.1]}
+        error_sweep(schedule, InterleavingPlan(2), BathModel.random(4, 0.1, seed=1), grids)
+        assert calls == [1.0 / 8] * len(schedule.segments)
+
+    def test_unknown_kind_rejected(self, monkeypatch):
+        def no_slices(*args):
+            raise AssertionError("slices built")
+
+        monkeypatch.setattr(noise, "_segment_slices", no_slices)
+        with pytest.raises(ValueError, match="phase"):
             error_sweep(
                 schedule_u1(4, 1, 0.1), InterleavingPlan(1),
-                BathModel.zero(4), "phase", [0.0],
+                BathModel.zero(4), {"flip": [0.0], "phase": [0.0]},
             )
 
 
