@@ -23,7 +23,6 @@ from dfsgates import (
     schedule_u2,
     schedule_u3,
     u3_block_decomposition,
-    u3_subspace_swap_defect,
     verify_holonomy,
 )
 
@@ -58,7 +57,7 @@ for schedule in (s1, schedule_u2(n, 2, 1.0), schedule_u3(n, 1, 2, phi)):
         f"{r.max_parallel_transport_violation:.2e} / {r.leakage:.2e}"
     )
 
-swap = u3_subspace_swap_defect(schedule_u3(n, 1, 2, phi), basis)
+swap = verify_holonomy(schedule_u3(n, 1, 2, phi), basis).subspace_swap
 print(f"u3 mid-sequence subspace swap defect: {swap:.2e}")
 
 # --- the entangling gate block by block --------------------------------------

@@ -53,7 +53,6 @@ from .gates import (
     schedule_u2,
     schedule_u3,
     u3_block_decomposition,
-    u3_subspace_swap_defect,
     verify_holonomy,
 )
 from .linalg import (

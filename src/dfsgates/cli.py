@@ -20,16 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .dfs import build_logical_basis, project_to_logical
+from .dfs import build_logical_basis
 from .errors import DfsGatesError
 from .gates import (
     analytic_target,
-    evolve_schedule,
-    leakage_of,
     schedule_u1,
     schedule_u2,
     schedule_u3,
-    u3_subspace_swap_defect,
     verify_holonomy,
 )
 from .linalg import phase_invariant_fidelity
@@ -42,7 +39,7 @@ from .noise import (
     fit_error_order,
     sweep_csv_lines,
 )
-from .pauli import build_decoupling_group, commutes
+from .pauli import MAX_QUBITS, build_decoupling_group, commutes
 
 DEFAULTS = {
     "n": 4,
@@ -80,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", type=str, help="key=value config file; flags win")
-        p.add_argument("--n", type=int, help="physical qubits (even, >= 4)")
+        p.add_argument("--n", type=int, help="physical qubits (even, 4..8)")
         p.add_argument("--gate", choices=("u1", "u2", "u3"), help="gate family")
         p.add_argument("--j", type=int, help="logical target for u1/u2")
         p.add_argument("--k", type=int, help="first logical target for u3")
@@ -145,6 +142,8 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 def _check_values(cfg: dict) -> None:
     """Reject non-finite or out-of-range numeric options."""
+    if not (4 <= cfg["n"] <= MAX_QUBITS and cfg["n"] % 2 == 0):
+        raise ValueError(f"n must be even and in 4..{MAX_QUBITS}, got {cfg['n']!r}")
     for key in ("angle", "bath_width", "step", "total_time"):
         if not math.isfinite(cfg[key]):
             raise ValueError(f"{key} must be finite, got {cfg[key]!r}")
@@ -209,12 +208,11 @@ def cmd_verify(cfg: dict) -> int:
     basis = build_logical_basis(cfg["n"])
     group = build_decoupling_group(cfg["n"])
 
+    report = verify_holonomy(schedule, basis, cfg["samples"])
     checks: list[tuple[str, float, str, float, bool]] = []
-    gate = project_to_logical(evolve_schedule(schedule), basis)
-    fid = phase_invariant_fidelity(gate, analytic_target(schedule))
+    fid = phase_invariant_fidelity(report.gate, analytic_target(schedule))
     checks.append(("gate_fidelity", fid, ">=", 1 - 1e-9, fid >= 1 - 1e-9))
-    leak = leakage_of(gate)
-    checks.append(("leakage", leak, "<=", 1e-10, leak <= 1e-10))
+    checks.append(("leakage", report.leakage, "<=", 1e-10, report.leakage <= 1e-10))
 
     bad_terms = sum(
         0 if all(commutes(string, g) for g in group.elements) else 1
@@ -223,14 +221,13 @@ def cmd_verify(cfg: dict) -> int:
     )
     checks.append(("commutant_membership", bad_terms, "==", 0, bad_terms == 0))
 
-    report = verify_holonomy(schedule, basis, cfg["samples"])
     checks.append(("cyclic_defect", report.cyclic_defect, "<=", 1e-9,
                    report.cyclic_defect <= 1e-9))
     checks.append(("parallel_transport", report.max_parallel_transport_violation,
                    "<=", 1e-9, report.max_parallel_transport_violation <= 1e-9))
-    if schedule.kind == "u3":
-        swap = u3_subspace_swap_defect(schedule, basis)
-        checks.append(("subspace_swap", swap, "<=", 1e-9, swap <= 1e-9))
+    if report.subspace_swap is not None:
+        checks.append(("subspace_swap", report.subspace_swap, "<=", 1e-9,
+                       report.subspace_swap <= 1e-9))
 
     target = (f"j={cfg['j']}" if cfg["gate"] in ("u1", "u2")
               else f"k={cfg['k']} l={cfg['l']}")

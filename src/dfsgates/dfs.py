@@ -19,12 +19,13 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    DimensionTooLargeError,
     LogicalIndexError,
     OddQubitCountError,
     TooFewQubitsError,
 )
 from .linalg import ATOL_NORM, SIGMA_I, SIGMA_Y, SIGMA_Z, kron_all
-from .pauli import DecouplingGroup, pauli_to_matrix
+from .pauli import MAX_QUBITS, DecouplingGroup, pauli_to_matrix
 
 _FLIP = str.maketrans("01", "10")
 
@@ -54,11 +55,21 @@ class LogicalBasis:
 
 
 def build_logical_basis(n: int) -> LogicalBasis:
-    """Construct the logical basis for n physical qubits (even, 4..8)."""
+    """Construct the logical basis for n physical qubits (even, 4..8).
+
+    Raises
+    ------
+    OddQubitCountError, TooFewQubitsError
+        n odd or below 4.
+    DimensionTooLargeError
+        n above MAX_QUBITS, refused before the 2**(n-2) x 2**n array exists.
+    """
     if n % 2:
         raise OddQubitCountError(f"logical encoding needs even n, got {n}")
     if n < 4:
         raise TooFewQubitsError(f"logical encoding needs n >= 4, got {n}")
+    if n > MAX_QUBITS:
+        raise DimensionTooLargeError(f"logical encoding needs n <= {MAX_QUBITS}, got {n}")
     n_logical = n - 2
     dim = 2**n
     states = np.zeros((2**n_logical, dim), dtype=np.complex128)

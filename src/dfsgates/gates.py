@@ -1,14 +1,23 @@
-"""Holonomic gate schedules, exact evolution, and holonomy certification.
+"""Holonomic gate schedules, code-space evolution, and holonomy certification.
 
 Each gate is a short sequence of piecewise-constant two-body Hamiltonians
 drawn from the commutant of the decoupling group, with only the pulse
-area integral(J dt) of each segment mattering. Evolving the sequence on
-the physical register and restricting to the code space reproduces, up to
-a global phase, the closed-form logical rotations
+area integral(J dt) of each segment mattering. Restricted to the code space
+the sequence reproduces, up to a global phase, the closed-form logical
+rotations
 
     u1: exp(-i theta Y_j)          (two segments)
     u2: exp(-i theta Z_j)          (four segments)
     u3: exp(+i phi Y_k (x) Z_l)    (two segments, entangling)
+
+Commutant Hamiltonians commute with X...X and Z...Z, so they never leave
+the all-(+1) sector that holds the code space. The gate layer therefore
+works in that 2**(N-2)-dimensional block: each segment is compressed to
+H_L = B† H B (B the code-space basis as columns) and eigendecomposed once,
+and the invariance residual ||H B - B H_L||_2 of every segment feeds a
+rigorous leakage bound, so a schedule that does leave the code space is
+still caught (see verify_holonomy). The full-register propagator
+evolve_schedule is kept as the reference.
 
 The holonomy checker certifies the two defining properties of a
 non-adiabatic holonomy directly from the simulated trajectory: the moving
@@ -22,11 +31,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dfs import LogicalBasis, logical_pauli, project_to_logical
+from .dfs import LogicalBasis, logical_pauli
 from .errors import (
     BadIndexPairError,
     DfsGatesError,
@@ -44,7 +53,7 @@ from .linalg import (
     kron_all,
     spectral_norm,
 )
-from .pauli import PauliString, PauliSum
+from .pauli import PauliString, PauliSum, commutes
 
 
 @dataclass(frozen=True)
@@ -70,11 +79,15 @@ class GateSchedule:
     segments: tuple[ScheduleSegment, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HolonomyReport:
+    """What verify_holonomy measured; gate is the logical gate M."""
+
     cyclic_defect: float
     max_parallel_transport_violation: float
     leakage: float
+    gate: np.ndarray = field(repr=False)
+    subspace_swap: float | None  # u3 only
 
 
 def _check_n(n: int) -> None:
@@ -152,29 +165,73 @@ def schedule_u3(n: int, k: int, l: int, phi: float) -> GateSchedule:
 
 
 def evolve_schedule(schedule: GateSchedule) -> np.ndarray:
-    """Total propagator: product of segment exponentials, earliest rightmost."""
+    """Total propagator on the full 2**N register: product of segment
+    exponentials, earliest rightmost. The reference for the code-space path."""
     u = np.eye(2**schedule.n_physical, dtype=np.complex128)
     for segment in schedule.segments:
         u = expm_hermitian(segment.hamiltonian.to_matrix(), segment.area) @ u
     return u
 
 
+@dataclass(frozen=True, eq=False)
+class _BlockSegment:
+    """One segment in code-space coordinates: H_L = B† H B with its
+    eigendecomposition, and the invariance residual ||H B - B H_L||_2."""
+
+    h: np.ndarray
+    evals: np.ndarray
+    vecs: np.ndarray
+    area: float
+    residual: float
+
+    def propagate(self, x: np.ndarray, fractions=(1.0,)) -> list[np.ndarray]:
+        """exp(-i * f * area * H_L) @ x for each fraction f."""
+        coeffs = self.vecs.conj().T @ x
+        return [
+            self.vecs @ (np.exp(-1j * f * self.area * self.evals)[:, None] * coeffs)
+            for f in fractions
+        ]
+
+
+def _block_segments(schedule: GateSchedule, basis: LogicalBasis) -> list[_BlockSegment]:
+    """Every segment compressed onto the code space B = basis.states.T,
+    one 2**(N-2)-dimensional eigendecomposition each."""
+    b = _orthonormal_frame(basis.states)
+    out = []
+    for segment in schedule.segments:
+        hb = segment.hamiltonian.apply(b)
+        h = b.conj().T @ hb
+        out.append(_BlockSegment(h, *_eigh_hermitian(h), segment.area,
+                                 spectral_norm(hb - b @ h)))
+    return out
+
+
+def _leakage(gate: np.ndarray, segments: list[_BlockSegment]) -> float:
+    """max(||M†M - I||, (sum_s |a_s| eps_s)**2): a bound on the leakage of
+    the true restriction P U P (derivation in verify_holonomy)."""
+    drift = sum(abs(segment.area) * segment.residual for segment in segments)
+    return max(leakage_of(gate), drift**2)
+
+
 def logical_gate(
     schedule: GateSchedule, basis: LogicalBasis, atol: float = ATOL_STRUCT
 ) -> np.ndarray:
-    """Evolve the schedule and restrict to the code space.
+    """Evolve the schedule in the code-space block, in logical coordinates.
 
     Raises
     ------
     LeakageError
-        If the restriction is non-unitary beyond atol, i.e. the evolution
-        moved population out of the code space.
+        If the leakage bound of verify_holonomy exceeds atol, i.e. the
+        evolution may have moved population out of the code space.
     """
-    block = project_to_logical(evolve_schedule(schedule), basis)
-    leak = leakage_of(block)
+    segments = _block_segments(schedule, basis)
+    gate = np.eye(basis.n_states, dtype=np.complex128)
+    for segment in segments:
+        [gate] = segment.propagate(gate)
+    leak = _leakage(gate, segments)
     if leak > atol:
         raise LeakageError(f"code-space leakage {leak:.3e} exceeds {atol:.1e}")
-    return block
+    return gate
 
 
 def leakage_of(block: np.ndarray) -> float:
@@ -218,8 +275,11 @@ def _bit(r: int, pos: int, width: int) -> int:
     return (r >> (width - pos)) & 1
 
 
-def _frame_groups(schedule: GateSchedule, basis: LogicalBasis) -> list[list[np.ndarray]]:
+def _frame_groups(schedule: GateSchedule, states: np.ndarray) -> list[list[np.ndarray]]:
     """Initial frame states grouped into the parallel-transported subspaces.
+
+    states[r] is the vector of logical label r: basis.states on the full
+    register, the identity in code-space coordinates.
 
     u1: eigenstates of the target logical Y tensored with computational
         states of the other logical qubits; one group per state.
@@ -229,8 +289,7 @@ def _frame_groups(schedule: GateSchedule, basis: LogicalBasis) -> list[list[np.n
         two-dimensional group. Consecutive groups (paired over the first
         bar) are the subspaces that swap at the segment boundary.
     """
-    n_logical = basis.n_logical
-    states = basis.states
+    n_logical = schedule.n_physical - 2
     if schedule.kind == "u2":
         return [[states[r]] for r in range(2**n_logical)]
     if schedule.kind == "u1":
@@ -265,113 +324,109 @@ def _frame_groups(schedule: GateSchedule, basis: LogicalBasis) -> list[list[np.n
     raise ValueError(f"unknown schedule kind {schedule.kind!r}")
 
 
-def _stacked_frame(groups: list[list[np.ndarray]]) -> tuple[np.ndarray, list[slice]]:
+def _stacked_frame(groups: list[list[np.ndarray]]) -> tuple[np.ndarray, int]:
     """All frame vectors as the columns of one orthonormal d x r matrix, and
-    the column slice of each group."""
-    frame = _orthonormal_frame(vec for group in groups for vec in group)
-    slices, start = [], 0
-    for group in groups:
-        slices.append(slice(start, start + len(group)))
-        start += len(group)
-    return frame, slices
+    the size k shared by the groups, which fill consecutive columns."""
+    [k] = {len(group) for group in groups}
+    return _orthonormal_frame(vec for group in groups for vec in group), k
 
 
-def _evolve_frame(h: np.ndarray, area: float, fractions, frame: np.ndarray) -> list[np.ndarray]:
-    """exp(-i * f * area * h) @ frame for each fraction f, one eigendecomposition."""
-    evals, vecs = _eigh_hermitian(h)
-    coeffs = vecs.conj().T @ frame
-    return [vecs @ (np.exp(-1j * f * area * evals)[:, None] * coeffs) for f in fractions]
+def _by_group(x: np.ndarray, k: int) -> np.ndarray:
+    """A d x r frame as the stack of its r/k consecutive d x k group frames."""
+    return x.reshape(x.shape[0], -1, k).transpose(1, 0, 2)
 
 
-def _principal_sine(q: np.ndarray, v: np.ndarray) -> float:
-    """Sine of the largest principal angle between the spans of two
-    orthonormal d x r frames: ||q - v (v† q)||_2, which equals the
-    projector distance ||q q† - v v†||_2 for frames of equal rank."""
-    return spectral_norm(q - v @ (v.conj().T @ q))
+def _principal_sines(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Sine of the largest principal angle between the spans of q[i] and
+    v[i], stacks of orthonormal d x k frames: ||q - v (v† q)||_2, which
+    equals the projector distance ||q q† - v v†||_2 for equal ranks."""
+    return np.linalg.norm(q - v @ (v.conj().swapaxes(1, 2) @ q), 2, axis=(1, 2))
 
 
 def verify_holonomy(
     schedule: GateSchedule, basis: LogicalBasis, samples_per_segment: int = 8
 ) -> HolonomyReport:
-    """Certify the cyclic-frame and no-dynamical-phase conditions numerically.
+    """Evolve the schedule in the code-space block and certify the
+    cyclic-frame and no-dynamical-phase conditions numerically.
 
-    The frame groups are stacked into one orthonormal d x r matrix F and
-    moved along the trajectory as G = u(t) F, never as a d x d propagator.
+    Code-space block. With B = basis.states.T (checked orthonormal) and
+    P = B B†, each segment Hamiltonian H_s enters only as its block
+    H_L,s = B† H_s B of dimension 2**(N-2), eigendecomposed once; the
+    invariance residual eps_s = ||H_s B - B H_L,s||_2 = ||(I - P) H_s P||_2
+    measures how far H_s moves the code space. Commutant Hamiltonians
+    commute with X...X and Z...Z, so eps_s is zero up to rounding. One
+    pass over the segments gives the logical gate M = prod exp(-i a_s H_L,s)
+    (earliest rightmost), the frame trajectory, the transport samples and
+    the swap check.
 
-    cyclic_defect is the sine of the largest principal angle between the
-    evolved and the initial frame, for the full frame and for every
-    transported subspace individually. It is computed from the d x r
-    residual ||G - F (F† G)||_2 (Bjorck & Golub, Math. Comp. 27 (1973)),
-    which equals the projector distance ||G G† - F F†||_2 and keeps full
-    relative accuracy at small angles. The cosine route
-    sqrt(1 - sigma_min(F† G)**2) does not: it cancels near sigma = 1 and
-    floors at the square root of the rounding unit, 1.5e-8 on the u3
-    frame at N = 8 whose residual is 2e-16, above the 1e-9 certification
-    bound.
+    Frames. The frame groups are stacked into one orthonormal matrix F in
+    code-space coordinates (the groups built on the identity) and moved as
+    G = u(t) F. cyclic_defect is the largest sine of the principal angle
+    between each transported subspace after the full period and its
+    initial span, from the residual ||G - F (F† G)||_2 (Bjorck & Golub,
+    Math. Comp. 27 (1973)), which keeps full relative accuracy at small
+    angles; the cosine route sqrt(1 - sigma_min(F† G)**2) floors at the
+    square root of the rounding unit, 1.5e-8, above the 1e-9 bound. The
+    groups together span the whole block, so the closure of the full
+    frame is the invariance of the code space, which leakage bounds.
 
     The transport violation is the largest Hamiltonian matrix element
     inside any transported subspace, sampled at samples_per_segment+1
-    times per segment: one block compression M = G†(H G) per sample,
-    read over the group-diagonal blocks of M (each segment Hamiltonian
-    commutes with its own propagator, so endpoint checks would suffice
-    analytically; interior samples are defense in depth).
+    times per segment: per sample one product H_L G and the group-diagonal
+    k x k blocks of G†(H_L G), batched over the groups (each segment
+    Hamiltonian commutes with its own propagator, so endpoint checks would
+    suffice analytically; interior samples are defense in depth). For u3,
+    subspace_swap is the largest principal-angle sine between each barred
+    pair subspace after the first segment and its partner's initial span,
+    in both directions; it is None for the other kinds.
 
-    leakage is the non-unitarity ||M†M - I|| of M = F† G_end, the
-    full-period propagator restricted to the code space in frame
-    coordinates. F is an orthonormal basis of the code space, so M is the
-    logical restriction up to a unitary change of basis, which leaves the
-    norm unchanged.
+    Leakage. The reported leakage is max(||M†M - I||, (sum_s |a_s| eps_s)**2),
+    a rigorous upper bound on the leakage ||M_true†M_true - I|| of the true
+    restriction M_true = B† U B of the full propagator U. Since U is
+    unitary, M_true†M_true - I = -B† U† (I - P) U B, whose norm is
+    ||(I - P) U P||**2. Split each H_s = D_s + E_s into its part D_s that is
+    block diagonal in P and the off-diagonal rest E_s, with ||E_s|| = eps_s.
+    Duhamel's formula gives ||exp(-i a_s H_s) - exp(-i a_s D_s)|| <=
+    |a_s| eps_s, and telescoping over the segments bounds ||U - U_D|| by
+    sum_s |a_s| eps_s, where U_D, the product of the block-diagonal
+    exponentials, has (I - P) U_D P = 0. Hence
+    ||(I - P) U P|| = ||(I - P)(U - U_D) P|| <= sum_s |a_s| eps_s. A schedule
+    that leaves the code space therefore still reports its leakage, and M
+    is the exact logical gate of one that does not.
     """
     if samples_per_segment < 1:
         raise ValueError("samples_per_segment must be >= 1")
-    frame, slices = _stacked_frame(_frame_groups(schedule, basis))
-    in_group = np.zeros((frame.shape[1],) * 2, dtype=bool)
-    for cols in slices:
-        in_group[cols, cols] = True
+    segments = _block_segments(schedule, basis)
+    frame, k = _stacked_frame(_frame_groups(schedule, np.eye(basis.n_states)))
     fractions = [m / samples_per_segment for m in range(samples_per_segment + 1)]
 
     worst = 0.0
-    moved = frame
-    for segment in schedule.segments:
-        h = segment.hamiltonian.to_matrix()
-        for g in _evolve_frame(h, segment.area, fractions, moved):
-            worst = max(worst, float(np.abs((g.conj().T @ (h @ g))[in_group]).max()))
+    gate = np.eye(basis.n_states, dtype=np.complex128)
+    moved = after_first = frame
+    for index, segment in enumerate(segments):
+        for g in segment.propagate(moved, fractions):
+            blocks = _by_group(g, k).conj().swapaxes(1, 2) @ _by_group(segment.h @ g, k)
+            worst = max(worst, float(np.abs(blocks).max()))
         # The last fraction is exactly 1.0, so g is the frame after the segment.
         moved = g
+        if index == 0:
+            after_first = moved
+        [gate] = segment.propagate(gate)
 
-    defect = max(
-        _principal_sine(moved[:, cols], frame[:, cols]) for cols in [slice(None), *slices]
-    )
+    start = _by_group(frame, k)
+    swap = None
+    if schedule.kind == "u3":
+        # Consecutive groups are the pairs that trade places mid-sequence.
+        half = _by_group(after_first, k)
+        swap = float(max(_principal_sines(half[0::2], start[1::2]).max(),
+                         _principal_sines(half[1::2], start[0::2]).max()))
     return HolonomyReport(
-        cyclic_defect=float(defect),
+        cyclic_defect=float(_principal_sines(_by_group(moved, k), start).max()),
         max_parallel_transport_violation=worst,
-        leakage=leakage_of(frame.conj().T @ moved),
+        leakage=_leakage(gate, segments),
+        gate=gate,
+        subspace_swap=swap,
     )
-
-
-def u3_subspace_swap_defect(schedule: GateSchedule, basis: LogicalBasis) -> float:
-    """Worst mismatch between each barred subspace after segment 1 and its partner.
-
-    At the boundary between the two u3 segments the paired subspaces must
-    have exchanged places exactly; returns the largest principal-angle
-    sine over all pairs and both directions. Each is the d x 2 residual
-    ||G_a - F_b (F_b† G_a)||_2 of the moved pair frame G_a against its
-    partner's initial frame F_b, never sqrt(1 - sigma_min**2), which
-    cancels near sigma = 1 (see verify_holonomy).
-    """
-    if schedule.kind != "u3":
-        raise ValueError("subspace swap is defined for u3 schedules only")
-    frame, slices = _stacked_frame(_frame_groups(schedule, basis))
-    seg = schedule.segments[0]
-    [moved] = _evolve_frame(seg.hamiltonian.to_matrix(), seg.area, [1.0], frame)
-    worst = 0.0
-    for a, b in zip(slices[::2], slices[1::2]):
-        worst = max(
-            worst,
-            _principal_sine(moved[:, a], frame[:, b]),
-            _principal_sine(moved[:, b], frame[:, a]),
-        )
-    return float(worst)
 
 
 def u3_block_decomposition(phi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -468,6 +523,9 @@ def schedule_from_json(text: str) -> GateSchedule:
         A target of the wrong arity for the kind, or out of range.
     LengthMismatchError
         A Hamiltonian written on a qubit count other than n_physical.
+    DfsGatesError
+        A Hamiltonian term that anticommutes with X...X or Z...Z: it would
+        move states out of the code space, where the gate layer evolves.
     """
     data = json.loads(text)
     kind, n, target = data["kind"], data["n_physical"], tuple(data["target"])
@@ -491,4 +549,12 @@ def schedule_from_json(text: str) -> GateSchedule:
         ScheduleSegment(PauliSum.from_text(n, seg["hamiltonian"]), seg["area"])
         for seg in data["segments"]
     )
+    stabilizers = (PauliString.uniform(n, "X"), PauliString.uniform(n, "Z"))
+    for index, segment in enumerate(segments):
+        for _, string in segment.hamiltonian.terms:
+            if not all(commutes(string, g) for g in stabilizers):
+                raise DfsGatesError(
+                    f"segment {index} term {string.label} anticommutes with X...X "
+                    "or Z...Z and would leave the code space"
+                )
     return GateSchedule(kind, n, target, data["angle"], segments)

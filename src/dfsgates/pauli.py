@@ -20,14 +20,16 @@ from .errors import (
     OddQubitCountError,
     TooFewQubitsError,
 )
-from .linalg import SIGMA_I, SIGMA_X, SIGMA_Y, SIGMA_Z, kron_all
 
 MAX_QUBITS = 8
 
 _LETTERS = "IXYZ"
-_LETTER_MATRICES = (SIGMA_I, SIGMA_X, SIGMA_Y, SIGMA_Z)
 _PHASE_LABELS = ("+", "+i", "-", "-i")
 _PHASE_VALUES = (1, 1j, -1, -1j)
+# (-1)**popcount(b) for every basis index b of the largest register, as
+# floats: a sign table cannot wrap the way 1 - 2*parity does in an unsigned
+# dtype, and needs no numpy >= 2.0 bit count.
+_SIGNS = np.array([-1.0 if bin(b).count("1") % 2 else 1.0 for b in range(2**MAX_QUBITS)])
 
 # Single-qubit products sigma_a sigma_b = i**k sigma_c, keyed by (a, b).
 _MUL = {
@@ -141,11 +143,30 @@ def commutes(a: PauliString, b: PauliString) -> bool:
     return clashes % 2 == 0
 
 
-def pauli_to_matrix(p: PauliString) -> np.ndarray:
-    """Dense 2**n matrix phase * (x) letter_i, qubit 1 leftmost."""
+def _signed_permutation(p: PauliString) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and entries of the one nonzero per column of p's matrix.
+
+    With x and z the bit masks of the X-or-Y and Z-or-Y positions (qubit 1
+    the most significant bit), each Y = i X Z gives
+    p|b> = phase * i**#Y * (-1)**popcount(b & z) |b XOR x>.
+    """
     if p.n_qubits > MAX_QUBITS:
         raise DimensionTooLargeError(f"{p.n_qubits} qubits exceeds {MAX_QUBITS}")
-    return p.phase_value * kron_all(_LETTER_MATRICES[c] for c in p.letters)
+    x = z = 0
+    for c in p.letters:
+        x = (x << 1) | (c in (1, 2))
+        z = (z << 1) | (c in (2, 3))
+    cols = np.arange(2**p.n_qubits)
+    unit = _PHASE_VALUES[(p.phase + p.letters.count(2)) % 4]
+    return cols ^ x, cols, unit * _SIGNS[cols & z]
+
+
+def pauli_to_matrix(p: PauliString) -> np.ndarray:
+    """Dense 2**n matrix phase * (x) letter_i, qubit 1 leftmost."""
+    rows, cols, entries = _signed_permutation(p)
+    out = np.zeros((cols.size,) * 2, dtype=np.complex128)
+    out[rows, cols] = entries
+    return out
 
 
 @dataclass(frozen=True)
@@ -216,9 +237,22 @@ class PauliSum:
         return all(abs(c.imag) <= atol for c, _ in self.terms)
 
     def to_matrix(self) -> np.ndarray:
+        """Dense matrix, each term scattered into its one entry per column."""
+        if self.n_qubits > MAX_QUBITS:
+            raise DimensionTooLargeError(f"{self.n_qubits} qubits exceeds {MAX_QUBITS}")
         out = np.zeros((2**self.n_qubits,) * 2, dtype=np.complex128)
         for coef, string in self.terms:
-            out += coef * pauli_to_matrix(string)
+            rows, cols, entries = _signed_permutation(string)
+            out[rows, cols] += coef * entries
+        return out
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """to_matrix() @ x for a d x m block x, without the dense matrix:
+        each term signs and permutes the rows of x, O(d) per column."""
+        out = np.zeros(np.shape(x), dtype=np.complex128)
+        for coef, string in self.terms:
+            rows, _, entries = _signed_permutation(string)
+            out[rows] += (coef * entries)[:, None] * x
         return out
 
     def embedded(self, n_total: int) -> "PauliSum":

@@ -26,7 +26,6 @@ from dfsgates.gates import (
     schedule_u2,
     schedule_u3,
     u3_block_decomposition,
-    u3_subspace_swap_defect,
     verify_holonomy,
 )
 from dfsgates.linalg import (
@@ -141,7 +140,7 @@ def test_criterion_4_holonomy_certification():
             ok &= report.cyclic_defect <= 1e-9
             ok &= report.max_parallel_transport_violation <= 1e-9
             if schedule.kind == "u3":
-                ok &= u3_subspace_swap_defect(schedule, basis) <= 1e-9
+                ok &= report.subspace_swap <= 1e-9
     _report(4, "holonomy certification", ok, time.perf_counter() - start, 60.0)
 
 

@@ -71,10 +71,10 @@ class TestVerify:
         assert out.strip().endswith("result: PASS")
 
     def test_bad_samples_refused_before_evolution(self, capsys, monkeypatch):
-        def no_evolution(schedule):
+        def no_evolution(schedule, basis, samples_per_segment):
             raise AssertionError("evolution ran")
 
-        monkeypatch.setattr(cli, "evolve_schedule", no_evolution)
+        monkeypatch.setattr(cli, "verify_holonomy", no_evolution)
         for samples in ("0", str(MAX_SAMPLES + 1)):
             code, _, err = run_cli(capsys, "verify", "--samples", samples)
             assert code == 2
@@ -284,6 +284,15 @@ class TestInputValidation:
     def test_bath_width_must_be_finite_and_non_negative(self, out_csv, width, command):
         assert_config_error(command, "--bath", "scalar", f"--bath-width={width!r}",
                             "--out", str(out_csv))
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.one_of(st.integers(9, 200), st.sampled_from([-2, 0, 2, 3, 5, 7])),
+           command=st.sampled_from(["verify", "sweep", "decouple"]))
+    def test_n_outside_even_range_refused(self, out_csv, n, command):
+        # verify --n 16 used to allocate the 2**14 x 2**16 logical basis
+        # (16 GiB) before any check ran.
+        assert_config_error(command, f"--n={n}", "--out", str(out_csv))
+        assert not out_csv.exists()
 
     @settings(max_examples=30, deadline=None)
     @given(samples=st.one_of(st.integers(max_value=0), st.integers(min_value=MAX_SAMPLES + 1)))

@@ -13,6 +13,7 @@ from dfsgates.dfs import (
 )
 from dfsgates.errors import (
     DimensionMismatchError,
+    DimensionTooLargeError,
     LogicalIndexError,
     OddQubitCountError,
     TooFewQubitsError,
@@ -73,6 +74,11 @@ class TestLogicalBasis:
             build_logical_basis(5)
         with pytest.raises(TooFewQubitsError):
             build_logical_basis(2)
+        # Refused before the 2**(n-2) x 2**n array is allocated (16 GiB at
+        # n = 16; n = 10 would need only 4 MiB if the cap were missing).
+        for n in (10, 200):
+            with pytest.raises(DimensionTooLargeError):
+                build_logical_basis(n)
 
 
 class TestSectorDecomposition:

@@ -5,10 +5,14 @@ import json
 import numpy as np
 import pytest
 
+import dfsgates.gates as gates
+import dfsgates.linalg as linalg
+from dfsgates.cli import main
 from dfsgates.dfs import LogicalBasis, build_logical_basis, logical_pauli, project_to_logical
 from dfsgates.errors import (
     BadIndexPairError,
     DfsGatesError,
+    LeakageError,
     LengthMismatchError,
     LogicalIndexError,
     NotOrthonormalError,
@@ -31,7 +35,6 @@ from dfsgates.gates import (
     schedule_u2,
     schedule_u3,
     u3_block_decomposition,
-    u3_subspace_swap_defect,
     verify_holonomy,
 )
 from dfsgates.linalg import (
@@ -247,16 +250,16 @@ class TestHolonomy:
         report = verify_holonomy(s, basis, 8)
         assert report.cyclic_defect <= 1e-10
         assert report.max_parallel_transport_violation <= 1e-10
-        assert u3_subspace_swap_defect(s, basis) <= 1e-10
+        assert report.subspace_swap <= 1e-10
 
     def test_u3_swap_n6(self):
         basis = build_logical_basis(6)
-        assert u3_subspace_swap_defect(schedule_u3(6, 1, 3, 1.0), basis) <= 1e-10
+        assert verify_holonomy(schedule_u3(6, 1, 3, 1.0), basis).subspace_swap <= 1e-10
 
-    def test_swap_rejects_single_qubit_kinds(self):
+    def test_swap_absent_for_single_qubit_kinds(self):
         basis = build_logical_basis(4)
-        with pytest.raises(ValueError):
-            u3_subspace_swap_defect(schedule_u1(4, 1, 0.5), basis)
+        for schedule in (schedule_u1(4, 1, 0.5), schedule_u2(4, 1, 0.5)):
+            assert verify_holonomy(schedule, basis).subspace_swap is None
 
     def test_samples_precondition(self):
         basis = build_logical_basis(4)
@@ -272,14 +275,14 @@ class TestHolonomy:
                          schedule_u3(4, 1, 2, 0.5)):
             with pytest.raises(NotOrthonormalError):
                 verify_holonomy(schedule, skewed)
-        with pytest.raises(NotOrthonormalError):
-            u3_subspace_swap_defect(schedule_u3(4, 1, 2, 0.5), skewed)
+            with pytest.raises(NotOrthonormalError):
+                logical_gate(schedule, skewed)
 
 
 def holonomy_oracle(schedule, basis, samples_per_segment=8):
     """Projector-difference certifier: full d x d propagators, one vdot per
     frame-vector pair per sample, and ||P_U - P_V|| from a d x d SVD."""
-    groups = _frame_groups(schedule, basis)
+    groups = _frame_groups(schedule, basis.states)
     flat0 = [vec for group in groups for vec in group]
     fractions = [m / samples_per_segment for m in range(samples_per_segment + 1)]
     worst = 0.0
@@ -326,9 +329,8 @@ def holonomy_oracle(schedule, basis, samples_per_segment=8):
 
 def certify(schedule, basis):
     report = verify_holonomy(schedule, basis)
-    swap = u3_subspace_swap_defect(schedule, basis) if schedule.kind == "u3" else None
     return (report.cyclic_defect, report.max_parallel_transport_violation,
-            report.leakage, swap)
+            report.leakage, report.subspace_swap)
 
 
 def _passing_cases():
@@ -367,6 +369,20 @@ def _perturb_last_segment(schedule):
     )
 
 
+def full_register_gate(schedule, basis):
+    return project_to_logical(evolve_schedule(schedule), basis)
+
+
+def _leak_into(schedule, index):
+    """The schedule with 0.2 X_2 added to segment `index`: X_2 anticommutes
+    with Z...Z, so that segment moves the code space."""
+    n = schedule.n_physical
+    segments = list(schedule.segments)
+    kick = PauliSum.from_terms(n, [(0.2, PauliString.from_sites(n, {2: "X"}))])
+    segments[index] = ScheduleSegment(segments[index].hamiltonian + kick, segments[index].area)
+    return GateSchedule(schedule.kind, n, schedule.target, schedule.angle, tuple(segments))
+
+
 class TestCertifierOracle:
     @pytest.mark.parametrize("kind, n, target, angle", _passing_cases())
     def test_passing_schedules_match_projector_oracle(self, kind, n, target, angle):
@@ -377,6 +393,9 @@ class TestCertifierOracle:
             if want is not None:
                 assert want <= 1e-10
                 assert abs(got - want) <= 1e-14
+        full = full_register_gate(schedule, basis)
+        assert np.abs(verify_holonomy(schedule, basis).gate - full).max() <= 1e-14
+        assert np.abs(logical_gate(schedule, basis) - full).max() <= 1e-14
 
     @pytest.mark.parametrize("kind", ["u1", "u2", "u3"])
     @pytest.mark.parametrize("n", [4, 6])
@@ -393,6 +412,43 @@ class TestCertifierOracle:
         assert max(new[0], new[1]) > 1e-3
         if kind == "u3" and breaker is _scale_first_area:
             assert new[3] > 1e-3
+        full = full_register_gate(schedule, basis)
+        assert np.abs(verify_holonomy(schedule, basis).gate - full).max() <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["u1", "u2", "u3"])
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_leaky_schedule_reports_leakage_bound(self, kind, n):
+        target = (1, n - 2) if kind == "u3" else (n - 2,)
+        schedule = _leak_into(_schedule(kind, n, target, 0.6), index=-1)
+        basis = build_logical_basis(n)
+        oracle_leakage = holonomy_oracle(schedule, basis)[2]
+        report = verify_holonomy(schedule, basis)
+        assert report.leakage >= oracle_leakage
+        assert report.leakage > 1e-3
+        with pytest.raises(LeakageError):
+            logical_gate(schedule, basis)
+
+
+class TestBlockEigendecompositions:
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    @pytest.mark.parametrize("gate, target", [
+        ("u1", ["--j", "1"]), ("u2", ["--j", "2"]), ("u3", ["--k", "1", "--l", "2"]),
+    ])
+    def test_verify_takes_one_block_eigh_per_segment(self, capsys, monkeypatch, n, gate,
+                                                      target):
+        shapes = []
+        real = linalg._eigh_hermitian
+
+        def counting(h, *args, **kwargs):
+            shapes.append(np.shape(h))
+            return real(h, *args, **kwargs)
+
+        monkeypatch.setattr(gates, "_eigh_hermitian", counting)
+        monkeypatch.setattr(linalg, "_eigh_hermitian", counting)
+        assert main(["verify", "--n", str(n), "--gate", gate, *target]) == 0
+        assert capsys.readouterr().out.strip().endswith("result: PASS")
+        segments = {"u1": 2, "u2": 4, "u3": 2}[gate]
+        assert shapes == [(2 ** (n - 2),) * 2] * segments
 
 
 class TestU3Blocks:
@@ -549,6 +605,12 @@ class TestScheduleFromJsonValidation:
         data = json.loads(schedule_to_json(schedule_u2(4, 1, 0.3)))
         data["segments"][2]["area"] = bad
         with pytest.raises(DfsGatesError, match="finite"):
+            schedule_from_json(json.dumps(data))
+
+    def test_term_leaving_the_code_space(self):
+        data = json.loads(schedule_to_json(schedule_u3(6, 1, 2, 0.3)))
+        data["segments"][1]["hamiltonian"] += " + 0.2*+IXIIII"
+        with pytest.raises(DfsGatesError, match="code space"):
             schedule_from_json(json.dumps(data))
 
     def test_hamiltonian_on_other_qubit_count(self):

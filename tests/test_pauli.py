@@ -11,6 +11,8 @@ from dfsgates.errors import (
     OddQubitCountError,
     TooFewQubitsError,
 )
+from dfsgates.gates import schedule_u1, schedule_u2, schedule_u3
+from dfsgates.linalg import SIGMA_I, SIGMA_X, SIGMA_Y, SIGMA_Z, kron_all
 from dfsgates.pauli import (
     PauliString,
     PauliSum,
@@ -81,6 +83,63 @@ class TestProducts:
                 pauli_to_matrix(a) @ pauli_to_matrix(b),
                 atol=1e-12,
             )
+
+
+def kron_matrix(p: PauliString) -> np.ndarray:
+    """The N-factor Kronecker product, the oracle for the signed permutation."""
+    letters = (SIGMA_I, SIGMA_X, SIGMA_Y, SIGMA_Z)
+    return p.phase_value * kron_all(letters[c] for c in p.letters)
+
+
+def kron_sum(h: PauliSum) -> np.ndarray:
+    out = np.zeros((2**h.n_qubits,) * 2, dtype=np.complex128)
+    for coef, string in h.terms:
+        out += coef * kron_matrix(string)
+    return out
+
+
+class TestSignedPermutation:
+    def test_every_string_up_to_three_qubits(self):
+        for n in (1, 2, 3):
+            for letters in itertools.product(range(4), repeat=n):
+                for phase in range(4):
+                    p = PauliString(n, letters, phase)
+                    assert (pauli_to_matrix(p) == kron_matrix(p)).all(), p.label
+
+    def test_sampled_eight_qubit_strings(self, rng):
+        for _ in range(64):
+            p = PauliString(8, tuple(rng.integers(0, 4, 8)), int(rng.integers(0, 4)))
+            assert (pauli_to_matrix(p) == kron_matrix(p)).all(), p.label
+
+    def test_all_y_signs(self):
+        # Every Z and Y bit set: the sign is (-1)**popcount(b) over all 256
+        # columns, where 1 - 2*parity in an unsigned dtype wrapped to 255.
+        for letter in "YZ":
+            p = PauliString.uniform(8, letter)
+            m = pauli_to_matrix(p)
+            assert (m == kron_matrix(p)).all()
+            assert set(np.abs(m[m != 0])) == {1.0}
+
+    def test_sums_match_kron_sums(self, rng):
+        sums = [segment.hamiltonian
+                for schedule in (schedule_u1(8, 6, 0.9), schedule_u2(8, 3, 0.4),
+                                 schedule_u3(8, 2, 5, 0.9))
+                for segment in schedule.segments]
+        for _ in range(40):
+            n = int(rng.integers(1, 9))
+            sums.append(PauliSum.from_terms(n, [
+                (complex(*rng.normal(size=2)), PauliString(n, tuple(rng.integers(0, 4, n))))
+                for _ in range(int(rng.integers(1, 7)))
+            ]))
+        for h in sums:
+            dense = kron_sum(h)
+            assert (h.to_matrix() == dense).all()
+            x = rng.normal(size=(dense.shape[0], 3)) + 1j * rng.normal(size=(dense.shape[0], 3))
+            assert np.abs(h.apply(x) - dense @ x).max() <= 1e-13
+
+    def test_sum_above_max_qubits_rejected(self):
+        with pytest.raises(DimensionTooLargeError):
+            PauliSum.zero(9).to_matrix()
 
 
 class TestMatrices:
