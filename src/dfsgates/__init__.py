@@ -77,7 +77,6 @@ from .noise import (
     decoupling_order_probe,
     error_sweep,
     fit_error_order,
-    interleave,
     reduced_system_propagator,
     single_qubit_pulse,
     sweep_csv_lines,
@@ -89,6 +88,7 @@ from .pauli import (
     PauliSum,
     build_decoupling_group,
     commutant_generators,
+    commutant_split,
     commutes,
     group_average,
     pauli_product,

@@ -46,4 +46,5 @@ class LeakageError(DfsGatesError):
 
 
 class BadPartitionError(DfsGatesError):
-    """A pulse spacing does not divide the total time into whole cycles."""
+    """A partition does not fit: a pulse spacing does not divide the total
+    time into whole cycles, or a Pauli term straddles a split register."""

@@ -53,7 +53,7 @@ from .linalg import (
     kron_all,
     spectral_norm,
 )
-from .pauli import PauliString, PauliSum, commutes
+from .pauli import PauliString, PauliSum, commutant_split
 
 
 @dataclass(frozen=True)
@@ -549,12 +549,11 @@ def schedule_from_json(text: str) -> GateSchedule:
         ScheduleSegment(PauliSum.from_text(n, seg["hamiltonian"]), seg["area"])
         for seg in data["segments"]
     )
-    stabilizers = (PauliString.uniform(n, "X"), PauliString.uniform(n, "Z"))
     for index, segment in enumerate(segments):
-        for _, string in segment.hamiltonian.terms:
-            if not all(commutes(string, g) for g in stabilizers):
-                raise DfsGatesError(
-                    f"segment {index} term {string.label} anticommutes with X...X "
-                    "or Z...Z and would leave the code space"
-                )
+        leaking = commutant_split(segment.hamiltonian)[1]
+        if leaking.terms:
+            raise DfsGatesError(
+                f"segment {index} term {leaking.terms[0][1].label} anticommutes with X...X "
+                "or Z...Z and would leave the code space"
+            )
     return GateSchedule(kind, n, target, data["angle"], segments)

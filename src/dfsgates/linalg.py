@@ -98,13 +98,28 @@ def phase_invariant_fidelity(u: np.ndarray, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=np.complex128)
     if u.shape != v.shape:
         raise DimensionMismatchError(f"shape mismatch: {u.shape} vs {v.shape}")
-    # Tr(u v†) = sum_ij u_ij conj(v_ij): O(d^2) elementwise sums in place of
-    # d x d products. np.sum adds pairwise; a flat np.vdot over the d^2
-    # terms drifts by ~1e-15 at d = 256, the products' own accuracy does not.
-    num = abs(np.sum(u * v.conj()))
-    den = np.sqrt(np.sum(u * u.conj()).real * np.sum(v * v.conj()).real)
-    # Cauchy-Schwarz bounds num <= den; clamp the last-ulp float excess.
-    return float(min(num / den, 1.0))
+    return product_fidelity([u], [v])
+
+
+def product_fidelity(us, vs) -> float:
+    """phase_invariant_fidelity of the tensor products (x)_f us[f] and
+    (x)_f vs[f], from their factors.
+
+    The trace overlap and the Frobenius norms of a tensor product are the
+    products of the factors' own, and a permutation of the tensor factors
+    changes none of them. With one factor the arithmetic is exactly the
+    single-matrix formula.
+    """
+    num, den = 1.0 + 0j, 1.0
+    for u, v in zip(us, vs, strict=True):
+        # Tr(u v†) = sum_ij u_ij conj(v_ij): O(d^2) elementwise sums in place
+        # of d x d products. np.sum adds pairwise; a flat np.vdot over the
+        # d^2 terms drifts by ~1e-15 at d = 256, the products' own accuracy
+        # does not.
+        num *= np.sum(u * v.conj())
+        den *= np.sum(u * u.conj()).real * np.sum(v * v.conj()).real
+    # Cauchy-Schwarz bounds |num| <= sqrt(den); clamp the last-ulp excess.
+    return float(min(abs(num) / np.sqrt(den), 1.0))
 
 
 def subspace_projector(basis, atol: float = ATOL_STRUCT) -> np.ndarray:

@@ -2,12 +2,17 @@
 
 The decoupling sequence is XY-4: free (or computational) evolution sliced
 into four equal intervals with a global pi pulse after each slice, axes
-ordered X, Y, X, Y. One function builds that cycle from a slice
-propagator; `dd_cycle` applies it to idle evolution, and `interleave` and
-`error_sweep` raise it to the number of cycles per gate segment. With ideal pulses
-the cycle is the decoupling-group conjugation product of Viola, Knill &
-Lloyd, PRL 82, 2417 (1999). Two pulse imperfections are modelled, both
-relative:
+ordered X, Y, X, Y. With ideal pulses the cycle is the decoupling-group
+conjugation product of Viola, Knill & Lloyd, PRL 82, 2417 (1999).
+`dd_cycle` builds one cycle of idle evolution on the full register.
+`error_sweep` threads c cycles through each gate segment, and it never
+forms the full register: every coupling term acts on one system qubit
+(and its own bath qubit), every segment term on at most three qubits, and
+every pulse is a tensor power of one 2x2 rotation. So the decoupled
+propagator is a tensor product over an active factor (the qubits the
+gate acts on) and an idle factor (the rest), and so are its bath
+reduction and its trace overlap. Two pulse imperfections are modelled,
+both relative:
 
     flip-angle error eps:  rotation angle (1 + eps) * pi
     detuning error delta:  axis tilted out of the transverse plane by
@@ -39,15 +44,19 @@ from .linalg import (
     SIGMA_Z,
     expm_hermitian,
     phase_invariant_fidelity,
+    product_fidelity,
 )
 from .pauli import PauliString, PauliSum, build_decoupling_group, group_average
 
 _AXES = ("x", "y", "z")
 
-# Largest number of XY-4 cycles per gate segment. The segment propagator is
-# the cycle raised to this power by repeated squaring, and its departure
-# from unitarity grows in proportion to the power: ~1e-10 at this bound on
-# 256 dimensions; far beyond it the entries overflow and fidelities are nan.
+# Largest number of XY-4 cycles per gate segment. The segment propagator on
+# each register factor is the half cycle D raised to twice this power by
+# repeated squaring, and its departure from unitarity grows in proportion
+# to the power: max |U U† - I| up to 2.1e-10 at this bound on factors of 2
+# to 256 dimensions (u1/u2/u3 at N = 4 and 8, scalar and qubit baths, ideal,
+# flip 0.1 and detuning -0.1 pulses); far beyond it the entries overflow
+# and fidelities are nan.
 MAX_CYCLES_PER_SEGMENT = 10_000
 
 
@@ -171,10 +180,11 @@ def _pulse_times(p: np.ndarray, n_system: int, m: np.ndarray) -> np.ndarray:
 
     Each factor is one local 2x2 product on the reshaped row index of m, so
     the global pulse is never built as a dense matrix; qubits past
-    n_system (a bath register) are left alone.
+    n_system (a bath register) are left alone. m may be a stack of
+    matrices, shape (..., d, cols), each multiplied alike.
     """
     for k in range(n_system):
-        m = (p @ m.reshape(2**k, 2, -1)).reshape(m.shape)
+        m = (p @ m.reshape(*m.shape[:-2], 2**k, 2, -1)).reshape(m.shape)
     return m
 
 
@@ -208,58 +218,90 @@ def dd_cycle(
     return _xy4_cycle(expm_hermitian(free_h, dt), n_system, errors)
 
 
-def _segment_slices(
-    schedule: GateSchedule, bath: BathModel, plan: InterleavingPlan
-) -> list[np.ndarray]:
-    """Slice propagator exp(-i (area_s H_s + H_bath) / (4c)) of each segment s.
+@dataclass(frozen=True, eq=False)
+class _Factor:
+    """One tensor factor of the register and its segment slices.
 
-    These do not depend on the pulse errors, so a sweep builds them once.
+    qubits are 1-indexed register positions in ascending order, so the
+    factor's system qubits come before its bath qubits; slices stacks the
+    factor's slice propagator of every segment, shape (segments, d, d).
+    """
+
+    qubits: tuple[int, ...]
+    n_system: int
+    slices: np.ndarray
+
+    @property
+    def bath_stride(self) -> int:
+        """Row stride of <0...0|_bath U |0...0>_bath on this factor; 1 when
+        it holds no bath qubits."""
+        return 2 ** (len(self.qubits) - self.n_system)
+
+
+def _factor_slices(
+    schedule: GateSchedule, bath: BathModel, plan: InterleavingPlan
+) -> list[_Factor]:
+    """Slice propagators exp(-i (area_s H_s + H_bath) / (4c)) of each segment
+    s, on each tensor factor of the register.
+
+    The active factor holds every qubit a segment term acts on, with its
+    bath partner when the bath is made of qubits; the idle factor holds the
+    rest. Every coupling term acts on one system qubit and its own bath
+    qubit, so both sums split over the two factors and the slice is the
+    tensor product of the factor slices; the identity term, if any, goes
+    to the first factor only. A schedule that acts on the whole register
+    has a single factor. The slices do not depend on the pulse errors, so
+    a sweep builds them once.
     """
     if bath.n_system != schedule.n_physical:
         raise DimensionMismatchError(
             f"bath on {bath.n_system} system qubits, schedule on {schedule.n_physical}"
         )
-    bath_h = bath.hamiltonian_matrix()
+    n_total = bath.total_qubits
+    hamiltonians = [seg.hamiltonian.embedded(n_total) for seg in schedule.segments]
+    active = frozenset().union(*(h.support() for h in hamiltonians))
+    if bath.kind == "qubit":
+        active |= {q + bath.n_system for q in active}
+    idle = frozenset(range(1, n_total + 1)) - active
+    bath_h = bath.hamiltonian_sum()
     scale = 1.0 / (4 * plan.cycles_per_segment)
-    return [
-        expm_hermitian(
-            segment.area * segment.hamiltonian.embedded(bath.total_qubits).to_matrix() + bath_h,
-            scale,
-        )
-        for segment in schedule.segments
-    ]
+    factors = []
+    for qubits in (tuple(sorted(part)) for part in (active, idle) if part):
+        first = not factors
+        bath_f = bath_h.restricted(qubits, with_identity=first).to_matrix()
+        slices = np.stack([
+            expm_hermitian(
+                seg.area * h.restricted(qubits, with_identity=first).to_matrix() + bath_f,
+                scale,
+            )
+            for seg, h in zip(schedule.segments, hamiltonians)
+        ])
+        n_system = sum(q <= bath.n_system for q in qubits)
+        factors.append(_Factor(qubits, n_system, slices))
+    return factors
 
 
-def _decoupled_propagator(
-    slices: list[np.ndarray], bath: BathModel, plan: InterleavingPlan, errors: DDErrorModel
-) -> np.ndarray:
-    """Product over segments of one XY-4 cycle of the segment's slice,
-    raised to cycles_per_segment."""
-    u = np.eye(bath.dim, dtype=np.complex128)
-    for f in slices:
-        cycle = _xy4_cycle(f, bath.n_system, errors)
-        u = np.linalg.matrix_power(cycle, plan.cycles_per_segment) @ u
-    return u
+def _factor_propagators(
+    factors: list[_Factor], plan: InterleavingPlan, errors: DDErrorModel
+) -> list[np.ndarray]:
+    """Decoupled propagator of the schedule on each factor.
 
-
-def interleave(
-    schedule: GateSchedule,
-    bath: BathModel,
-    plan: InterleavingPlan = InterleavingPlan(),
-    errors: DDErrorModel = IDEAL_PULSES,
-) -> np.ndarray:
-    """Propagator of the schedule with XY-4 decoupling threaded through it.
-
-    Each segment occupies unit time and runs c = cycles_per_segment XY-4
-    cycles. A cycle's slice lasts 1/(4c) and evolves under the segment
-    Hamiltonian (scaled so the full segment accumulates its pulse area)
-    plus the bath coupling, exactly exponentiated together; the segment
-    propagator is that one cycle raised to the c-th power. With zero bath
-    and ideal pulses the result equals the bare schedule propagator up to
-    a global phase, because every gate Hamiltonian commutes with the pulse
-    strings.
+    One segment runs c = cycles_per_segment XY-4 cycles, and the cycle
+    P_y F P_x F P_y F P_x F is D^2 with D = (P_y F)(P_x F); so each factor
+    takes one batched product for D over its segment stack, one stacked
+    D^(2c), and the product over segments, earliest rightmost.
     """
-    return _decoupled_propagator(_segment_slices(schedule, bath, plan), bath, plan, errors)
+    p_x = single_qubit_pulse("x", errors)
+    p_y = single_qubit_pulse("y", errors)
+    out = []
+    for f in factors:
+        d = _pulse_times(p_y, f.n_system, f.slices) @ _pulse_times(p_x, f.n_system, f.slices)
+        powers = np.linalg.matrix_power(d, 2 * plan.cycles_per_segment)
+        u = powers[0]
+        for power in powers[1:]:
+            u = power @ u
+        out.append(u)
+    return out
 
 
 def reduced_system_propagator(u: np.ndarray, bath: BathModel) -> np.ndarray:
@@ -282,17 +324,23 @@ def error_sweep(
     sweep; rows come out as (kind, value, fidelity) in the mapping's order.
     Each fidelity is the trace overlap between the decoupled propagators
     with imperfect and with ideal pulses, on the full register
-    (bath-reduced when a bath-qubit model is used). The segment slice
-    propagators and the ideal reference are computed once per call and
-    shared by every kind and value; the reference is reused at zero error.
+    (bath-reduced when a bath-qubit model is used). Both propagators are
+    evaluated as tensor products over the register's factors (see
+    `_factor_slices`); the bath reduction and the overlap factor the same
+    way. The factor slices and the ideal reference are computed once per
+    call and shared by every kind and value; the reference is reused at
+    zero error.
     """
     for kind in grids:
         if kind not in ("flip", "detuning"):
             raise ValueError(f"unknown error kind {kind!r}")
-    slices = _segment_slices(schedule, bath, plan)
+    factors = _factor_slices(schedule, bath, plan)
 
-    def reduced(errors: DDErrorModel) -> np.ndarray:
-        return reduced_system_propagator(_decoupled_propagator(slices, bath, plan, errors), bath)
+    def reduced(errors: DDErrorModel) -> list[np.ndarray]:
+        return [
+            u[:: f.bath_stride, :: f.bath_stride]
+            for f, u in zip(factors, _factor_propagators(factors, plan, errors))
+        ]
 
     reference = reduced(IDEAL_PULSES)
     rows = []
@@ -301,7 +349,7 @@ def error_sweep(
             value = float(value)
             errors = DDErrorModel(epsilon=value) if kind == "flip" else DDErrorModel(delta=value)
             noisy = reference if errors.is_ideal else reduced(errors)
-            rows.append((kind, value, phase_invariant_fidelity(reference, noisy)))
+            rows.append((kind, value, product_fidelity(reference, noisy)))
     return rows
 
 

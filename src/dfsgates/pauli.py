@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadPartitionError,
     DimensionTooLargeError,
     LengthMismatchError,
     OddQubitCountError,
@@ -260,6 +261,40 @@ class PauliSum:
             n_total, ((c, s.embedded(n_total)) for c, s in self.terms)
         )
 
+    def support(self) -> frozenset[int]:
+        """The 1-indexed qubits on which some term has a non-identity letter."""
+        return frozenset(
+            q + 1 for _, s in self.terms for q, letter in enumerate(s.letters) if letter
+        )
+
+    def restricted(self, sites, with_identity: bool = True) -> "PauliSum":
+        """The terms that act on the given 1-indexed sites, as a sum on
+        len(sites) qubits in the order given.
+
+        Terms acting only outside the sites are dropped. The identity term
+        acts nowhere: it is kept only if with_identity, so that splitting a
+        sum over the factors of a register counts it exactly once.
+
+        Raises
+        ------
+        BadPartitionError
+            A term acts both on the sites and outside them, so the sum
+            does not split over that factor.
+        """
+        sites = tuple(sites)
+        inside = {q - 1 for q in sites}
+        terms = []
+        for coef, string in self.terms:
+            acts_on = {q for q, letter in enumerate(string.letters) if letter}
+            if acts_on - inside and acts_on & inside:
+                raise BadPartitionError(
+                    f"term {string.label} acts on qubits both in and outside {sites}"
+                )
+            if acts_on <= inside and (acts_on or with_identity):
+                letters = tuple(string.letters[q - 1] for q in sites)
+                terms.append((coef, PauliString(len(sites), letters)))
+        return PauliSum.from_terms(len(sites), terms)
+
     def text(self) -> str:
         """Round-trippable form: "<coef>*<string> + <coef>*<string> + ..."."""
         if not self.terms:
@@ -353,6 +388,19 @@ def group_average(h: PauliSum, group: DecouplingGroup) -> PauliSum:
         elif signs != 0:
             raise AssertionError("group-character sum must be 0 or 4")
     return PauliSum.from_terms(h.n_qubits, kept)
+
+
+def commutant_split(h: PauliSum) -> tuple[PauliSum, PauliSum]:
+    """h as h_c + h_leak: h_c holds the terms that commute with X...X and
+    Z...Z, which preserve every decoherence-free sector; h_leak holds the
+    terms that anticommute with at least one of them and move states
+    between sectors."""
+    stabilizers = (PauliString.uniform(h.n_qubits, "X"), PauliString.uniform(h.n_qubits, "Z"))
+    kept, leaking = [], []
+    for coef, string in h.terms:
+        preserves = all(commutes(string, g) for g in stabilizers)
+        (kept if preserves else leaking).append((coef, string))
+    return PauliSum.from_terms(h.n_qubits, kept), PauliSum.from_terms(h.n_qubits, leaking)
 
 
 def commutant_generators(n: int) -> list[PauliString]:

@@ -15,6 +15,7 @@ from dfsgates.linalg import (
     kron,
     kron_all,
     phase_invariant_fidelity,
+    product_fidelity,
     subspace_projector,
 )
 
@@ -161,6 +162,20 @@ class TestPhaseInvariantFidelity:
                       random_unitary(dim, rng)):
                 for a, b in ((u, v), (u[::stride, ::stride], v[::stride, ::stride])):
                     assert abs(phase_invariant_fidelity(a, b) - trace_fidelity(a, b)) <= 1e-15
+
+    def test_product_matches_kron(self, rng):
+        # Factor pairs of 2 to 16 dimensions, unitary and strided blocks:
+        # the fidelity of the Kronecker products, read from the factors.
+        for dims in ((8, 2), (4, 16), (2, 4, 8)):
+            us = [random_unitary(d, rng) for d in dims]
+            vs = [u @ expm_hermitian(random_hermitian(len(u), rng), 0.3) for u in us]
+            for a, b in ((us, vs), ([u[::2, ::2] for u in us], [v[::2, ::2] for v in vs])):
+                full_a, full_b = a[0], b[0]
+                for x, y in zip(a[1:], b[1:]):
+                    full_a, full_b = kron_oracle(full_a, x), kron_oracle(full_b, y)
+                assert abs(product_fidelity(a, b) - trace_fidelity(full_a, full_b)) <= 1e-15
+        with pytest.raises(ValueError):
+            product_fidelity(us, vs[:-1])
 
 
 class TestSubspaceProjector:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dfsgates.errors import (
+    BadPartitionError,
     DimensionTooLargeError,
     LengthMismatchError,
     OddQubitCountError,
@@ -18,6 +19,7 @@ from dfsgates.pauli import (
     PauliSum,
     build_decoupling_group,
     commutant_generators,
+    commutant_split,
     commutes,
     group_average,
     pauli_product,
@@ -304,3 +306,61 @@ class TestPauliSum:
             2, [(1.0, PauliString.from_label("+ZI")), (-0.5, PauliString.from_label("+XY"))]
         )
         assert np.allclose((a @ b).to_matrix(), a.to_matrix() @ b.to_matrix(), atol=1e-12)
+
+
+def _sum(n, *terms):
+    return PauliSum.from_terms(n, [(c, PauliString.from_label(label)) for c, label in terms])
+
+
+class TestRestriction:
+    def test_support(self):
+        h = _sum(5, (0.5, "XIIZI"), (0.2, "IIIZI"), (1.0, "IIIII"))
+        assert h.support() == {1, 4}
+        assert PauliSum.zero(3).support() == frozenset()
+
+    def test_terms_on_sites_in_given_order(self):
+        h = _sum(5, (0.5, "XIYII"), (-0.25, "IZIII"), (0.75, "IIIXZ"))
+        assert h.restricted([3, 1]).isclose(_sum(2, (0.5, "YX")))
+        assert h.restricted([2, 4, 5]).isclose(_sum(3, (-0.25, "ZII"), (0.75, "IXZ")))
+
+    def test_identity_term_kept_only_when_asked(self):
+        h = _sum(4, (0.3, "IIII"), (1.0, "XXII"))
+        assert h.restricted([1, 2]).isclose(_sum(2, (0.3, "II"), (1.0, "XX")))
+        assert h.restricted([3, 4], with_identity=False).is_zero()
+        assert h.restricted([3, 4]).isclose(_sum(2, (0.3, "II")))
+
+    def test_sum_splits_as_kron_sum(self, rng):
+        # H = H_in (x) I + I (x) H_out for sites 1, 2 against 3, 4
+        coefs = rng.normal(size=4)
+        h = _sum(4, (coefs[0], "XZII"), (coefs[1], "IIYY"), (coefs[2], "IIIZ"), (coefs[3], "IIII"))
+        inside = h.restricted([1, 2]).to_matrix()
+        outside = h.restricted([3, 4], with_identity=False).to_matrix()
+        expected = np.kron(inside, np.eye(4)) + np.kron(np.eye(4), outside)
+        assert np.abs(h.to_matrix() - expected).max() == 0
+
+    def test_straddling_term_rejected(self):
+        h = _sum(4, (1.0, "XIIX"), (1.0, "ZZII"))
+        with pytest.raises(BadPartitionError, match="XIIX"):
+            h.restricted([1, 2])
+        with pytest.raises(BadPartitionError):
+            h.restricted([3, 4], with_identity=False)
+
+
+class TestCommutantSplit:
+    @pytest.mark.parametrize("schedule", [
+        schedule_u1(6, 2, 0.3), schedule_u2(6, 1, 0.9), schedule_u3(6, 1, 4, 0.5)])
+    def test_gate_hamiltonians_do_not_leak(self, schedule):
+        for segment in schedule.segments:
+            kept, leaking = commutant_split(segment.hamiltonian)
+            assert kept == segment.hamiltonian and leaking.is_zero()
+
+    def test_leaking_terms_split_off(self):
+        # X_2 anticommutes with Z...Z, Z_1 with X...X, Y_1 with both; X_1 X_2
+        # and the identity commute with both.
+        h = _sum(4, (0.2, "IXII"), (0.3, "ZIII"), (0.4, "YIII"), (1.0, "XXII"), (0.5, "IIII"))
+        kept, leaking = commutant_split(h)
+        assert kept.isclose(_sum(4, (1.0, "XXII"), (0.5, "IIII")))
+        assert leaking.isclose(_sum(4, (0.2, "IXII"), (0.3, "ZIII"), (0.4, "YIII")))
+        assert (kept + leaking).isclose(h)
+        group = build_decoupling_group(4)
+        assert group_average(h, group).isclose(kept)
