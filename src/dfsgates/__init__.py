@@ -7,11 +7,14 @@ Layers, bottom up:
     pauli   exact symbolic Pauli strings, the global decoupling group,
             group averaging onto the commutant
     dfs     the four invariant sectors and the logical-qubit encoding
-    gates   piecewise-constant gate schedules, exact evolution, holonomy
-            certification, analytic targets
+    gates   piecewise-constant gate schedules, code-space evolution,
+            holonomy certification, analytic targets
     noise   XY-4 decoupling with imperfect pulses, bath models, fidelity
             sweeps, decoupling-order probes
     cli     verify / sweep / decouple commands
+
+The full-register propagators and projectors that check these layers are
+test oracles, in tests/oracles.py.
 """
 
 from .dfs import (
@@ -20,8 +23,6 @@ from .dfs import (
     build_logical_basis,
     dfs_decomposition,
     logical_pauli,
-    project_to_logical,
-    sector_projector,
 )
 from .errors import (
     BadIndexPairError,
@@ -43,7 +44,6 @@ from .gates import (
     ScheduleSegment,
     analytic_target,
     barred_transform,
-    evolve_schedule,
     heisenberg_reduction,
     leakage_of,
     logical_gate,
@@ -60,8 +60,6 @@ from .linalg import (
     ATOL_STRUCT,
     expm_hermitian,
     is_hermitian,
-    is_unitary,
-    kron,
     kron_all,
     phase_invariant_fidelity,
     spectral_norm,
@@ -91,7 +89,6 @@ from .pauli import (
     commutant_split,
     commutes,
     group_average,
-    pauli_product,
     pauli_to_matrix,
 )
 

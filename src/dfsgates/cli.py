@@ -65,6 +65,9 @@ DEFAULTS = {
 MAX_GRID_STEPS = 10_000
 # Largest number of holonomy samples per segment `verify` accepts.
 MAX_SAMPLES = 1024
+# Values of --gate and --bath; config-file values are checked against the same.
+_GATES = ("u1", "u2", "u3")
+_BATHS = ("none", "scalar", "qubit")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,13 +81,13 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", type=str, help="key=value config file; flags win")
         p.add_argument("--n", type=int, help="physical qubits (even, 4..8)")
-        p.add_argument("--gate", choices=("u1", "u2", "u3"), help="gate family")
+        p.add_argument("--gate", choices=_GATES, help="gate family")
         p.add_argument("--j", type=int, help="logical target for u1/u2")
         p.add_argument("--k", type=int, help="first logical target for u3")
         p.add_argument("--l", type=int, help="second logical target for u3")
         p.add_argument("--angle", type=float, help="gate angle theta or phi")
         p.add_argument("--cycles", type=int, help="XY-4 cycles per segment")
-        p.add_argument("--bath", choices=("none", "scalar", "qubit"), help="bath model")
+        p.add_argument("--bath", choices=_BATHS, help="bath model")
         p.add_argument("--bath-width", dest="bath_width", type=float,
                        help="half-width of the uniform coupling draw")
         p.add_argument("--seed", type=int, help="seed for bath draws")
@@ -141,7 +144,11 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 
 def _check_values(cfg: dict) -> None:
-    """Reject non-finite or out-of-range numeric options."""
+    """Reject non-finite or out-of-range numeric options, and gate or bath
+    names outside the parser's choices (a config file bypasses those)."""
+    for key, allowed in (("gate", _GATES), ("bath", _BATHS)):
+        if cfg[key] not in allowed:
+            raise ValueError(f"{key} must be one of {', '.join(allowed)}, got {cfg[key]!r}")
     if not (4 <= cfg["n"] <= MAX_QUBITS and cfg["n"] % 2 == 0):
         raise ValueError(f"n must be even and in 4..{MAX_QUBITS}, got {cfg['n']!r}")
     for key in ("angle", "bath_width", "step", "total_time"):
@@ -199,8 +206,7 @@ def _schedule(cfg: dict):
 def _bath(cfg: dict) -> BathModel:
     if cfg["bath"] == "none":
         return BathModel.zero(cfg["n"])
-    kind = "scalar" if cfg["bath"] == "scalar" else "qubit"
-    return BathModel.random(cfg["n"], cfg["bath_width"], cfg["seed"], kind=kind)
+    return BathModel.random(cfg["n"], cfg["bath_width"], cfg["seed"], kind=cfg["bath"])
 
 
 def cmd_verify(cfg: dict) -> int:
@@ -255,10 +261,7 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_decouple(cfg: dict) -> int:
-    if cfg["bath"] == "none":
-        bath = BathModel.zero(cfg["n"])
-    else:
-        bath = _bath(cfg)
+    bath = _bath(cfg)
     dts = _parse_ladder(cfg["dt_ladder"])
     points = decoupling_order_probe(bath, dts, cfg["total_time"])
     bare = bare_evolution_error(bath, cfg["total_time"])

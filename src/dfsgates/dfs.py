@@ -18,14 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
     DimensionTooLargeError,
     LogicalIndexError,
     OddQubitCountError,
     TooFewQubitsError,
 )
 from .linalg import ATOL_NORM, SIGMA_I, SIGMA_Y, SIGMA_Z, kron_all
-from .pauli import MAX_QUBITS, DecouplingGroup, pauli_to_matrix
+from .pauli import MAX_QUBITS, DecouplingGroup
 
 _FLIP = str.maketrans("01", "10")
 
@@ -92,24 +91,23 @@ def dfs_decomposition(group: DecouplingGroup) -> list[tuple[tuple[int, int, int,
     with the Y entry the eigenvalue of the unitary (ZX)^(x n); the
     all-ones sector comes first. For even n there are exactly four
     sectors of dimension 2**(n-2) each.
+
+    Each dimension is the trace of the sector projector
+    (I + sx X...X)(I + sz Z...Z)/4, summed over its expansion in group
+    strings: only the identity string has a nonzero trace, 2**n times its
+    phase, so no matrix is built.
     """
     n = group.n_qubits
     if n % 2:
         raise OddQubitCountError(f"sector decomposition needs even n, got {n}")
+    identity, x, _, z = group.elements
     out = []
     for sx in (1, -1):
         for sz in (1, -1):
-            dim = round(np.real(np.trace(sector_projector(group, sx, sz))))
-            out.append(((1, sx, sx * sz, sz), dim))
+            terms = ((1, identity), (sx, x), (sz, z), (sx * sz, x * z))
+            trace = sum(c * s.phase_value for c, s in terms if not any(s.letters)) * 2**n
+            out.append(((1, sx, sx * sz, sz), round(trace.real / 4)))
     return sorted(out, key=lambda item: item[0], reverse=True)
-
-
-def sector_projector(group: DecouplingGroup, sx: int, sz: int) -> np.ndarray:
-    """Projector onto the joint (X...X = sx, Z...Z = sz) eigenspace."""
-    xmat = pauli_to_matrix(group.elements[1])
-    zmat = pauli_to_matrix(group.elements[3])
-    dim = xmat.shape[0]
-    return (np.eye(dim) + sx * xmat) @ (np.eye(dim) + sz * zmat) / 4
 
 
 def logical_pauli(n_logical: int, which: str, j: int) -> np.ndarray:
@@ -118,19 +116,6 @@ def logical_pauli(n_logical: int, which: str, j: int) -> np.ndarray:
         raise LogicalIndexError(f"logical index {j} outside 1..{n_logical}")
     sigma = {"Y": SIGMA_Y, "Z": SIGMA_Z}[which]
     return kron_all(sigma if i == j else SIGMA_I for i in range(1, n_logical + 1))
-
-
-def project_to_logical(u_physical: np.ndarray, basis: LogicalBasis) -> np.ndarray:
-    """Matrix M with M[a, b] = <psi_a| u |psi_b> over the logical basis.
-
-    The caller decides what deviation of M†M from the identity (leakage)
-    is acceptable; this routine does not judge it.
-    """
-    u = np.asarray(u_physical, dtype=np.complex128)
-    dim = 2**basis.n_physical
-    if u.shape != (dim, dim):
-        raise DimensionMismatchError(f"expected {dim}x{dim} operator, got {u.shape}")
-    return basis.states.conj() @ u @ basis.states.T
 
 
 def basis_dump(basis: LogicalBasis, atol: float = ATOL_NORM) -> str:

@@ -16,8 +16,8 @@ works in that 2**(N-2)-dimensional block: each segment is compressed to
 H_L = B† H B (B the code-space basis as columns) and eigendecomposed once,
 and the invariance residual ||H B - B H_L||_2 of every segment feeds a
 rigorous leakage bound, so a schedule that does leave the code space is
-still caught (see verify_holonomy). The full-register propagator
-evolve_schedule is kept as the reference.
+still caught (see verify_holonomy). The full-register propagator is kept
+as the test oracle, in tests/oracles.py.
 
 The holonomy checker certifies the two defining properties of a
 non-adiabatic holonomy directly from the simulated trajectory: the moving
@@ -49,7 +49,6 @@ from .linalg import (
     SIGMA_I,
     _eigh_hermitian,
     _orthonormal_frame,
-    expm_hermitian,
     kron_all,
     spectral_norm,
 )
@@ -164,15 +163,6 @@ def schedule_u3(n: int, k: int, l: int, phi: float) -> GateSchedule:
     )
 
 
-def evolve_schedule(schedule: GateSchedule) -> np.ndarray:
-    """Total propagator on the full 2**N register: product of segment
-    exponentials, earliest rightmost. The reference for the code-space path."""
-    u = np.eye(2**schedule.n_physical, dtype=np.complex128)
-    for segment in schedule.segments:
-        u = expm_hermitian(segment.hamiltonian.to_matrix(), segment.area) @ u
-    return u
-
-
 @dataclass(frozen=True, eq=False)
 class _BlockSegment:
     """One segment in code-space coordinates: H_L = B† H B with its
@@ -271,64 +261,29 @@ def _embed(n_logical: int, blocks: dict[int, np.ndarray]) -> np.ndarray:
 # Holonomy certification
 
 
-def _bit(r: int, pos: int, width: int) -> int:
-    return (r >> (width - pos)) & 1
+def _transported_frame(schedule: GateSchedule) -> tuple[np.ndarray, int]:
+    """The parallel-transported frame in code-space coordinates, as the
+    columns of one orthonormal matrix F, and the size k of its groups,
+    which fill consecutive columns.
 
+    F is barred_transform on the target slots, with the slot axes of its
+    column index moved last:
 
-def _frame_groups(schedule: GateSchedule, states: np.ndarray) -> list[list[np.ndarray]]:
-    """Initial frame states grouped into the parallel-transported subspaces.
-
-    states[r] is the vector of logical label r: basis.states on the full
-    register, the identity in code-space coordinates.
-
-    u1: eigenstates of the target logical Y tensored with computational
-        states of the other logical qubits; one group per state.
-    u2: the logical computational basis; one group per state.
-    u3: Y-eigenstates ("barred" states) on both targets, computational
-        elsewhere; the two states sharing the first target's bar form one
-        two-dimensional group. Consecutive groups (paired over the first
-        bar) are the subspaces that swap at the segment boundary.
+    u1: barred states on the target, computational elsewhere; one group
+        per state.
+    u2: the logical computational basis (no slots); one group per state.
+    u3: barred states on both targets; the two states sharing the first
+        target's bar form one two-dimensional group. Consecutive groups
+        (paired over the first bar) are the subspaces that swap at the
+        segment boundary.
     """
+    slots = {"u1": schedule.target, "u2": (), "u3": schedule.target}.get(schedule.kind)
+    if slots is None:
+        raise ValueError(f"unknown schedule kind {schedule.kind!r}")
     n_logical = schedule.n_physical - 2
-    if schedule.kind == "u2":
-        return [[states[r]] for r in range(2**n_logical)]
-    if schedule.kind == "u1":
-        j = schedule.target[0]
-        groups = []
-        for r in range(2**n_logical):
-            if _bit(r, j, n_logical):
-                continue
-            partner = r | (1 << (n_logical - j))
-            for sign in (1, -1):
-                groups.append([(states[r] + sign * 1j * states[partner]) / np.sqrt(2)])
-        return groups
-    if schedule.kind == "u3":
-        k, l = schedule.target
-        groups = []
-        for r in range(2**n_logical):
-            if _bit(r, k, n_logical) or _bit(r, l, n_logical):
-                continue
-            for bar_k in (0, 1):
-                group = []
-                for bar_l in (0, 1):
-                    vec = np.zeros(states.shape[1], dtype=np.complex128)
-                    for u in (0, 1):
-                        cu = 1.0 if u == 0 else 1j * (1 - 2 * bar_k)
-                        for v in (0, 1):
-                            cv = 1.0 if v == 0 else 1j * (1 - 2 * bar_l)
-                            idx = r | (u << (n_logical - k)) | (v << (n_logical - l))
-                            vec += cu * cv * states[idx]
-                    group.append(vec / 2)
-                groups.append(group)
-        return groups
-    raise ValueError(f"unknown schedule kind {schedule.kind!r}")
-
-
-def _stacked_frame(groups: list[list[np.ndarray]]) -> tuple[np.ndarray, int]:
-    """All frame vectors as the columns of one orthonormal d x r matrix, and
-    the size k shared by the groups, which fill consecutive columns."""
-    [k] = {len(group) for group in groups}
-    return _orthonormal_frame(vec for group in groups for vec in group), k
+    frame = barred_transform(n_logical, slots).reshape(-1, *(2,) * n_logical)
+    frame = np.moveaxis(frame, slots, range(-len(slots), 0)).reshape(2**n_logical, -1)
+    return _orthonormal_frame(frame.T), 2 if schedule.kind == "u3" else 1
 
 
 def _by_group(x: np.ndarray, k: int) -> np.ndarray:
@@ -359,11 +314,11 @@ def verify_holonomy(
     (earliest rightmost), the frame trajectory, the transport samples and
     the swap check.
 
-    Frames. The frame groups are stacked into one orthonormal matrix F in
-    code-space coordinates (the groups built on the identity) and moved as
-    G = u(t) F. cyclic_defect is the largest sine of the principal angle
-    between each transported subspace after the full period and its
-    initial span, from the residual ||G - F (F† G)||_2 (Bjorck & Golub,
+    Frames. The frame F of _transported_frame, the barred states on the
+    target slots in code-space coordinates, is moved as G = u(t) F.
+    cyclic_defect is the largest sine of the principal angle between each
+    transported subspace after the full period and its initial span,
+    from the residual ||G - F (F† G)||_2 (Bjorck & Golub,
     Math. Comp. 27 (1973)), which keeps full relative accuracy at small
     angles; the cosine route sqrt(1 - sigma_min(F† G)**2) floors at the
     square root of the rounding unit, 1.5e-8, above the 1e-9 bound. The
@@ -397,7 +352,7 @@ def verify_holonomy(
     if samples_per_segment < 1:
         raise ValueError("samples_per_segment must be >= 1")
     segments = _block_segments(schedule, basis)
-    frame, k = _stacked_frame(_frame_groups(schedule, np.eye(basis.n_states)))
+    frame, k = _transported_frame(schedule)
     fractions = [m / samples_per_segment for m in range(samples_per_segment + 1)]
 
     worst = 0.0

@@ -25,11 +25,6 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with `a` as the more significant factor."""
-    return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
-
-
 def kron_all(factors) -> np.ndarray:
     """Kronecker product of a sequence of matrices, first factor leftmost."""
     out = np.eye(1, dtype=np.complex128)
@@ -41,13 +36,6 @@ def kron_all(factors) -> np.ndarray:
 def is_hermitian(m: np.ndarray, atol: float = ATOL_STRUCT) -> bool:
     m = np.asarray(m)
     return m.ndim == 2 and m.shape[0] == m.shape[1] and np.abs(m - m.conj().T).max() <= atol
-
-
-def is_unitary(u: np.ndarray, atol: float = ATOL_STRUCT) -> bool:
-    u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    return np.abs(u @ u.conj().T - np.eye(u.shape[0])).max() <= atol
 
 
 def spectral_norm(m: np.ndarray) -> float:

@@ -188,15 +188,11 @@ def _pulse_times(p: np.ndarray, n_system: int, m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _xy4_cycle(f: np.ndarray, n_system: int, errors: DDErrorModel) -> np.ndarray:
-    """P_y F P_x F P_y F P_x F for the slice propagator f.
-
-    Each of the two pulses acts on the first n_system qubits of f's
-    register and is applied to f once.
-    """
-    x_f = _pulse_times(single_qubit_pulse("x", errors), n_system, f)
-    y_f = _pulse_times(single_qubit_pulse("y", errors), n_system, f)
-    return y_f @ (x_f @ (y_f @ x_f))
+def _half_cycle(f: np.ndarray, n_system: int, p_x: np.ndarray, p_y: np.ndarray) -> np.ndarray:
+    """D = (P_y F)(P_x F) for the slice propagator f, or for each matrix of
+    a stack of them; the XY-4 cycle P_y F P_x F P_y F P_x F is D @ D. The
+    pulses p_x and p_y act on the first n_system qubits."""
+    return _pulse_times(p_y, n_system, f) @ _pulse_times(p_x, n_system, f)
 
 
 def dd_cycle(
@@ -215,7 +211,9 @@ def dd_cycle(
     free_h = np.asarray(free_h, dtype=np.complex128)
     if n_system is None:
         n_system = free_h.shape[0].bit_length() - 1
-    return _xy4_cycle(expm_hermitian(free_h, dt), n_system, errors)
+    d = _half_cycle(expm_hermitian(free_h, dt), n_system,
+                    single_qubit_pulse("x", errors), single_qubit_pulse("y", errors))
+    return d @ d
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,16 +284,16 @@ def _factor_propagators(
 ) -> list[np.ndarray]:
     """Decoupled propagator of the schedule on each factor.
 
-    One segment runs c = cycles_per_segment XY-4 cycles, and the cycle
-    P_y F P_x F P_y F P_x F is D^2 with D = (P_y F)(P_x F); so each factor
-    takes one batched product for D over its segment stack, one stacked
-    D^(2c), and the product over segments, earliest rightmost.
+    One segment runs c = cycles_per_segment XY-4 cycles, each the square
+    of the half cycle D (see `_half_cycle`); so each factor takes one
+    batched product for D over its segment stack, one stacked D^(2c), and
+    the product over segments, earliest rightmost.
     """
     p_x = single_qubit_pulse("x", errors)
     p_y = single_qubit_pulse("y", errors)
     out = []
     for f in factors:
-        d = _pulse_times(p_y, f.n_system, f.slices) @ _pulse_times(p_x, f.n_system, f.slices)
+        d = _half_cycle(f.slices, f.n_system, p_x, p_y)
         powers = np.linalg.matrix_power(d, 2 * plan.cycles_per_segment)
         u = powers[0]
         for power in powers[1:]:
@@ -380,18 +378,24 @@ def decoupling_order_probe(
     Raises
     ------
     BadPartitionError
-        If some dt does not divide total_time into whole cycles.
+        If some dt does not divide total_time into whole cycles, or into a
+        number of them outside 1..MAX_CYCLES_PER_SEGMENT (a negative power
+        would invert the cycle).
     """
     h = bath.hamiltonian_matrix()
     eye = np.eye(2**bath.n_system)
     out = []
     for dt in dt_values:
-        cycles = total_time / (4 * dt)
-        if abs(cycles - round(cycles)) > 1e-9:
+        ratio = total_time / (4 * dt)
+        cycles = round(ratio) if math.isfinite(ratio) else 0
+        if abs(ratio - cycles) > 1e-9:
             raise BadPartitionError(f"dt={dt} does not divide total_time={total_time}")
-        u = np.linalg.matrix_power(
-            dd_cycle(h, dt, n_system=bath.n_system), int(round(cycles))
-        )
+        if not 1 <= cycles <= MAX_CYCLES_PER_SEGMENT:
+            raise BadPartitionError(
+                f"dt={dt} gives {cycles} cycles over total_time={total_time}, "
+                f"outside 1..{MAX_CYCLES_PER_SEGMENT}"
+            )
+        u = np.linalg.matrix_power(dd_cycle(h, dt, n_system=bath.n_system), cycles)
         err = 1 - phase_invariant_fidelity(reduced_system_propagator(u, bath), eye)
         out.append((float(dt), float(err)))
     return out

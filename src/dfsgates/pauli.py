@@ -99,10 +99,22 @@ class PauliString:
         return _PHASE_VALUES[self.phase]
 
     def __mul__(self, other: "PauliString") -> "PauliString":
-        return pauli_product(self, other)
-
-    def matrix(self) -> np.ndarray:
-        return pauli_to_matrix(self)
+        """Exact symbolic product; pauli_to_matrix(a * b) equals
+        pauli_to_matrix(a) @ pauli_to_matrix(b)."""
+        if self.n_qubits != other.n_qubits:
+            raise LengthMismatchError(f"{self.n_qubits} vs {other.n_qubits} qubits")
+        phase = self.phase + other.phase
+        letters = []
+        for la, lb in zip(self.letters, other.letters):
+            if la == 0 or lb == 0:
+                letters.append(la or lb)
+            elif la == lb:
+                letters.append(0)
+            else:
+                k, lc = _MUL[(la, lb)]
+                phase += k
+                letters.append(lc)
+        return PauliString(self.n_qubits, tuple(letters), phase)
 
     def embedded(self, n_total: int) -> "PauliString":
         """The same string padded with identities up to n_total qubits."""
@@ -114,24 +126,6 @@ class PauliString:
 
     def __str__(self) -> str:
         return self.label
-
-
-def pauli_product(a: PauliString, b: PauliString) -> PauliString:
-    """Exact symbolic product; matrix(a*b) == matrix(a) @ matrix(b)."""
-    if a.n_qubits != b.n_qubits:
-        raise LengthMismatchError(f"{a.n_qubits} vs {b.n_qubits} qubits")
-    phase = a.phase + b.phase
-    letters = []
-    for la, lb in zip(a.letters, b.letters):
-        if la == 0 or lb == 0:
-            letters.append(la or lb)
-        elif la == lb:
-            letters.append(0)
-        else:
-            k, lc = _MUL[(la, lb)]
-            phase += k
-            letters.append(lc)
-    return PauliString(a.n_qubits, tuple(letters), phase)
 
 
 def commutes(a: PauliString, b: PauliString) -> bool:
@@ -214,28 +208,12 @@ class PauliSum:
             self.n_qubits, ((scalar * c, s) for c, s in self.terms)
         )
 
-    def __matmul__(self, other: "PauliSum") -> "PauliSum":
-        """Operator product, expanded term by term."""
-        if self.n_qubits != other.n_qubits:
-            raise LengthMismatchError("multiplying sums on different qubit counts")
-        return PauliSum.from_terms(
-            self.n_qubits,
-            (
-                (ca * cb, sa * sb)
-                for ca, sa in self.terms
-                for cb, sb in other.terms
-            ),
-        )
-
     @property
     def n_terms(self) -> int:
         return len(self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_hermitian(self, atol: float = 1e-12) -> bool:
-        return all(abs(c.imag) <= atol for c, _ in self.terms)
 
     def to_matrix(self) -> np.ndarray:
         """Dense matrix, each term scattered into its one entry per column."""

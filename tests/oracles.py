@@ -1,12 +1,25 @@
-"""Dense full-register oracles for the factored sweep engine.
+"""Dense full-register oracles for the library's structured fast paths.
 
-The library evaluates a decoupled schedule as a tensor product over the
-register's factors (`noise._factor_slices`, `noise._factor_propagators`).
-These oracles compute the same propagator on the whole register:
+Gates and code space. The library evolves a schedule in the code-space
+block and builds the transported frames from `barred_transform`. The
+oracles work on the whole register or bit by bit:
+
+    evolve_schedule     the product of full-register segment exponentials;
+    project_to_logical  a full-register operator in logical coordinates;
+    sector_projector    the dense projector onto one decoherence-free sector;
+    frame_groups        the transported frames, built state by state from
+                        the bits of the logical labels;
+    kron, is_unitary    the dense two-factor product and unitarity check.
+
+Decoupling. The library evaluates a decoupled schedule as a tensor product
+over the register's factors (`noise._factor_slices`,
+`noise._factor_propagators`). These oracles compute the same propagator on
+the whole register:
 
     interleave        the dense path the sweep used before the register was
                       factored: one slice propagator per segment, one XY-4
-                      cycle raised to the number of cycles per segment;
+                      cycle of dense pulses raised to the number of cycles
+                      per segment;
     interleave_oracle the pulses threaded one at a time, slice by slice;
     assemble          the engine's factor matrices put back together on the
                       full register, by a Kronecker product and a
@@ -18,9 +31,107 @@ from __future__ import annotations
 import numpy as np
 
 import dfsgates.noise as noise
+from dfsgates.dfs import LogicalBasis
 from dfsgates.errors import DimensionMismatchError, DimensionTooLargeError
-from dfsgates.linalg import expm_hermitian, kron, kron_all
+from dfsgates.gates import GateSchedule
+from dfsgates.linalg import ATOL_STRUCT, expm_hermitian, kron_all
 from dfsgates.noise import IDEAL_PULSES, DDErrorModel, single_qubit_pulse
+from dfsgates.pauli import DecouplingGroup, pauli_to_matrix
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product with `a` as the more significant factor."""
+    return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
+
+
+def is_unitary(u: np.ndarray, atol: float = ATOL_STRUCT) -> bool:
+    u = np.asarray(u)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        return False
+    return np.abs(u @ u.conj().T - np.eye(u.shape[0])).max() <= atol
+
+
+def evolve_schedule(schedule: GateSchedule) -> np.ndarray:
+    """Total propagator on the full 2**N register: product of segment
+    exponentials, earliest rightmost. The reference for the code-space path."""
+    u = np.eye(2**schedule.n_physical, dtype=np.complex128)
+    for segment in schedule.segments:
+        u = expm_hermitian(segment.hamiltonian.to_matrix(), segment.area) @ u
+    return u
+
+
+def project_to_logical(u_physical: np.ndarray, basis: LogicalBasis) -> np.ndarray:
+    """Matrix M with M[a, b] = <psi_a| u |psi_b> over the logical basis.
+
+    The caller decides what deviation of M†M from the identity (leakage)
+    is acceptable; this routine does not judge it.
+    """
+    u = np.asarray(u_physical, dtype=np.complex128)
+    dim = 2**basis.n_physical
+    if u.shape != (dim, dim):
+        raise DimensionMismatchError(f"expected {dim}x{dim} operator, got {u.shape}")
+    return basis.states.conj() @ u @ basis.states.T
+
+
+def sector_projector(group: DecouplingGroup, sx: int, sz: int) -> np.ndarray:
+    """Projector onto the joint (X...X = sx, Z...Z = sz) eigenspace."""
+    xmat = pauli_to_matrix(group.elements[1])
+    zmat = pauli_to_matrix(group.elements[3])
+    dim = xmat.shape[0]
+    return (np.eye(dim) + sx * xmat) @ (np.eye(dim) + sz * zmat) / 4
+
+
+def _bit(r: int, pos: int, width: int) -> int:
+    return (r >> (width - pos)) & 1
+
+
+def frame_groups(schedule: GateSchedule, states: np.ndarray) -> list[list[np.ndarray]]:
+    """Initial frame states grouped into the parallel-transported subspaces.
+
+    states[r] is the vector of logical label r: basis.states on the full
+    register, the identity in code-space coordinates.
+
+    u1: eigenstates of the target logical Y tensored with computational
+        states of the other logical qubits; one group per state.
+    u2: the logical computational basis; one group per state.
+    u3: Y-eigenstates ("barred" states) on both targets, computational
+        elsewhere; the two states sharing the first target's bar form one
+        two-dimensional group. Consecutive groups (paired over the first
+        bar) are the subspaces that swap at the segment boundary.
+    """
+    n_logical = schedule.n_physical - 2
+    if schedule.kind == "u2":
+        return [[states[r]] for r in range(2**n_logical)]
+    if schedule.kind == "u1":
+        j = schedule.target[0]
+        groups = []
+        for r in range(2**n_logical):
+            if _bit(r, j, n_logical):
+                continue
+            partner = r | (1 << (n_logical - j))
+            for sign in (1, -1):
+                groups.append([(states[r] + sign * 1j * states[partner]) / np.sqrt(2)])
+        return groups
+    if schedule.kind == "u3":
+        k, l = schedule.target
+        groups = []
+        for r in range(2**n_logical):
+            if _bit(r, k, n_logical) or _bit(r, l, n_logical):
+                continue
+            for bar_k in (0, 1):
+                group = []
+                for bar_l in (0, 1):
+                    vec = np.zeros(states.shape[1], dtype=np.complex128)
+                    for u in (0, 1):
+                        cu = 1.0 if u == 0 else 1j * (1 - 2 * bar_k)
+                        for v in (0, 1):
+                            cv = 1.0 if v == 0 else 1j * (1 - 2 * bar_l)
+                            idx = r | (u << (n_logical - k)) | (v << (n_logical - l))
+                            vec += cu * cv * states[idx]
+                    group.append(vec / 2)
+                groups.append(group)
+        return groups
+    raise ValueError(f"unknown schedule kind {schedule.kind!r}")
 
 
 def pulse(
@@ -56,11 +167,14 @@ def segment_slices(schedule, bath, plan) -> list[np.ndarray]:
 
 
 def decoupled_propagator(slices, bath, plan, errors) -> np.ndarray:
-    """Product over segments of one XY-4 cycle of the segment's slice,
-    raised to cycles_per_segment."""
+    """Product over segments of one XY-4 cycle P_y F P_x F P_y F P_x F of
+    the segment's slice F, with dense global pulses, raised to
+    cycles_per_segment."""
+    p_x = pulse("x", bath.n_system, errors, total_dim=bath.dim)
+    p_y = pulse("y", bath.n_system, errors, total_dim=bath.dim)
     u = np.eye(bath.dim, dtype=np.complex128)
     for f in slices:
-        cycle = noise._xy4_cycle(f, bath.n_system, errors)
+        cycle = p_y @ f @ p_x @ f @ p_y @ f @ p_x @ f
         u = np.linalg.matrix_power(cycle, plan.cycles_per_segment) @ u
     return u
 

@@ -14,12 +14,10 @@ import pytest
 from dfsgates.dfs import (
     build_logical_basis,
     dfs_decomposition,
-    project_to_logical,
 )
 from dfsgates.gates import (
     analytic_target,
     barred_transform,
-    evolve_schedule,
     leakage_of,
     logical_gate,
     schedule_u1,
@@ -30,7 +28,6 @@ from dfsgates.gates import (
 )
 from dfsgates.linalg import (
     expm_hermitian,
-    is_unitary,
     phase_invariant_fidelity,
     subspace_projector,
 )
@@ -51,6 +48,7 @@ from dfsgates.pauli import (
     pauli_to_matrix,
 )
 from conftest import random_hermitian
+from oracles import evolve_schedule, is_unitary, project_to_logical
 
 ANGLES = (0.0, np.pi / 7, np.pi / 4, 1.0, np.pi / 2)
 RSQRT2 = 1 / np.sqrt(2)

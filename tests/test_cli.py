@@ -317,6 +317,31 @@ class TestInputValidation:
         assert err.startswith("error: cycles per segment") and "Traceback" not in err
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("line", ["gate = u9", "bath = foo"])
+    @pytest.mark.parametrize("command", ["verify", "sweep", "decouple"])
+    def test_config_gate_and_bath_must_be_parser_choices(self, out_csv, line, command):
+        # The parser's choices never see config-file values: gate = u9 ran
+        # u3 and printed "verify u9 ... PASS", bath = foo ran the qubit bath.
+        cfg = out_csv.parent / "choices.cfg"
+        cfg.write_text(line + "\n")
+        code, err = run_quiet(command, "--config", str(cfg), "--out", str(out_csv))
+        assert code == 2
+        assert err.startswith(f"error: {line.split()[0]} must be one of")
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("total_time", ["-2", "0", "-0.4", "1e9"])
+    def test_decouple_total_time_must_give_whole_positive_cycles(self, total_time):
+        # A negative cycle count inverted the cycle and printed PASS; zero
+        # cycles printed "exact".
+        code, err = run_quiet("decouple", "--bath", "scalar", "--total-time", total_time)
+        assert code == 2
+        assert err.startswith("error: dt=") and "Traceback" not in err
+
+    def test_decouple_rung_too_fine_for_a_finite_cycle_count(self):
+        code, err = run_quiet("decouple", "--dt-ladder", "1e-320,0.1")
+        assert code == 2
+        assert err.startswith("error: dt=") and "Traceback" not in err
+
     @settings(max_examples=20, deadline=None)
     @given(value=not_finite, call=st.sampled_from(
         [("verify", "angle"), ("sweep", "angle"), ("decouple", "angle"),

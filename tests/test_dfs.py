@@ -8,8 +8,6 @@ from dfsgates.dfs import (
     build_logical_basis,
     dfs_decomposition,
     logical_pauli,
-    project_to_logical,
-    sector_projector,
 )
 from dfsgates.errors import (
     DimensionMismatchError,
@@ -18,12 +16,13 @@ from dfsgates.errors import (
     OddQubitCountError,
     TooFewQubitsError,
 )
-from dfsgates.linalg import SIGMA_I, SIGMA_Y, kron, subspace_projector
+from dfsgates.linalg import SIGMA_I, SIGMA_Y, subspace_projector
 from dfsgates.pauli import (
     build_decoupling_group,
     commutant_generators,
     pauli_to_matrix,
 )
+from oracles import kron, project_to_logical, sector_projector
 
 RSQRT2 = 1 / np.sqrt(2)
 
@@ -90,6 +89,12 @@ class TestSectorDecomposition:
         assert all(dim == 2 ** (n - 2) for _, dim in sectors)
         assert sum(dim for _, dim in sectors) == 2**n
         assert sectors[0][0] == (1, 1, 1, 1)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_dimensions_are_dense_projector_traces(self, n):
+        group = build_decoupling_group(n)
+        for (_, sx, _, sz), dim in dfs_decomposition(group):
+            assert dim == np.trace(sector_projector(group, sx, sz))
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_lambda_sector_matches_logical_basis(self, n):

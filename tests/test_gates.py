@@ -8,7 +8,7 @@ import pytest
 import dfsgates.gates as gates
 import dfsgates.linalg as linalg
 from dfsgates.cli import main
-from dfsgates.dfs import LogicalBasis, build_logical_basis, logical_pauli, project_to_logical
+from dfsgates.dfs import LogicalBasis, build_logical_basis, logical_pauli
 from dfsgates.errors import (
     BadIndexPairError,
     DfsGatesError,
@@ -22,10 +22,9 @@ from dfsgates.errors import (
 from dfsgates.gates import (
     GateSchedule,
     ScheduleSegment,
-    _frame_groups,
+    _transported_frame,
     analytic_target,
     barred_transform,
-    evolve_schedule,
     heisenberg_reduction,
     leakage_of,
     logical_gate,
@@ -38,12 +37,12 @@ from dfsgates.gates import (
     verify_holonomy,
 )
 from dfsgates.linalg import (
-    is_unitary,
     phase_invariant_fidelity,
     spectral_norm,
     subspace_projector,
 )
 from dfsgates.pauli import PauliString, PauliSum, build_decoupling_group, commutes
+from oracles import evolve_schedule, frame_groups, is_unitary, project_to_logical
 
 ANGLES = (0.0, np.pi / 7, np.pi / 4, 1.0, np.pi / 2)
 
@@ -103,7 +102,9 @@ class TestScheduleConstruction:
 
     def test_u3_symbolic_square_is_identity(self):
         h3 = schedule_u3(4, 1, 2, 0.77).segments[0].hamiltonian
-        square = h3 @ h3
+        square = PauliSum.from_terms(
+            4, [(ca * cb, sa * sb) for ca, sa in h3.terms for cb, sb in h3.terms]
+        )
         assert square.isclose(
             PauliSum.from_terms(4, [(1.0, PauliString.identity(4))]), atol=1e-12
         )
@@ -282,7 +283,7 @@ class TestHolonomy:
 def holonomy_oracle(schedule, basis, samples_per_segment=8):
     """Projector-difference certifier: full d x d propagators, one vdot per
     frame-vector pair per sample, and ||P_U - P_V|| from a d x d SVD."""
-    groups = _frame_groups(schedule, basis.states)
+    groups = frame_groups(schedule, basis.states)
     flat0 = [vec for group in groups for vec in group]
     fractions = [m / samples_per_segment for m in range(samples_per_segment + 1)]
     worst = 0.0
@@ -381,6 +382,33 @@ def _leak_into(schedule, index):
     kick = PauliSum.from_terms(n, [(0.2, PauliString.from_sites(n, {2: "X"}))])
     segments[index] = ScheduleSegment(segments[index].hamiltonian + kick, segments[index].area)
     return GateSchedule(schedule.kind, n, schedule.target, schedule.angle, tuple(segments))
+
+
+def _every_target(n):
+    cases = [(kind, (j,)) for kind in ("u1", "u2") for j in range(1, n - 1)]
+    return cases + [("u3", (k, l)) for k in range(1, n - 1) for l in range(k + 1, n - 1)]
+
+
+class TestTransportedFrame:
+    """The certifier's frame, barred_transform with the target axes moved
+    last, against the bit-by-bit frame oracle in code-space coordinates."""
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_matches_frame_groups_oracle(self, n):
+        for kind, target in _every_target(n):
+            schedule = _schedule(kind, n, target, 0.5)
+            frame, k = _transported_frame(schedule)
+            groups = frame_groups(schedule, np.eye(2 ** (n - 2)))
+            assert {len(group) for group in groups} == {k}
+            want = np.array([vec for group in groups for vec in group]).T
+            assert frame.shape == want.shape
+            assert np.abs(frame - want).max() <= 1e-15
+
+    def test_unknown_kind_rejected(self):
+        schedule = schedule_u1(4, 1, 0.5)
+        odd = GateSchedule("u4", 4, schedule.target, schedule.angle, schedule.segments)
+        with pytest.raises(ValueError, match="unknown schedule kind"):
+            _transported_frame(odd)
 
 
 class TestCertifierOracle:

@@ -11,13 +11,12 @@ from dfsgates.linalg import (
     SIGMA_Y,
     SIGMA_Z,
     expm_hermitian,
-    is_unitary,
-    kron,
     kron_all,
     phase_invariant_fidelity,
     product_fidelity,
     subspace_projector,
 )
+from oracles import is_unitary, kron
 
 
 class TestKron:

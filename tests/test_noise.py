@@ -8,7 +8,6 @@ from dfsgates.errors import BadPartitionError, DimensionMismatchError, Dimension
 from dfsgates.gates import (
     GateSchedule,
     ScheduleSegment,
-    evolve_schedule,
     schedule_u1,
     schedule_u2,
     schedule_u3,
@@ -18,7 +17,6 @@ from dfsgates.linalg import (
     SIGMA_Y,
     SIGMA_Z,
     expm_hermitian,
-    is_unitary,
     kron_all,
     phase_invariant_fidelity,
 )
@@ -38,7 +36,15 @@ from dfsgates.noise import (
     symbolic_bath_average,
 )
 from dfsgates.pauli import PauliString, PauliSum, pauli_to_matrix
-from oracles import assemble, engine_propagator, interleave, interleave_oracle, pulse
+from oracles import (
+    assemble,
+    engine_propagator,
+    evolve_schedule,
+    interleave,
+    interleave_oracle,
+    is_unitary,
+    pulse,
+)
 
 
 class TestPulses:
@@ -477,3 +483,16 @@ class TestDecouplingProbe:
     def test_bad_partition(self):
         with pytest.raises(BadPartitionError):
             decoupling_order_probe(BathModel.zero(4), [0.3], 2.0)
+
+    @pytest.mark.parametrize("total_time", [-2.0, 0.0, -0.4])
+    def test_non_positive_cycle_count_rejected(self, total_time):
+        with pytest.raises(BadPartitionError, match="cycles"):
+            decoupling_order_probe(BathModel.random(4, 0.1, seed=7), [0.1, 0.05], total_time)
+
+    def test_cycle_count_capped(self):
+        dt = 0.1
+        cap = 4 * dt * MAX_CYCLES_PER_SEGMENT
+        with pytest.raises(BadPartitionError, match="cycles"):
+            decoupling_order_probe(BathModel.zero(4), [dt], 2 * cap)
+        [(_, err)] = decoupling_order_probe(BathModel.zero(4), [dt], cap)
+        assert err <= 1e-10

@@ -22,7 +22,6 @@ from dfsgates.pauli import (
     commutant_split,
     commutes,
     group_average,
-    pauli_product,
     pauli_to_matrix,
 )
 
@@ -59,7 +58,7 @@ class TestProducts:
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
-            pauli_product(PauliString.uniform(2, "X"), PauliString.uniform(3, "X"))
+            PauliString.uniform(2, "X") * PauliString.uniform(3, "X")
 
     def test_homomorphism_exhaustive_two_qubits(self):
         strings = [
@@ -297,15 +296,6 @@ class TestPauliSum:
         ((coef, string),) = h.terms
         assert string.phase == 0
         assert coef == -2j
-
-    def test_matmul_matches_matrices(self, rng):
-        a = PauliSum.from_terms(
-            2, [(0.6, PauliString.from_label("+XI")), (0.8, PauliString.from_label("+ZZ"))]
-        )
-        b = PauliSum.from_terms(
-            2, [(1.0, PauliString.from_label("+ZI")), (-0.5, PauliString.from_label("+XY"))]
-        )
-        assert np.allclose((a @ b).to_matrix(), a.to_matrix() @ b.to_matrix(), atol=1e-12)
 
 
 def _sum(n, *terms):
