@@ -75,7 +75,6 @@ from .noise import (
     decoupling_order_probe,
     error_sweep,
     fit_error_order,
-    reduced_system_propagator,
     single_qubit_pulse,
     sweep_csv_lines,
     symbolic_bath_average,

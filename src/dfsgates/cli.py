@@ -65,6 +65,11 @@ DEFAULTS = {
 MAX_GRID_STEPS = 10_000
 # Largest number of holonomy samples per segment `verify` accepts.
 MAX_SAMPLES = 1024
+# Largest --bath-width. Couplings of this size turn a qubit through ~1e3
+# radians per unit time, far past any pulse spacing that decouples them;
+# at widths near 1e15 times the evolution time a double keeps no digit of
+# the phases, so the printed fidelities would carry no information.
+MAX_BATH_WIDTH = 1e3
 # Values of --gate and --bath; config-file values are checked against the same.
 _GATES = ("u1", "u2", "u3")
 _BATHS = ("none", "scalar", "qubit")
@@ -154,8 +159,10 @@ def _check_values(cfg: dict) -> None:
     for key in ("angle", "bath_width", "step", "total_time"):
         if not math.isfinite(cfg[key]):
             raise ValueError(f"{key} must be finite, got {cfg[key]!r}")
-    if cfg["bath_width"] < 0:
-        raise ValueError(f"bath_width must be >= 0, got {cfg['bath_width']!r}")
+    if not 0 <= cfg["bath_width"] <= MAX_BATH_WIDTH:
+        raise ValueError(
+            f"bath_width must be in 0..{MAX_BATH_WIDTH:g}, got {cfg['bath_width']!r}"
+        )
     if cfg["step"] <= 0:
         raise ValueError("step must be positive")
     if not 1 <= cfg["samples"] <= MAX_SAMPLES:

@@ -34,8 +34,14 @@ def kron_all(factors) -> np.ndarray:
 
 
 def is_hermitian(m: np.ndarray, atol: float = ATOL_STRUCT) -> bool:
+    """Whether m, or every matrix of a stack m of shape (..., d, d), is
+    within atol of its own conjugate transpose."""
     m = np.asarray(m)
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and np.abs(m - m.conj().T).max() <= atol
+    return (
+        m.ndim >= 2
+        and m.shape[-1] == m.shape[-2]
+        and np.abs(m - m.conj().swapaxes(-1, -2)).max() <= atol
+    )
 
 
 def spectral_norm(m: np.ndarray) -> float:
@@ -46,8 +52,9 @@ def spectral_norm(m: np.ndarray) -> float:
 def expm_hermitian(h: np.ndarray, scale: float, atol: float = ATOL_STRUCT) -> np.ndarray:
     """exp(-i * scale * h) for Hermitian h, via full eigendecomposition.
 
-    Exact up to eigensolver accuracy; at these dimensions (<= 256) this is
-    both cheap and more accurate than series methods.
+    h may be a stack of matrices, shape (..., d, d); each is exponentiated
+    alike. Exact up to eigensolver accuracy; at these dimensions (<= 256)
+    this is both cheap and more accurate than series methods.
 
     Raises
     ------
@@ -55,11 +62,12 @@ def expm_hermitian(h: np.ndarray, scale: float, atol: float = ATOL_STRUCT) -> np
         If h deviates from its own conjugate transpose by more than atol.
     """
     evals, vecs = _eigh_hermitian(h, atol)
-    return (vecs * np.exp(-1j * scale * evals)) @ vecs.conj().T
+    return (vecs * np.exp(-1j * scale * evals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def _eigh_hermitian(h: np.ndarray, atol: float = ATOL_STRUCT) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of h, after checking that h is Hermitian.
+    """Eigenvalues and eigenvectors of h, or of each matrix of a stack h of
+    shape (..., d, d), after checking that h is Hermitian.
 
     The one eigendecomposition path behind every propagator in the package.
 

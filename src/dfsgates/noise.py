@@ -4,14 +4,16 @@ The decoupling sequence is XY-4: free (or computational) evolution sliced
 into four equal intervals with a global pi pulse after each slice, axes
 ordered X, Y, X, Y. With ideal pulses the cycle is the decoupling-group
 conjugation product of Viola, Knill & Lloyd, PRL 82, 2417 (1999).
-`dd_cycle` builds one cycle of idle evolution on the full register.
-`error_sweep` threads c cycles through each gate segment, and it never
-forms the full register: every coupling term acts on one system qubit
-(and its own bath qubit), every segment term on at most three qubits, and
-every pulse is a tensor power of one 2x2 rotation. So the decoupled
-propagator is a tensor product over an active factor (the qubits the
-gate acts on) and an idle factor (the rest), and so are its bath
-reduction and its trace overlap. Two pulse imperfections are modelled,
+No code path forms the full register. Every coupling term acts on one
+system qubit (and its own bath qubit), every segment term on at most three
+qubits, and every pulse is a tensor power of one 2x2 rotation; so each
+propagator is a tensor product over register factors, and so are its bath
+reduction and its trace overlap. `error_sweep` threads c cycles through
+each gate segment, on an active factor (the qubits the gate acts on) and
+an idle factor (the rest). `decoupling_order_probe` and
+`bare_evolution_error` evolve the idle register as one stack of per-qubit
+factors (see `BathModel.factor_hamiltonians`), and `dd_cycle` builds one
+cycle of idle evolution on each. Two pulse imperfections are modelled,
 both relative:
 
     flip-angle error eps:  rotation angle (1 + eps) * pi
@@ -24,7 +26,7 @@ which is also the worst case for coherent accumulation).
 Baths realize the linear system-bath coupling sum_i,a b_i^a sigma_i^a (x) B_i^a
 either with scalar B (random static fields, the default; cheap and makes
 decoupling-order fits clean) or with one bath qubit per system qubit
-coupled through tau_x (N = 4 only, dimension 256).
+coupled through tau_x.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadPartitionError, DimensionMismatchError, DimensionTooLargeError
+from .errors import BadPartitionError, DimensionMismatchError
 from .gates import GateSchedule
 from .linalg import (
     SIGMA_I,
@@ -43,7 +45,6 @@ from .linalg import (
     SIGMA_Y,
     SIGMA_Z,
     expm_hermitian,
-    phase_invariant_fidelity,
     product_fidelity,
 )
 from .pauli import PauliString, PauliSum, build_decoupling_group, group_average
@@ -148,10 +149,17 @@ class BathModel:
                 )
         return PauliSum.from_terms(n_total, terms)
 
-    def hamiltonian_matrix(self) -> np.ndarray:
-        if self.total_qubits > 8:
-            raise DimensionTooLargeError("bath register exceeds 2**8")
-        return self.hamiltonian_sum().to_matrix()
+    def factor_hamiltonians(self) -> np.ndarray:
+        """The coupling of each system qubit i, with its bath qubit if any,
+        as a stack of shape (n_system, d, d): sum_a b[i, a] sigma^a, d = 2,
+        for a scalar bath, and sum_a b[i, a] sigma^a (x) tau_x, d = 4 with
+        the system qubit first, for a qubit bath. The coupling on the whole
+        register is the sum of these terms, each on its own qubits, so its
+        propagator is the tensor product of theirs."""
+        h = np.einsum("ia,ajk->ijk", self.couplings, np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z]))
+        if self.kind == "qubit":
+            h = np.einsum("ijk,lm->ijlkm", h, SIGMA_X).reshape(self.n_system, 4, 4)
+        return h
 
     def is_zero(self) -> bool:
         return not self.couplings.any()
@@ -206,11 +214,12 @@ def dd_cycle(
     With ideal pulses this equals the decoupling-group conjugation product
     up to a global phase, so the first-order average Hamiltonian over the
     cycle is the commutant projection of free_h. Pulses act on the first
-    n_system qubits (default: the whole register).
+    n_system qubits (default: the whole register). free_h may be a stack
+    of Hamiltonians, shape (..., d, d), one cycle each.
     """
     free_h = np.asarray(free_h, dtype=np.complex128)
     if n_system is None:
-        n_system = free_h.shape[0].bit_length() - 1
+        n_system = free_h.shape[-1].bit_length() - 1
     d = _half_cycle(expm_hermitian(free_h, dt), n_system,
                     single_qubit_pulse("x", errors), single_qubit_pulse("y", errors))
     return d @ d
@@ -222,12 +231,15 @@ class _Factor:
 
     qubits are 1-indexed register positions in ascending order, so the
     factor's system qubits come before its bath qubits; slices stacks the
-    factor's slice propagator of every segment, shape (segments, d, d).
+    factor's slice propagator of every segment, shape (segments, d, d), or
+    holds the one slice of a factor that no segment term acts on, shape
+    (1, d, d), the same in every segment.
     """
 
     qubits: tuple[int, ...]
     n_system: int
     slices: np.ndarray
+    segments: int
 
     @property
     def bath_stride(self) -> int:
@@ -249,7 +261,8 @@ def _factor_slices(
     tensor product of the factor slices; the identity term, if any, goes
     to the first factor only. A schedule that acts on the whole register
     has a single factor. The slices do not depend on the pulse errors, so
-    a sweep builds them once.
+    a sweep builds them once; the idle factor holds bath terms only, so
+    its one slice serves every segment.
     """
     if bath.n_system != schedule.n_physical:
         raise DimensionMismatchError(
@@ -267,15 +280,16 @@ def _factor_slices(
     for qubits in (tuple(sorted(part)) for part in (active, idle) if part):
         first = not factors
         bath_f = bath_h.restricted(qubits, with_identity=first).to_matrix()
-        slices = np.stack([
-            expm_hermitian(
-                seg.area * h.restricted(qubits, with_identity=first).to_matrix() + bath_f,
-                scale,
-            )
-            for seg, h in zip(schedule.segments, hamiltonians)
-        ])
+        terms = [h.restricted(qubits, with_identity=first) for h in hamiltonians]
+        if any(t.n_terms for t in terms):
+            slices = np.stack([
+                expm_hermitian(seg.area * t.to_matrix() + bath_f, scale)
+                for seg, t in zip(schedule.segments, terms)
+            ])
+        else:
+            slices = expm_hermitian(bath_f, scale)[None]
         n_system = sum(q <= bath.n_system for q in qubits)
-        factors.append(_Factor(qubits, n_system, slices))
+        factors.append(_Factor(qubits, n_system, slices, len(schedule.segments)))
     return factors
 
 
@@ -287,7 +301,8 @@ def _factor_propagators(
     One segment runs c = cycles_per_segment XY-4 cycles, each the square
     of the half cycle D (see `_half_cycle`); so each factor takes one
     batched product for D over its segment stack, one stacked D^(2c), and
-    the product over segments, earliest rightmost.
+    the product over segments, earliest rightmost. A factor with one slice
+    for every segment forms its D^(2c) once.
     """
     p_x = single_qubit_pulse("x", errors)
     p_y = single_qubit_pulse("y", errors)
@@ -295,19 +310,13 @@ def _factor_propagators(
     for f in factors:
         d = _half_cycle(f.slices, f.n_system, p_x, p_y)
         powers = np.linalg.matrix_power(d, 2 * plan.cycles_per_segment)
+        if len(powers) < f.segments:
+            powers = [powers[0]] * f.segments
         u = powers[0]
         for power in powers[1:]:
             u = power @ u
         out.append(u)
     return out
-
-
-def reduced_system_propagator(u: np.ndarray, bath: BathModel) -> np.ndarray:
-    """Restriction <0...0|_bath U |0...0>_bath; the identity for scalar baths."""
-    if bath.kind == "scalar":
-        return u
-    stride = 2**bath.n_system
-    return u[::stride, ::stride]
 
 
 def error_sweep(
@@ -373,7 +382,10 @@ def decoupling_order_probe(
     For each dt, runs total_time / (4 dt) whole XY-4 cycles over the idle
     bath coupling and reports 1 minus the fidelity of the (reduced)
     propagator to the identity. First-order decoupling leaves a residual
-    generator of order dt, so the error falls off close to dt**2.
+    generator of order dt, so the error falls off close to dt**2. Each
+    rung is one `dd_cycle` on the stack of per-qubit factors, raised to
+    the cycle count; the bath reduction and the fidelity are taken factor
+    by factor.
 
     Raises
     ------
@@ -382,8 +394,7 @@ def decoupling_order_probe(
         number of them outside 1..MAX_CYCLES_PER_SEGMENT (a negative power
         would invert the cycle).
     """
-    h = bath.hamiltonian_matrix()
-    eye = np.eye(2**bath.n_system)
+    h = bath.factor_hamiltonians()
     out = []
     for dt in dt_values:
         ratio = total_time / (4 * dt)
@@ -395,18 +406,26 @@ def decoupling_order_probe(
                 f"dt={dt} gives {cycles} cycles over total_time={total_time}, "
                 f"outside 1..{MAX_CYCLES_PER_SEGMENT}"
             )
-        u = np.linalg.matrix_power(dd_cycle(h, dt, n_system=bath.n_system), cycles)
-        err = 1 - phase_invariant_fidelity(reduced_system_propagator(u, bath), eye)
-        out.append((float(dt), float(err)))
+        u = np.linalg.matrix_power(dd_cycle(h, dt, n_system=1), cycles)
+        out.append((float(dt), _identity_infidelity(u)))
     return out
 
 
 def bare_evolution_error(bath: BathModel, total_time: float) -> float:
-    """1 - fidelity to identity of the undecoupled bath evolution."""
-    u = expm_hermitian(bath.hamiltonian_matrix(), total_time)
-    return 1 - phase_invariant_fidelity(
-        reduced_system_propagator(u, bath), np.eye(2**bath.n_system)
-    )
+    """1 - fidelity to identity of the undecoupled bath evolution, from
+    the stack of per-qubit factors."""
+    u = expm_hermitian(bath.factor_hamiltonians(), total_time)
+    return _identity_infidelity(u)
+
+
+def _identity_infidelity(u: np.ndarray) -> float:
+    """1 - fidelity to the identity of the tensor product of the stack u of
+    per-qubit factor propagators, each reduced to <0|_bath u |0>_bath: a
+    factor holds its system qubit first, so the reduced 2x2 block is every
+    (d/2)-th row and column (all of u for a scalar bath)."""
+    stride = u.shape[-1] // 2
+    reduced = u[:, ::stride, ::stride]
+    return 1 - product_fidelity(reduced, np.broadcast_to(np.eye(2), reduced.shape))
 
 
 def fit_error_order(points, floor: float = 1e-13) -> float:

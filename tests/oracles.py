@@ -24,18 +24,36 @@ the whole register:
     assemble          the engine's factor matrices put back together on the
                       full register, by a Kronecker product and a
                       permutation of the tensor axes.
+
+Idle evolution. The library runs the decoupling-order ladder and the bare
+evolution on a stack of per-qubit factors (`BathModel.factor_hamiltonians`).
+These oracles are the dense paths it replaced, on the whole register:
+
+    hamiltonian_matrix            the bath coupling as one dense matrix;
+    reduced_system_propagator     <0...0|_bath U |0...0>_bath;
+    dense_decoupling_order_probe  one full-register `dd_cycle` per rung;
+    dense_bare_evolution_error    one full-register exponential.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 import dfsgates.noise as noise
 from dfsgates.dfs import LogicalBasis
-from dfsgates.errors import DimensionMismatchError, DimensionTooLargeError
+from dfsgates.errors import BadPartitionError, DimensionMismatchError, DimensionTooLargeError
 from dfsgates.gates import GateSchedule
-from dfsgates.linalg import ATOL_STRUCT, expm_hermitian, kron_all
-from dfsgates.noise import IDEAL_PULSES, DDErrorModel, single_qubit_pulse
+from dfsgates.linalg import ATOL_STRUCT, expm_hermitian, kron_all, phase_invariant_fidelity
+from dfsgates.noise import (
+    IDEAL_PULSES,
+    MAX_CYCLES_PER_SEGMENT,
+    BathModel,
+    DDErrorModel,
+    dd_cycle,
+    single_qubit_pulse,
+)
 from dfsgates.pauli import DecouplingGroup, pauli_to_matrix
 
 
@@ -155,7 +173,7 @@ def segment_slices(schedule, bath, plan) -> list[np.ndarray]:
         raise DimensionMismatchError(
             f"bath on {bath.n_system} system qubits, schedule on {schedule.n_physical}"
         )
-    bath_h = bath.hamiltonian_matrix()
+    bath_h = hamiltonian_matrix(bath)
     scale = 1.0 / (4 * plan.cycles_per_segment)
     return [
         expm_hermitian(
@@ -189,7 +207,7 @@ def interleave_oracle(schedule, bath, plan, errors) -> np.ndarray:
     """Pulse-by-pulse XY-4 threading: after each of the 4 * cycles slices of
     a segment, one global pulse, axes X, Y, X, Y, ..."""
     dim = bath.dim
-    bath_h = bath.hamiltonian_matrix()
+    bath_h = hamiltonian_matrix(bath)
     slices = 4 * plan.cycles_per_segment
     u = np.eye(dim, dtype=np.complex128)
     for segment in schedule.segments:
@@ -228,4 +246,51 @@ def engine_propagator(schedule, bath, plan, errors: DDErrorModel = IDEAL_PULSES)
         [f.qubits for f in factors],
         noise._factor_propagators(factors, plan, errors),
         bath.total_qubits,
+    )
+
+
+def hamiltonian_matrix(bath: BathModel) -> np.ndarray:
+    """The coupling as a dense matrix on the model's full register."""
+    if bath.total_qubits > 8:
+        raise DimensionTooLargeError("bath register exceeds 2**8")
+    return bath.hamiltonian_sum().to_matrix()
+
+
+def reduced_system_propagator(u: np.ndarray, bath: BathModel) -> np.ndarray:
+    """Restriction <0...0|_bath U |0...0>_bath; the identity for scalar baths."""
+    if bath.kind == "scalar":
+        return u
+    stride = 2**bath.n_system
+    return u[::stride, ::stride]
+
+
+def dense_decoupling_order_probe(
+    bath: BathModel, dt_values, total_time: float
+) -> list[tuple[float, float]]:
+    """`noise.decoupling_order_probe` on the full register: one dense XY-4
+    cycle of the whole bath coupling per rung."""
+    h = hamiltonian_matrix(bath)
+    eye = np.eye(2**bath.n_system)
+    out = []
+    for dt in dt_values:
+        ratio = total_time / (4 * dt)
+        cycles = round(ratio) if math.isfinite(ratio) else 0
+        if abs(ratio - cycles) > 1e-9:
+            raise BadPartitionError(f"dt={dt} does not divide total_time={total_time}")
+        if not 1 <= cycles <= MAX_CYCLES_PER_SEGMENT:
+            raise BadPartitionError(
+                f"dt={dt} gives {cycles} cycles over total_time={total_time}, "
+                f"outside 1..{MAX_CYCLES_PER_SEGMENT}"
+            )
+        u = np.linalg.matrix_power(dd_cycle(h, dt, n_system=bath.n_system), cycles)
+        err = 1 - phase_invariant_fidelity(reduced_system_propagator(u, bath), eye)
+        out.append((float(dt), float(err)))
+    return out
+
+
+def dense_bare_evolution_error(bath: BathModel, total_time: float) -> float:
+    """`noise.bare_evolution_error` on the full register."""
+    u = expm_hermitian(hamiltonian_matrix(bath), total_time)
+    return 1 - phase_invariant_fidelity(
+        reduced_system_propagator(u, bath), np.eye(2**bath.n_system)
     )

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dfsgates.cli as cli
-from dfsgates.cli import MAX_GRID_STEPS, MAX_SAMPLES, _grid_steps, main
+from dfsgates.cli import MAX_BATH_WIDTH, MAX_GRID_STEPS, MAX_SAMPLES, _grid_steps, main
 from dfsgates.noise import MAX_CYCLES_PER_SEGMENT
 
 
@@ -181,6 +181,19 @@ class TestDecouple:
         assert code == 0
         assert "exact" in out
 
+    @pytest.mark.parametrize("n", ["6", "8"])
+    def test_qubit_bath_runs_past_n4(self, capsys, n):
+        # The dense register needed 2**(2N) dimensions and refused N = 6
+        # and 8 with exit 2. Per qubit, all three rungs print and decouple
+        # at order 2; the bare error is the bath-reduced block's, which
+        # normalises to 1 - 1 under tau_x couplings, so the command still
+        # reports that DD does not beat it and exits 1.
+        code, out, err = run_cli(capsys, "decouple", "--bath", "qubit", "--n", n)
+        assert code == 1 and err == ""
+        assert len([line for line in out.splitlines() if line.startswith("  dt=")]) == 3
+        order = float(out.split("fitted order: ")[1].split()[0])
+        assert 1.5 <= order <= 2.5
+
     def test_bad_ladder_is_config_error(self, capsys):
         code, _, _ = run_cli(
             capsys, "decouple", "--bath", "scalar", "--dt-ladder", "0.3",
@@ -284,6 +297,23 @@ class TestInputValidation:
     def test_bath_width_must_be_finite_and_non_negative(self, out_csv, width, command):
         assert_config_error(command, "--bath", "scalar", f"--bath-width={width!r}",
                             "--out", str(out_csv))
+
+    @settings(max_examples=30, deadline=None)
+    @given(width=st.floats(min_value=MAX_BATH_WIDTH, exclude_min=True, allow_infinity=False),
+           command=st.sampled_from(["sweep", "decouple", "verify"]))
+    def test_bath_width_bounded_above(self, out_csv, width, command):
+        # sweep --bath-width 1e300 exited 0 and wrote fidelities that carry
+        # no significant digit.
+        code, err = run_quiet(command, "--bath", "scalar", f"--bath-width={width!r}",
+                              "--out", str(out_csv))
+        assert code == 2
+        assert err.startswith("error: bath_width must be in") and "Traceback" not in err
+        assert not out_csv.exists()
+
+    def test_bath_width_at_bound_accepted(self, capsys):
+        code, _, _ = run_cli(capsys, "decouple", "--bath", "scalar",
+                             f"--bath-width={MAX_BATH_WIDTH!r}")
+        assert code in (0, 1)
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.one_of(st.integers(9, 200), st.sampled_from([-2, 0, 2, 3, 5, 7])),

@@ -61,6 +61,24 @@ class TestExpmHermitian:
         with pytest.raises(NotHermitianError):
             expm_hermitian(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
 
+    @pytest.mark.parametrize("shape", [(5,), (2, 3)])
+    def test_stack_matches_each_matrix(self, rng, shape):
+        # One eigendecomposition call for a stack of factors; each matrix
+        # of the result is the exponential of its own Hamiltonian.
+        h = np.stack([random_hermitian(4, rng) for _ in range(np.prod(shape))])
+        h = h.reshape(*shape, 4, 4)
+        stacked = expm_hermitian(h, 0.7)
+        assert stacked.shape == h.shape
+        for index in np.ndindex(*shape):
+            assert np.abs(stacked[index] - expm_hermitian(h[index], 0.7)).max() <= 1e-15
+            assert np.allclose(stacked[index], expm_oracle(-0.7j * h[index]), atol=1e-12)
+
+    def test_stack_with_one_non_hermitian_matrix_rejected(self, rng):
+        h = np.stack([random_hermitian(2, rng) for _ in range(4)])
+        h[2, 0, 1] += 1e-3
+        with pytest.raises(NotHermitianError):
+            expm_hermitian(h, 1.0)
+
     def test_against_series_oracle(self, rng):
         for dim in (2, 8, 16):
             h = random_hermitian(dim, rng)

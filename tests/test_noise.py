@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import random_hermitian
 import dfsgates.noise as noise
 from dfsgates.errors import BadPartitionError, DimensionMismatchError, DimensionTooLargeError
 from dfsgates.gates import (
@@ -31,19 +32,22 @@ from dfsgates.noise import (
     decoupling_order_probe,
     error_sweep,
     fit_error_order,
-    reduced_system_propagator,
     single_qubit_pulse,
     symbolic_bath_average,
 )
 from dfsgates.pauli import PauliString, PauliSum, pauli_to_matrix
 from oracles import (
     assemble,
+    dense_bare_evolution_error,
+    dense_decoupling_order_probe,
     engine_propagator,
     evolve_schedule,
+    hamiltonian_matrix,
     interleave,
     interleave_oracle,
     is_unitary,
     pulse,
+    reduced_system_propagator,
 )
 
 
@@ -116,9 +120,20 @@ class TestDDCycle:
             conj = g @ f @ g @ conj
         assert phase_invariant_fidelity(dd_cycle(h, dt), conj) >= 1 - 1e-12
 
+    @pytest.mark.parametrize("dim, n_system", [(2, 1), (4, 1), (8, 2)])
+    def test_stack_equals_each_slice(self, rng, dim, n_system):
+        # The probe runs one cycle on the stack of per-qubit factors; each
+        # matrix of the result is the cycle of its own Hamiltonian.
+        h = np.stack([random_hermitian(dim, rng) for _ in range(5)])
+        for errors in (IDEAL_PULSES, DDErrorModel(epsilon=0.07, delta=-0.1)):
+            stacked = dd_cycle(h, 0.13, errors, n_system=n_system)
+            each = np.stack([dd_cycle(m, 0.13, errors, n_system=n_system) for m in h])
+            assert stacked.shape == (5, dim, dim)
+            assert np.abs(stacked - each).max() <= 1e-15
+
     def test_suppresses_bath_better_than_bare(self, rng):
         bath = BathModel.random(2, 0.2, seed=11)
-        h = bath.hamiltonian_matrix()
+        h = hamiltonian_matrix(bath)
         dt = 0.05
         eye = np.eye(4)
         f_dd = phase_invariant_fidelity(dd_cycle(h, dt), eye)
@@ -169,7 +184,17 @@ class TestInterleave:
         factors = noise._factor_slices(schedule, bath, plan)
         assert [(f.qubits, f.n_system, f.bath_stride) for f in factors] == [
             ((1, 2, 4, 5, 6, 8), 3, 8), ((3, 7), 1, 2)]
-        assert [f.slices.shape for f in factors] == [(2, 64, 64), (2, 4, 4)]
+        # The idle factor holds bath terms only: one slice for both segments.
+        assert [f.slices.shape for f in factors] == [(2, 64, 64), (1, 4, 4)]
+        assert [f.segments for f in factors] == [2, 2]
+        # Shared or stacked per segment, the idle slice gives the same bits.
+        idle = factors[1]
+        per_segment = noise._Factor(idle.qubits, idle.n_system,
+                                    np.repeat(idle.slices, 2, axis=0), 2)
+        for errors in (IDEAL_PULSES, DDErrorModel(epsilon=0.05)):
+            [shared] = noise._factor_propagators([idle], plan, errors)
+            [stacked] = noise._factor_propagators([per_segment], plan, errors)
+            assert np.array_equal(shared, stacked)
         props = noise._factor_propagators(factors, plan, DDErrorModel(epsilon=0.05))
         u = assemble([f.qubits for f in factors], props, bath.total_qubits)
         assert u.shape == (256, 256)
@@ -390,14 +415,15 @@ class TestGateFidelity:
 
         monkeypatch.setattr(noise, "expm_hermitian", counting_expm)
         # u2 on logical qubit 1 acts on qubits 1, 2, 4: one slice per segment
-        # on that factor and one on the idle qubit 3, whatever the grid size.
+        # on that factor, and one slice for every segment on the idle qubit
+        # 3, whatever the grid size.
         schedule = schedule_u2(4, 1, 0.3)
         bath = BathModel.random(4, 0.1, seed=1)
         for size in (1, 3, 7):
             calls.clear()
             grid = list(np.linspace(-0.1, 0.1, size))
             error_sweep(schedule, InterleavingPlan(2), bath, {"flip": grid, "detuning": grid})
-            assert calls == [1.0 / 8] * (2 * len(schedule.segments))
+            assert calls == [1.0 / 8] * (len(schedule.segments) + 1)
 
     def test_unknown_kind_rejected(self, monkeypatch):
         def no_slices(*args):
@@ -421,7 +447,22 @@ class TestBathModels:
                 term = [np.eye(2)] * 3
                 term[i] = sigmas[axis]
                 expected += bath.couplings[i, a] * kron_all(term)
-        assert np.allclose(bath.hamiltonian_matrix(), expected, atol=1e-12)
+        assert np.allclose(hamiltonian_matrix(bath), expected, atol=1e-12)
+
+    @pytest.mark.parametrize("n, kind", [(2, "scalar"), (4, "scalar"), (8, "scalar"),
+                                         (2, "qubit"), (4, "qubit")])
+    def test_factor_propagators_assemble_to_dense(self, n, kind):
+        # The coupling is a sum of terms on disjoint qubits (system qubit i
+        # and its bath qubit n + i), so its propagator is the tensor product
+        # of the per-qubit factors' propagators.
+        bath = BathModel.random(n, 0.3, seed=n, kind=kind)
+        factors = bath.factor_hamiltonians()
+        d = 2 if kind == "scalar" else 4
+        assert factors.shape == (n, d, d)
+        qubits = [(i,) if kind == "scalar" else (i, n + i) for i in range(1, n + 1)]
+        assembled = assemble(qubits, list(expm_hermitian(factors, 1.7)), bath.total_qubits)
+        dense = expm_hermitian(hamiltonian_matrix(bath), 1.7)
+        assert np.abs(assembled - dense).max() <= 1e-13
 
     def test_symbolic_average_vanishes_both_kinds(self):
         for kind in ("scalar", "qubit"):
@@ -479,6 +520,47 @@ class TestDecouplingProbe:
         points = dict(decoupling_order_probe(bath, [0.1, 0.05], 2.0))
         ratio = points[0.1] / points[0.05]
         assert 2.8 <= ratio <= 5.5
+
+    @pytest.mark.parametrize("kind", ["scalar", "qubit"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_dense_oracle(self, kind, seed):
+        # Each rung is 1 - F near 1e-7, evaluated from products of per-qubit
+        # overlaps on one side and one 2**N (or 2**2N) trace on the other;
+        # both sit within ~1e-8 relative of 40-digit values
+        # (tests/test_sweep_precision.py), so they are compared at that
+        # relative level and not printed digit by digit. The qubit bath's
+        # bare error is 0 up to rounding on both sides.
+        bath = BathModel.random(4, 0.1, seed=seed, kind=kind)
+        ladder = [0.1, 0.05, 0.025]
+        got = decoupling_order_probe(bath, ladder, 2.0)
+        want = dense_decoupling_order_probe(bath, ladder, 2.0)
+        assert [dt for dt, _ in got] == [dt for dt, _ in want]
+        for (_, err), (_, ref) in zip(got, want):
+            assert err == pytest.approx(ref, rel=3e-8, abs=1e-15)
+        assert bare_evolution_error(bath, 2.0) == pytest.approx(
+            dense_bare_evolution_error(bath, 2.0), rel=1e-13, abs=1e-15)
+
+    def test_one_cycle_per_rung_on_the_factor_stack(self, monkeypatch):
+        shapes = []
+
+        def recording_cycle(h, dt, *args, **kwargs):
+            shapes.append(np.shape(h))
+            return dd_cycle(h, dt, *args, **kwargs)
+
+        monkeypatch.setattr(noise, "dd_cycle", recording_cycle)
+        for kind, d in (("scalar", 2), ("qubit", 4)):
+            shapes.clear()
+            decoupling_order_probe(BathModel.random(6, 0.1, seed=1, kind=kind),
+                                   [0.1, 0.05, 0.025], 2.0)
+            assert shapes == [(6, d, d)] * 3
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_qubit_bath_past_n4(self, n):
+        # 2**12 and 2**16 dimensions on the full register; 4 per factor here.
+        bath = BathModel.random(n, 0.1, seed=n, kind="qubit")
+        points = decoupling_order_probe(bath, [0.1, 0.05, 0.025], 2.0)
+        assert len(points) == 3
+        assert 1.5 <= fit_error_order(points) <= 2.5
 
     def test_bad_partition(self):
         with pytest.raises(BadPartitionError):
