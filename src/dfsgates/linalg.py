@@ -35,12 +35,12 @@ def kron_all(factors) -> np.ndarray:
 
 def is_hermitian(m: np.ndarray, atol: float = ATOL_STRUCT) -> bool:
     """Whether m, or every matrix of a stack m of shape (..., d, d), is
-    within atol of its own conjugate transpose."""
+    within atol of its own conjugate transpose; an empty stack is."""
     m = np.asarray(m)
     return (
         m.ndim >= 2
         and m.shape[-1] == m.shape[-2]
-        and np.abs(m - m.conj().swapaxes(-1, -2)).max() <= atol
+        and np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0) <= atol
     )
 
 

@@ -8,13 +8,14 @@ No code path forms the full register. Every coupling term acts on one
 system qubit (and its own bath qubit), every segment term on at most three
 qubits, and every pulse is a tensor power of one 2x2 rotation; so each
 propagator is a tensor product over register factors, and so are its bath
-reduction and its trace overlap. `error_sweep` threads c cycles through
-each gate segment, on an active factor (the qubits the gate acts on) and
-an idle factor (the rest). `decoupling_order_probe` and
-`bare_evolution_error` evolve the idle register as one stack of per-qubit
-factors (see `BathModel.factor_hamiltonians`), and `dd_cycle` builds one
-cycle of idle evolution on each. Two pulse imperfections are modelled,
-both relative:
+reduction and its trace overlap. Every system qubit that no gate term
+acts on is a factor of its own, with its bath qubit if any: one stack of
+these per-qubit factors (see `BathModel.factor_hamiltonians`) carries the
+idle evolution for both `error_sweep` and `decoupling_order_probe` /
+`bare_evolution_error`. `error_sweep` threads c cycles through each gate
+segment, on the active factor (the qubits the gate acts on and their bath
+partners) and on that idle stack; `dd_cycle` builds one cycle of idle
+evolution. Two pulse imperfections are modelled, both relative:
 
     flip-angle error eps:  rotation angle (1 + eps) * pi
     detuning error delta:  axis tilted out of the transverse plane by
@@ -191,8 +192,9 @@ def _pulse_times(p: np.ndarray, n_system: int, m: np.ndarray) -> np.ndarray:
     n_system (a bath register) are left alone. m may be a stack of
     matrices, shape (..., d, cols), each multiplied alike.
     """
+    rest = m.shape[-2] * m.shape[-1]  # numpy infers no -1 axis of an empty stack
     for k in range(n_system):
-        m = (p @ m.reshape(*m.shape[:-2], 2**k, 2, -1)).reshape(m.shape)
+        m = (p @ m.reshape(*m.shape[:-2], 2**k, 2, rest >> (k + 1))).reshape(m.shape)
     return m
 
 
@@ -227,96 +229,88 @@ def dd_cycle(
 
 @dataclass(frozen=True, eq=False)
 class _Factor:
-    """One tensor factor of the register and its segment slices.
+    """The active tensor factor of the register and its segment slices.
 
-    qubits are 1-indexed register positions in ascending order, so the
-    factor's system qubits come before its bath qubits; slices stacks the
-    factor's slice propagator of every segment, shape (segments, d, d), or
-    holds the one slice of a factor that no segment term acts on, shape
-    (1, d, d), the same in every segment.
+    qubits are the 1-indexed register positions some segment term acts on,
+    with their bath partners, in ascending order, so the factor's n_system
+    system qubits come before its bath qubits; slices stacks the factor's
+    slice propagator of every segment, shape (segments, d, d).
     """
 
     qubits: tuple[int, ...]
     n_system: int
     slices: np.ndarray
-    segments: int
-
-    @property
-    def bath_stride(self) -> int:
-        """Row stride of <0...0|_bath U |0...0>_bath on this factor; 1 when
-        it holds no bath qubits."""
-        return 2 ** (len(self.qubits) - self.n_system)
 
 
 def _factor_slices(
     schedule: GateSchedule, bath: BathModel, plan: InterleavingPlan
-) -> list[_Factor]:
+) -> tuple[_Factor, np.ndarray]:
     """Slice propagators exp(-i (area_s H_s + H_bath) / (4c)) of each segment
-    s, on each tensor factor of the register.
+    s, as the active factor and the stack of idle per-qubit factors.
 
     The active factor holds every qubit a segment term acts on, with its
-    bath partner when the bath is made of qubits; the idle factor holds the
-    rest. Every coupling term acts on one system qubit and its own bath
-    qubit, so both sums split over the two factors and the slice is the
-    tensor product of the factor slices; the identity term, if any, goes
-    to the first factor only. A schedule that acts on the whole register
-    has a single factor. The slices do not depend on the pulse errors, so
-    a sweep builds them once; the idle factor holds bath terms only, so
-    its one slice serves every segment.
+    bath partner when the bath is made of qubits, and the identity term of
+    the segments, if any. Every other system qubit, with its own bath qubit,
+    is a factor of `BathModel.factor_hamiltonians`: no segment term acts on
+    it, so its one slice, of the bath term alone, serves every segment. The
+    idle slices come as one stack, shape (n_idle, d, d) with d = 2 or 4,
+    empty when the schedule acts on every system qubit. Every coupling term
+    acts on one system qubit and its own bath qubit, so the slice of the
+    register is the tensor product of these. The slices do not depend on
+    the pulse errors, so a sweep builds them once.
     """
     if bath.n_system != schedule.n_physical:
         raise DimensionMismatchError(
             f"bath on {bath.n_system} system qubits, schedule on {schedule.n_physical}"
         )
-    n_total = bath.total_qubits
-    hamiltonians = [seg.hamiltonian.embedded(n_total) for seg in schedule.segments]
-    active = frozenset().union(*(h.support() for h in hamiltonians))
-    if bath.kind == "qubit":
-        active |= {q + bath.n_system for q in active}
-    idle = frozenset(range(1, n_total + 1)) - active
-    bath_h = bath.hamiltonian_sum()
+    hamiltonians = [seg.hamiltonian.embedded(bath.total_qubits) for seg in schedule.segments]
+    system = frozenset().union(*(h.support() for h in hamiltonians))
+    partners = {q + bath.n_system for q in system} if bath.kind == "qubit" else set()
+    qubits = tuple(sorted(system | partners))
+    bath_h = bath.hamiltonian_sum().restricted(qubits).to_matrix()
     scale = 1.0 / (4 * plan.cycles_per_segment)
-    factors = []
-    for qubits in (tuple(sorted(part)) for part in (active, idle) if part):
-        first = not factors
-        bath_f = bath_h.restricted(qubits, with_identity=first).to_matrix()
-        terms = [h.restricted(qubits, with_identity=first) for h in hamiltonians]
-        if any(t.n_terms for t in terms):
-            slices = np.stack([
-                expm_hermitian(seg.area * t.to_matrix() + bath_f, scale)
-                for seg, t in zip(schedule.segments, terms)
-            ])
-        else:
-            slices = expm_hermitian(bath_f, scale)[None]
-        n_system = sum(q <= bath.n_system for q in qubits)
-        factors.append(_Factor(qubits, n_system, slices, len(schedule.segments)))
-    return factors
+    slices = np.stack([
+        expm_hermitian(seg.area * h.restricted(qubits).to_matrix() + bath_h, scale)
+        for seg, h in zip(schedule.segments, hamiltonians)
+    ])
+    idle = [q for q in range(bath.n_system) if q + 1 not in system]
+    return (
+        _Factor(qubits, len(system), slices),
+        expm_hermitian(bath.factor_hamiltonians()[idle], scale),
+    )
 
 
 def _factor_propagators(
-    factors: list[_Factor], plan: InterleavingPlan, errors: DDErrorModel
-) -> list[np.ndarray]:
-    """Decoupled propagator of the schedule on each factor.
+    factors: tuple[_Factor, np.ndarray], plan: InterleavingPlan, errors: DDErrorModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decoupled propagator of the schedule on the active factor and on
+    each idle per-qubit factor.
 
     One segment runs c = cycles_per_segment XY-4 cycles, each the square
-    of the half cycle D (see `_half_cycle`); so each factor takes one
+    of the half cycle D (see `_half_cycle`); so the active factor takes one
     batched product for D over its segment stack, one stacked D^(2c), and
-    the product over segments, earliest rightmost. A factor with one slice
-    for every segment forms its D^(2c) once.
+    the product over segments, earliest rightmost. The idle stack forms its
+    D^(2c) once and applies it once per segment.
     """
+    active, idle = factors
     p_x = single_qubit_pulse("x", errors)
     p_y = single_qubit_pulse("y", errors)
-    out = []
-    for f in factors:
-        d = _half_cycle(f.slices, f.n_system, p_x, p_y)
-        powers = np.linalg.matrix_power(d, 2 * plan.cycles_per_segment)
-        if len(powers) < f.segments:
-            powers = [powers[0]] * f.segments
-        u = powers[0]
-        for power in powers[1:]:
-            u = power @ u
-        out.append(u)
-    return out
+    power = 2 * plan.cycles_per_segment
+    segments = np.linalg.matrix_power(_half_cycle(active.slices, active.n_system, p_x, p_y), power)
+    idle_segment = np.linalg.matrix_power(_half_cycle(idle, 1, p_x, p_y), power)
+    u, v = segments[0], idle_segment
+    for segment in segments[1:]:
+        u = segment @ u
+        v = idle_segment @ v
+    return u, v
+
+
+def _bath_block(u: np.ndarray, n_system: int) -> np.ndarray:
+    """<0...0|_bath u |0...0>_bath of a factor propagator u, or of each of a
+    stack of them, whose n_system system qubits come before its bath qubits:
+    every (d >> n_system)-th row and column, all of u without bath qubits."""
+    step = u.shape[-1] >> n_system
+    return u[..., ::step, ::step]
 
 
 def error_sweep(
@@ -332,11 +326,11 @@ def error_sweep(
     Each fidelity is the trace overlap between the decoupled propagators
     with imperfect and with ideal pulses, on the full register
     (bath-reduced when a bath-qubit model is used). Both propagators are
-    evaluated as tensor products over the register's factors (see
-    `_factor_slices`); the bath reduction and the overlap factor the same
-    way. The factor slices and the ideal reference are computed once per
-    call and shared by every kind and value; the reference is reused at
-    zero error.
+    evaluated as tensor products of the active factor and the idle
+    per-qubit factors (see `_factor_slices`); the bath reduction and the
+    overlap factor the same way. The factor slices and the ideal reference
+    are computed once per call and shared by every kind and value; the
+    reference is reused at zero error.
     """
     for kind in grids:
         if kind not in ("flip", "detuning"):
@@ -344,10 +338,8 @@ def error_sweep(
     factors = _factor_slices(schedule, bath, plan)
 
     def reduced(errors: DDErrorModel) -> list[np.ndarray]:
-        return [
-            u[:: f.bath_stride, :: f.bath_stride]
-            for f, u in zip(factors, _factor_propagators(factors, plan, errors))
-        ]
+        active, idle = _factor_propagators(factors, plan, errors)
+        return [_bath_block(active, factors[0].n_system), *_bath_block(idle, 1)]
 
     reference = reduced(IDEAL_PULSES)
     rows = []
@@ -420,11 +412,8 @@ def bare_evolution_error(bath: BathModel, total_time: float) -> float:
 
 def _identity_infidelity(u: np.ndarray) -> float:
     """1 - fidelity to the identity of the tensor product of the stack u of
-    per-qubit factor propagators, each reduced to <0|_bath u |0>_bath: a
-    factor holds its system qubit first, so the reduced 2x2 block is every
-    (d/2)-th row and column (all of u for a scalar bath)."""
-    stride = u.shape[-1] // 2
-    reduced = u[:, ::stride, ::stride]
+    per-qubit factor propagators, each reduced to its 2x2 bath block."""
+    reduced = _bath_block(u, 1)
     return 1 - product_fidelity(reduced, np.broadcast_to(np.eye(2), reduced.shape))
 
 

@@ -245,13 +245,12 @@ class PauliSum:
             q + 1 for _, s in self.terms for q, letter in enumerate(s.letters) if letter
         )
 
-    def restricted(self, sites, with_identity: bool = True) -> "PauliSum":
+    def restricted(self, sites) -> "PauliSum":
         """The terms that act on the given 1-indexed sites, as a sum on
         len(sites) qubits in the order given.
 
-        Terms acting only outside the sites are dropped. The identity term
-        acts nowhere: it is kept only if with_identity, so that splitting a
-        sum over the factors of a register counts it exactly once.
+        Terms acting only outside the sites are dropped; the identity term
+        is kept.
 
         Raises
         ------
@@ -268,7 +267,7 @@ class PauliSum:
                 raise BadPartitionError(
                     f"term {string.label} acts on qubits both in and outside {sites}"
                 )
-            if acts_on <= inside and (acts_on or with_identity):
+            if acts_on <= inside:
                 letters = tuple(string.letters[q - 1] for q in sites)
                 terms.append((coef, PauliString(len(sites), letters)))
         return PauliSum.from_terms(len(sites), terms)

@@ -12,7 +12,7 @@ oracles work on the whole register or bit by bit:
     kron, is_unitary    the dense two-factor product and unitarity check.
 
 Decoupling. The library evaluates a decoupled schedule as a tensor product
-over the register's factors (`noise._factor_slices`,
+of the active factor and the idle per-qubit factors (`noise._factor_slices`,
 `noise._factor_propagators`). These oracles compute the same propagator on
 the whole register:
 
@@ -21,6 +21,7 @@ the whole register:
                       cycle of dense pulses raised to the number of cycles
                       per segment;
     interleave_oracle the pulses threaded one at a time, slice by slice;
+    factor_qubits     the register qubits of each of the engine's factors;
     assemble          the engine's factor matrices put back together on the
                       full register, by a Kronecker product and a
                       permutation of the tensor axes.
@@ -238,15 +239,21 @@ def assemble(qubit_sets, matrices, n_total: int) -> np.ndarray:
     return full.reshape((2,) * (2 * n_total)).transpose(axes).reshape(dim, dim)
 
 
+def factor_qubits(active, bath: BathModel) -> list[tuple[int, ...]]:
+    """The 1-indexed register qubits of the engine's factors: the active
+    factor's, then (q,) or, with a bath qubit, (q, n + q) for each idle
+    system qubit q in ascending order, as the idle stack holds them."""
+    n = bath.n_system
+    idle = [q for q in range(1, n + 1) if q not in active.qubits]
+    return [active.qubits, *((q,) if bath.kind == "scalar" else (q, n + q) for q in idle)]
+
+
 def engine_propagator(schedule, bath, plan, errors: DDErrorModel = IDEAL_PULSES) -> np.ndarray:
     """The full-register propagator the sweep engine evaluates, assembled
     from its factor propagators."""
     factors = noise._factor_slices(schedule, bath, plan)
-    return assemble(
-        [f.qubits for f in factors],
-        noise._factor_propagators(factors, plan, errors),
-        bath.total_qubits,
-    )
+    active, idle = noise._factor_propagators(factors, plan, errors)
+    return assemble(factor_qubits(factors[0], bath), [active, *idle], bath.total_qubits)
 
 
 def hamiltonian_matrix(bath: BathModel) -> np.ndarray:

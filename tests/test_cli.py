@@ -139,6 +139,23 @@ class TestSweep:
         assert code == 0
         assert out_path.read_text().splitlines()[1:] == golden
 
+    @pytest.mark.parametrize("gate", ["u1", "u2", "u3"])
+    def test_qubit_bath_runs_at_n8(self, capsys, tmp_path, gate):
+        # The doubled register has 2**16 dimensions. The sweep evaluates the
+        # gate's qubits with their bath qubits (at most 64 dimensions) and
+        # one 4x4 factor per idle qubit; one idle block of 5 system and 5
+        # bath qubits exited 2.
+        out_path = tmp_path / "sweep.csv"
+        code, _, err = run_cli(
+            capsys, "sweep", "--n", "8", "--bath", "qubit", "--gate", gate,
+            "--step", "0.05", "--out", str(out_path),
+        )
+        assert code == 0 and err == ""
+        rows = [row.split(",") for row in out_path.read_text().splitlines()[1:]]
+        zero = [row for row in rows if row[1] == "0"]
+        assert [row[0] for row in zero] == ["detuning", "flip"]
+        assert all(row[2] == "1.000000000000" for row in zero)
+
     def test_monotone_near_zero(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"
         code, _, _ = run_cli(

@@ -11,6 +11,7 @@ from dfsgates.linalg import (
     SIGMA_Y,
     SIGMA_Z,
     expm_hermitian,
+    is_hermitian,
     kron_all,
     phase_invariant_fidelity,
     product_fidelity,
@@ -72,6 +73,14 @@ class TestExpmHermitian:
         for index in np.ndindex(*shape):
             assert np.abs(stacked[index] - expm_hermitian(h[index], 0.7)).max() <= 1e-15
             assert np.allclose(stacked[index], expm_oracle(-0.7j * h[index]), atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_empty_stack(self, d):
+        # A schedule on every system qubit leaves no idle per-qubit factor:
+        # the empty stack is vacuously Hermitian and exponentiates to itself.
+        empty = np.zeros((0, d, d), dtype=np.complex128)
+        assert is_hermitian(empty)
+        assert expm_hermitian(empty, 0.7).shape == (0, d, d)
 
     def test_stack_with_one_non_hermitian_matrix_rejected(self, rng):
         h = np.stack([random_hermitian(2, rng) for _ in range(4)])

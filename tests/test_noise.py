@@ -42,6 +42,7 @@ from oracles import (
     dense_decoupling_order_probe,
     engine_propagator,
     evolve_schedule,
+    factor_qubits,
     hamiltonian_matrix,
     interleave,
     interleave_oracle,
@@ -177,32 +178,31 @@ class TestInterleave:
     def test_bath_qubit_register_dimensions(self):
         # u1 on logical qubit 1 acts on system qubits 1, 2, 4; with their bath
         # partners 5, 6, 8 they make the 64-dim active factor, and system
-        # qubit 3 with bath qubit 7 the 4-dim idle one.
+        # qubit 3 with bath qubit 7 the one 4-dim idle factor.
         schedule = schedule_u1(4, 1, 0.3)
         bath = BathModel.random(4, 0.05, seed=2, kind="qubit")
         plan = InterleavingPlan(1)
         factors = noise._factor_slices(schedule, bath, plan)
-        assert [(f.qubits, f.n_system, f.bath_stride) for f in factors] == [
-            ((1, 2, 4, 5, 6, 8), 3, 8), ((3, 7), 1, 2)]
+        active, idle = factors
+        assert (active.qubits, active.n_system) == ((1, 2, 4, 5, 6, 8), 3)
+        assert factor_qubits(active, bath) == [(1, 2, 4, 5, 6, 8), (3, 7)]
         # The idle factor holds bath terms only: one slice for both segments.
-        assert [f.slices.shape for f in factors] == [(2, 64, 64), (1, 4, 4)]
-        assert [f.segments for f in factors] == [2, 2]
+        assert [active.slices.shape, idle.shape] == [(2, 64, 64), (1, 4, 4)]
         # Shared or stacked per segment, the idle slice gives the same bits.
-        idle = factors[1]
-        per_segment = noise._Factor(idle.qubits, idle.n_system,
-                                    np.repeat(idle.slices, 2, axis=0), 2)
+        per_segment = noise._Factor((3, 7), 1, np.repeat(idle, 2, axis=0))
         for errors in (IDEAL_PULSES, DDErrorModel(epsilon=0.05)):
-            [shared] = noise._factor_propagators([idle], plan, errors)
-            [stacked] = noise._factor_propagators([per_segment], plan, errors)
+            _, [shared] = noise._factor_propagators(factors, plan, errors)
+            stacked, _ = noise._factor_propagators((per_segment, idle), plan, errors)
             assert np.array_equal(shared, stacked)
-        props = noise._factor_propagators(factors, plan, DDErrorModel(epsilon=0.05))
-        u = assemble([f.qubits for f in factors], props, bath.total_qubits)
+        u_active, u_idle = noise._factor_propagators(factors, plan, DDErrorModel(epsilon=0.05))
+        u = assemble(factor_qubits(active, bath), [u_active, *u_idle], bath.total_qubits)
         assert u.shape == (256, 256)
         reduced = reduced_system_propagator(u, bath)
         assert reduced.shape == (16, 16)
         # The bath reduction factors too: <0|_bath U |0>_bath of the full
         # register is the product of the factors' own reductions.
-        blocks = [p[:: f.bath_stride, :: f.bath_stride] for f, p in zip(factors, props)]
+        blocks = [noise._bath_block(u_active, active.n_system), *noise._bath_block(u_idle, 1)]
+        assert [b.shape for b in blocks] == [(8, 8), (2, 2)]
         assert np.abs(assemble([(1, 2, 4), (3,)], blocks, 4) - reduced).max() <= 1e-15
 
     def test_mismatched_bath_rejected(self):
@@ -335,7 +335,8 @@ class TestFactoring:
         bath, plan = make_bath(), InterleavingPlan(2)
         eye = PauliSum.from_terms(4, [(0.3, PauliString.identity(4))])
         schedule = _add_term(schedule_u1(4, 1, 0.7), 0, eye)
-        assert len(noise._factor_slices(schedule, bath, plan)) == 2
+        active, idle = noise._factor_slices(schedule, bath, plan)
+        assert factor_qubits(active, bath)[1:] == ([(3,)] if bath.kind == "scalar" else [(3, 7)])
         for errors in (IDEAL_PULSES, DDErrorModel(epsilon=0.1)):
             ref = interleave_oracle(schedule, bath, plan, errors)
             assert np.abs(engine_propagator(schedule, bath, plan, errors) - ref).max() <= 1e-13
@@ -347,8 +348,9 @@ class TestFactoring:
         bath, plan = make_bath(), InterleavingPlan(3)
         zz = PauliSum.from_terms(4, [(0.2, PauliString.from_sites(4, {3: "Z", 4: "Z"}))])
         schedule = _add_term(schedule_u1(4, 1, 0.7), 1, zz)
-        (factor,) = noise._factor_slices(schedule, bath, plan)
-        assert factor.qubits == tuple(range(1, bath.total_qubits + 1))
+        active, idle = noise._factor_slices(schedule, bath, plan)
+        assert active.qubits == tuple(range(1, bath.total_qubits + 1))
+        assert idle.shape[0] == 0
         values = [-0.1, 0.0, 0.05]
         rows = error_sweep(schedule, plan, bath, {"flip": values, "detuning": values})
         reference = reduced_system_propagator(interleave(schedule, bath, plan), bath)
@@ -415,8 +417,8 @@ class TestGateFidelity:
 
         monkeypatch.setattr(noise, "expm_hermitian", counting_expm)
         # u2 on logical qubit 1 acts on qubits 1, 2, 4: one slice per segment
-        # on that factor, and one slice for every segment on the idle qubit
-        # 3, whatever the grid size.
+        # on that factor, and one stack of slices, for every segment, on the
+        # idle per-qubit factors (here qubit 3), whatever the grid size.
         schedule = schedule_u2(4, 1, 0.3)
         bath = BathModel.random(4, 0.1, seed=1)
         for size in (1, 3, 7):

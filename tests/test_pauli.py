@@ -313,19 +313,20 @@ class TestRestriction:
         assert h.restricted([3, 1]).isclose(_sum(2, (0.5, "YX")))
         assert h.restricted([2, 4, 5]).isclose(_sum(3, (-0.25, "ZII"), (0.75, "IXZ")))
 
-    def test_identity_term_kept_only_when_asked(self):
+    def test_identity_term_kept(self):
         h = _sum(4, (0.3, "IIII"), (1.0, "XXII"))
         assert h.restricted([1, 2]).isclose(_sum(2, (0.3, "II"), (1.0, "XX")))
-        assert h.restricted([3, 4], with_identity=False).is_zero()
         assert h.restricted([3, 4]).isclose(_sum(2, (0.3, "II")))
 
     def test_sum_splits_as_kron_sum(self, rng):
-        # H = H_in (x) I + I (x) H_out for sites 1, 2 against 3, 4
+        # H = H_in (x) I + I (x) H_out for sites 1, 2 against 3, 4, with the
+        # identity term in the restricted factor H_in only
         coefs = rng.normal(size=4)
         h = _sum(4, (coefs[0], "XZII"), (coefs[1], "IIYY"), (coefs[2], "IIIZ"), (coefs[3], "IIII"))
         inside = h.restricted([1, 2]).to_matrix()
-        outside = h.restricted([3, 4], with_identity=False).to_matrix()
-        expected = np.kron(inside, np.eye(4)) + np.kron(np.eye(4), outside)
+        outside = _sum(2, (coefs[1], "YY"), (coefs[2], "IZ"))
+        assert h.restricted([3, 4]).isclose(outside + _sum(2, (coefs[3], "II")))
+        expected = np.kron(inside, np.eye(4)) + np.kron(np.eye(4), outside.to_matrix())
         assert np.abs(h.to_matrix() - expected).max() == 0
 
     def test_straddling_term_rejected(self):
@@ -333,7 +334,7 @@ class TestRestriction:
         with pytest.raises(BadPartitionError, match="XIIX"):
             h.restricted([1, 2])
         with pytest.raises(BadPartitionError):
-            h.restricted([3, 4], with_identity=False)
+            h.restricted([3, 4])
 
 
 class TestCommutantSplit:

@@ -12,7 +12,7 @@ splits over the tau_x eigenbasis |s> of the bath qubits, s in {+1, -1}^m:
 where U(s) is the decoupled system propagator under the scalar fields
 s_i b_i^a. A scalar bath is the single term s = (). The fidelity is then
 the per-factor formula |prod_f tr(u_f v_f†)| / sqrt(prod_f ||u_f||² ||v_f||²)
-over the active and idle system qubits.
+over the active system qubits and each idle system qubit alone.
 
 The decoupling-order rungs are evaluated on each system qubit alone, with
 its own bath qubit when there is one (2 or 4 dimensions), directly in
@@ -123,7 +123,9 @@ def exact_fidelities(schedule, bath, plan, error_models) -> list[float]:
         q + 1 for seg in schedule.segments for _, s in seg.hamiltonian.terms
         for q, c in enumerate(s.letters) if c
     })
-    factors = [f for f in (active, [q for q in range(1, n + 1) if q not in active]) if f]
+    # The active qubits, then each idle qubit alone (2 sign sets each, not
+    # 2^m for one idle block).
+    factors = [f for f in (active, *([q] for q in range(1, n + 1) if q not in active)) if f]
     with mp.workdps(DIGITS):
         nums = [mp.mpc(1)] * len(error_models)
         dens = [mp.mpf(1)] * len(error_models)
@@ -153,6 +155,8 @@ CASES = [
                  id="n4-scalar-u2-c5"),
     pytest.param(schedule_u1(4, 2, 0.7), BathModel.random(4, 0.1, seed=4, kind="qubit"), 1,
                  id="n4-qubit-u1-c1"),
+    pytest.param(schedule_u1(8, 3, 0.7), BathModel.random(8, 0.1, seed=4, kind="qubit"), 1,
+                 id="n8-qubit-u1-c1"),
 ]
 
 
