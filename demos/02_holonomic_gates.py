@@ -14,7 +14,6 @@ import numpy as np
 from dfsgates import (
     analytic_target,
     barred_transform,
-    build_logical_basis,
     leakage_of,
     logical_gate,
     phase_invariant_fidelity,
@@ -27,7 +26,6 @@ from dfsgates import (
 )
 
 n = 4
-basis = build_logical_basis(n)
 theta = np.pi / 7
 phi = np.pi / 4
 
@@ -40,7 +38,7 @@ print("as JSON:", schedule_to_json(s1)[:80], "...")
 
 # --- evolve and compare against the closed forms ----------------------------
 for schedule in (s1, schedule_u2(n, 1, theta), schedule_u3(n, 1, 2, phi)):
-    block = logical_gate(schedule, basis)
+    block = logical_gate(schedule)
     fid = phase_invariant_fidelity(block, analytic_target(schedule))
     print(
         f"\n{schedule.kind} target={schedule.target} angle={schedule.angle:.4f}: "
@@ -51,19 +49,19 @@ for schedule in (s1, schedule_u2(n, 1, theta), schedule_u3(n, 1, 2, phi)):
 # --- holonomy certification --------------------------------------------------
 print("\nholonomy reports (cyclic defect / transport violation / leakage):")
 for schedule in (s1, schedule_u2(n, 2, 1.0), schedule_u3(n, 1, 2, phi)):
-    r = verify_holonomy(schedule, basis, samples_per_segment=8)
+    r = verify_holonomy(schedule, samples_per_segment=8)
     print(
         f"    {schedule.kind}: {r.cyclic_defect:.2e} / "
         f"{r.max_parallel_transport_violation:.2e} / {r.leakage:.2e}"
     )
 
-swap = verify_holonomy(schedule_u3(n, 1, 2, phi), basis).subspace_swap
+swap = verify_holonomy(schedule_u3(n, 1, 2, phi)).subspace_swap
 print(f"u3 mid-sequence subspace swap defect: {swap:.2e}")
 
 # --- the entangling gate block by block --------------------------------------
 a, b, assembled = u3_block_decomposition(phi)
 v = barred_transform(2, (1, 2))
-simulated = v.conj().T @ logical_gate(schedule_u3(n, 1, 2, phi), basis) @ v
+simulated = v.conj().T @ logical_gate(schedule_u3(n, 1, 2, phi)) @ v
 print("\nanalytic blocks at phi = pi/4:")
 print("A =\n", np.array_str(a, precision=4))
 print("B =\n", np.array_str(b, precision=4))

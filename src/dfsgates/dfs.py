@@ -118,14 +118,14 @@ def logical_pauli(n_logical: int, which: str, j: int) -> np.ndarray:
     return kron_all(sigma if i == j else SIGMA_I for i in range(1, n_logical + 1))
 
 
-def basis_dump(basis: LogicalBasis, atol: float = ATOL_NORM) -> str:
+def basis_dump(basis: LogicalBasis) -> str:
     """One line per state: "label : coeff|bits⟩ + coeff|bits⟩"."""
     lines = []
     width = basis.n_physical
     for label, vec in zip(basis.labels, basis.states):
         parts = [
             f"{vec[idx].real:.12f}|{format(idx, f'0{width}b')}⟩"
-            for idx in np.nonzero(np.abs(vec) > atol)[0]
+            for idx in np.nonzero(np.abs(vec) > ATOL_NORM)[0]
         ]
         lines.append(f"{label} : " + " + ".join(parts))
     return "\n".join(lines)

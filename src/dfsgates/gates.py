@@ -11,13 +11,13 @@ rotations
     u3: exp(+i phi Y_k (x) Z_l)    (two segments, entangling)
 
 Commutant Hamiltonians commute with X...X and Z...Z, so they never leave
-the all-(+1) sector that holds the code space. The gate layer therefore
-works in that 2**(N-2)-dimensional block: each segment is compressed to
-H_L = B† H B (B the code-space basis as columns) and eigendecomposed once,
-and the invariance residual ||H B - B H_L||_2 of every segment feeds a
-rigorous leakage bound, so a schedule that does leave the code space is
-still caught (see verify_holonomy). The full-register propagator is kept
-as the test oracle, in tests/oracles.py.
+the all-(+1) sector that holds the code space. The gate layer builds that
+code space from N and works in its 2**(N-2)-dimensional block: each
+segment is compressed to H_L = B† H B and eigendecomposed once. The weight
+of each segment's terms outside the commutant bounds how far it moves the
+code space, so a schedule that does leave it is still caught, with no
+residual measured (see verify_holonomy). The full-register propagator is
+kept as the test oracle, in tests/oracles.py.
 
 The holonomy checker certifies the two defining properties of a
 non-adiabatic holonomy directly from the simulated trajectory: the moving
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dfs import LogicalBasis, logical_pauli
+from .dfs import build_logical_basis, logical_pauli
 from .errors import (
     BadIndexPairError,
     DfsGatesError,
@@ -166,13 +166,13 @@ def schedule_u3(n: int, k: int, l: int, phi: float) -> GateSchedule:
 @dataclass(frozen=True, eq=False)
 class _BlockSegment:
     """One segment in code-space coordinates: H_L = B† H B with its
-    eigendecomposition, and the invariance residual ||H B - B H_L||_2."""
+    eigendecomposition, and the bound eps_s on ||(I - P) H P|| (verify_holonomy)."""
 
     h: np.ndarray
     evals: np.ndarray
     vecs: np.ndarray
     area: float
-    residual: float
+    leak_weight: float
 
     def propagate(self, x: np.ndarray, fractions=(1.0,)) -> list[np.ndarray]:
         """exp(-i * f * area * H_L) @ x for each fraction f."""
@@ -183,44 +183,42 @@ class _BlockSegment:
         ]
 
 
-def _block_segments(schedule: GateSchedule, basis: LogicalBasis) -> list[_BlockSegment]:
-    """Every segment compressed onto the code space B = basis.states.T,
-    one 2**(N-2)-dimensional eigendecomposition each."""
-    b = _orthonormal_frame(basis.states)
+def _block_segments(schedule: GateSchedule) -> list[_BlockSegment]:
+    """Every segment compressed onto the code space B of schedule.n_physical
+    qubits, one 2**(N-2)-dimensional eigendecomposition each."""
+    b = _orthonormal_frame(build_logical_basis(schedule.n_physical).states)
     out = []
     for segment in schedule.segments:
-        hb = segment.hamiltonian.apply(b)
-        h = b.conj().T @ hb
+        h = b.conj().T @ segment.hamiltonian.apply(b)
+        leaking = commutant_split(segment.hamiltonian)[1]
         out.append(_BlockSegment(h, *_eigh_hermitian(h), segment.area,
-                                 spectral_norm(hb - b @ h)))
+                                 sum(abs(c) for c, _ in leaking.terms)))
     return out
 
 
 def _leakage(gate: np.ndarray, segments: list[_BlockSegment]) -> float:
     """max(||M†M - I||, (sum_s |a_s| eps_s)**2): a bound on the leakage of
     the true restriction P U P (derivation in verify_holonomy)."""
-    drift = sum(abs(segment.area) * segment.residual for segment in segments)
+    drift = sum(abs(segment.area) * segment.leak_weight for segment in segments)
     return max(leakage_of(gate), drift**2)
 
 
-def logical_gate(
-    schedule: GateSchedule, basis: LogicalBasis, atol: float = ATOL_STRUCT
-) -> np.ndarray:
+def logical_gate(schedule: GateSchedule) -> np.ndarray:
     """Evolve the schedule in the code-space block, in logical coordinates.
 
     Raises
     ------
     LeakageError
-        If the leakage bound of verify_holonomy exceeds atol, i.e. the
-        evolution may have moved population out of the code space.
+        If the leakage bound of verify_holonomy exceeds ATOL_STRUCT, i.e.
+        the evolution may have moved population out of the code space.
     """
-    segments = _block_segments(schedule, basis)
-    gate = np.eye(basis.n_states, dtype=np.complex128)
+    segments = _block_segments(schedule)
+    gate = np.eye(2 ** (schedule.n_physical - 2), dtype=np.complex128)
     for segment in segments:
         [gate] = segment.propagate(gate)
     leak = _leakage(gate, segments)
-    if leak > atol:
-        raise LeakageError(f"code-space leakage {leak:.3e} exceeds {atol:.1e}")
+    if leak > ATOL_STRUCT:
+        raise LeakageError(f"code-space leakage {leak:.3e} exceeds {ATOL_STRUCT:.1e}")
     return gate
 
 
@@ -298,21 +296,16 @@ def _principal_sines(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.linalg.norm(q - v @ (v.conj().swapaxes(1, 2) @ q), 2, axis=(1, 2))
 
 
-def verify_holonomy(
-    schedule: GateSchedule, basis: LogicalBasis, samples_per_segment: int = 8
-) -> HolonomyReport:
+def verify_holonomy(schedule: GateSchedule, samples_per_segment: int = 8) -> HolonomyReport:
     """Evolve the schedule in the code-space block and certify the
     cyclic-frame and no-dynamical-phase conditions numerically.
 
-    Code-space block. With B = basis.states.T (checked orthonormal) and
-    P = B B†, each segment Hamiltonian H_s enters only as its block
-    H_L,s = B† H_s B of dimension 2**(N-2), eigendecomposed once; the
-    invariance residual eps_s = ||H_s B - B H_L,s||_2 = ||(I - P) H_s P||_2
-    measures how far H_s moves the code space. Commutant Hamiltonians
-    commute with X...X and Z...Z, so eps_s is zero up to rounding. One
-    pass over the segments gives the logical gate M = prod exp(-i a_s H_L,s)
-    (earliest rightmost), the frame trajectory, the transport samples and
-    the swap check.
+    Code-space block. With B the logical basis of schedule.n_physical
+    qubits as columns (checked orthonormal) and P = B B†, each segment
+    Hamiltonian H_s enters only as its block H_L,s = B† H_s B of dimension
+    2**(N-2), eigendecomposed once. One pass over the segments gives the
+    logical gate M = prod exp(-i a_s H_L,s) (earliest rightmost), the
+    frame trajectory, the transport samples and the swap check.
 
     Frames. The frame F of _transported_frame, the barred states on the
     target slots in code-space coordinates, is moved as G = u(t) F.
@@ -336,27 +329,32 @@ def verify_holonomy(
     in both directions; it is None for the other kinds.
 
     Leakage. The reported leakage is max(||M†M - I||, (sum_s |a_s| eps_s)**2),
-    a rigorous upper bound on the leakage ||M_true†M_true - I|| of the true
-    restriction M_true = B† U B of the full propagator U. Since U is
+    with eps_s the sum of |c| over the terms c S of h_leak,s in the split
+    H_s = h_c,s + h_leak,s of commutant_split. It is a rigorous upper bound
+    on the leakage ||M_true†M_true - I|| of the true restriction
+    M_true = B† U B of the full propagator U. The terms of h_c,s commute
+    with X...X and Z...Z, hence with P, and every Pauli string has norm 1,
+    so ||(I - P) H_s P|| = ||(I - P) h_leak,s P|| <= eps_s. Since U is
     unitary, M_true†M_true - I = -B† U† (I - P) U B, whose norm is
     ||(I - P) U P||**2. Split each H_s = D_s + E_s into its part D_s that is
-    block diagonal in P and the off-diagonal rest E_s, with ||E_s|| = eps_s.
+    block diagonal in P and the off-diagonal rest E_s, with ||E_s|| <= eps_s.
     Duhamel's formula gives ||exp(-i a_s H_s) - exp(-i a_s D_s)|| <=
     |a_s| eps_s, and telescoping over the segments bounds ||U - U_D|| by
     sum_s |a_s| eps_s, where U_D, the product of the block-diagonal
-    exponentials, has (I - P) U_D P = 0. Hence
-    ||(I - P) U P|| = ||(I - P)(U - U_D) P|| <= sum_s |a_s| eps_s. A schedule
-    that leaves the code space therefore still reports its leakage, and M
-    is the exact logical gate of one that does not.
+    exponentials, has (I - P) U_D P = 0. Hence ||(I - P) U P|| =
+    ||(I - P)(U - U_D) P|| <= sum_s |a_s| eps_s, with no matrix beyond the
+    block; a commutant schedule has eps_s = 0 exactly. A schedule that
+    leaves the code space therefore still reports its leakage, and M is
+    the exact logical gate of one that does not.
     """
     if samples_per_segment < 1:
         raise ValueError("samples_per_segment must be >= 1")
-    segments = _block_segments(schedule, basis)
+    segments = _block_segments(schedule)
     frame, k = _transported_frame(schedule)
     fractions = [m / samples_per_segment for m in range(samples_per_segment + 1)]
 
     worst = 0.0
-    gate = np.eye(basis.n_states, dtype=np.complex128)
+    gate = np.eye(2 ** (schedule.n_physical - 2), dtype=np.complex128)
     moved = after_first = frame
     for index, segment in enumerate(segments):
         for g in segment.propagate(moved, fractions):

@@ -33,14 +33,14 @@ def kron_all(factors) -> np.ndarray:
     return out
 
 
-def is_hermitian(m: np.ndarray, atol: float = ATOL_STRUCT) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     """Whether m, or every matrix of a stack m of shape (..., d, d), is
-    within atol of its own conjugate transpose; an empty stack is."""
+    within ATOL_STRUCT of its own conjugate transpose; an empty stack is."""
     m = np.asarray(m)
     return (
         m.ndim >= 2
         and m.shape[-1] == m.shape[-2]
-        and np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0) <= atol
+        and np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0) <= ATOL_STRUCT
     )
 
 
@@ -49,7 +49,7 @@ def spectral_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(m), 2))
 
 
-def expm_hermitian(h: np.ndarray, scale: float, atol: float = ATOL_STRUCT) -> np.ndarray:
+def expm_hermitian(h: np.ndarray, scale: float) -> np.ndarray:
     """exp(-i * scale * h) for Hermitian h, via full eigendecomposition.
 
     h may be a stack of matrices, shape (..., d, d); each is exponentiated
@@ -59,13 +59,13 @@ def expm_hermitian(h: np.ndarray, scale: float, atol: float = ATOL_STRUCT) -> np
     Raises
     ------
     NotHermitianError
-        If h deviates from its own conjugate transpose by more than atol.
+        If h deviates from its own conjugate transpose by more than ATOL_STRUCT.
     """
-    evals, vecs = _eigh_hermitian(h, atol)
+    evals, vecs = _eigh_hermitian(h)
     return (vecs * np.exp(-1j * scale * evals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _eigh_hermitian(h: np.ndarray, atol: float = ATOL_STRUCT) -> tuple[np.ndarray, np.ndarray]:
+def _eigh_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of h, or of each matrix of a stack h of
     shape (..., d, d), after checking that h is Hermitian.
 
@@ -74,10 +74,10 @@ def _eigh_hermitian(h: np.ndarray, atol: float = ATOL_STRUCT) -> tuple[np.ndarra
     Raises
     ------
     NotHermitianError
-        If h deviates from its own conjugate transpose by more than atol.
+        If h deviates from its own conjugate transpose by more than ATOL_STRUCT.
     """
     h = np.asarray(h, dtype=np.complex128)
-    if not is_hermitian(h, atol):
+    if not is_hermitian(h):
         raise NotHermitianError("matrix is not Hermitian within tolerance")
     return np.linalg.eigh(h)
 
@@ -118,7 +118,7 @@ def product_fidelity(us, vs) -> float:
     return float(min(abs(num) / np.sqrt(den), 1.0))
 
 
-def subspace_projector(basis, atol: float = ATOL_STRUCT) -> np.ndarray:
+def subspace_projector(basis) -> np.ndarray:
     """Projector sum_k |psi_k><psi_k| onto the span of orthonormal vectors.
 
     Raises
@@ -126,11 +126,11 @@ def subspace_projector(basis, atol: float = ATOL_STRUCT) -> np.ndarray:
     NotOrthonormalError
         If the Gram matrix of the input deviates from the identity.
     """
-    frame = _orthonormal_frame(basis, atol)
+    frame = _orthonormal_frame(basis)
     return frame @ frame.conj().T
 
 
-def _orthonormal_frame(vectors, atol: float = ATOL_STRUCT) -> np.ndarray:
+def _orthonormal_frame(vectors) -> np.ndarray:
     """The vectors as the columns of one d x r matrix, checked orthonormal.
 
     Raises
@@ -139,6 +139,6 @@ def _orthonormal_frame(vectors, atol: float = ATOL_STRUCT) -> np.ndarray:
         If the Gram matrix of the input deviates from the identity.
     """
     frame = np.asarray(list(vectors), dtype=np.complex128).T
-    if np.abs(frame.conj().T @ frame - np.eye(frame.shape[1])).max() > atol:
+    if np.abs(frame.conj().T @ frame - np.eye(frame.shape[1])).max() > ATOL_STRUCT:
         raise NotOrthonormalError("basis vectors are not orthonormal within tolerance")
     return frame

@@ -417,9 +417,9 @@ def _identity_infidelity(u: np.ndarray) -> float:
     return 1 - product_fidelity(reduced, np.broadcast_to(np.eye(2), reduced.shape))
 
 
-def fit_error_order(points, floor: float = 1e-13) -> float:
-    """Log-log slope of error versus dt, ignoring points at numerical floor."""
-    pts = [(dt, err) for dt, err in points if err > floor]
+def fit_error_order(points) -> float:
+    """Log-log slope of error versus dt, ignoring points at the 1e-13 floor."""
+    pts = [(dt, err) for dt, err in points if err > 1e-13]
     if len(pts) < 2:
         return float("nan")
     log_dt = np.log([p[0] for p in pts])

@@ -21,6 +21,7 @@ from .errors import (
     OddQubitCountError,
     TooFewQubitsError,
 )
+from .linalg import ATOL_NORM
 
 MAX_QUBITS = 8
 
@@ -295,13 +296,13 @@ class PauliSum:
             terms.append((complex(coef_txt), PauliString.from_label(label)))
         return cls.from_terms(n_qubits, terms)
 
-    def isclose(self, other: "PauliSum", atol: float = 1e-12) -> bool:
+    def isclose(self, other: "PauliSum") -> bool:
         if self.n_qubits != other.n_qubits:
             return False
         keys = {s.letters for _, s in self.terms} | {s.letters for _, s in other.terms}
         a = {s.letters: c for c, s in self.terms}
         b = {s.letters: c for c, s in other.terms}
-        return all(abs(a.get(k, 0) - b.get(k, 0)) <= atol for k in keys)
+        return all(abs(a.get(k, 0) - b.get(k, 0)) <= ATOL_NORM for k in keys)
 
 
 @dataclass(frozen=True)

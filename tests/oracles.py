@@ -1,15 +1,17 @@
 """Dense full-register oracles for the library's structured fast paths.
 
 Gates and code space. The library evolves a schedule in the code-space
-block and builds the transported frames from `barred_transform`. The
-oracles work on the whole register or bit by bit:
+block, bounds how far each segment moves the code space from the symbolic
+commutant split, and builds the transported frames from `barred_transform`.
+The oracles work on the whole register or bit by bit:
 
-    evolve_schedule     the product of full-register segment exponentials;
-    project_to_logical  a full-register operator in logical coordinates;
-    sector_projector    the dense projector onto one decoherence-free sector;
-    frame_groups        the transported frames, built state by state from
-                        the bits of the logical labels;
-    kron, is_unitary    the dense two-factor product and unitarity check.
+    evolve_schedule      the product of full-register segment exponentials;
+    project_to_logical   a full-register operator in logical coordinates;
+    invariance_residual  ||H B - B H_L||_2 from one dense SVD;
+    sector_projector     the dense projector onto one decoherence-free sector;
+    frame_groups         the transported frames, built state by state from
+                         the bits of the logical labels;
+    kron, is_unitary     the dense two-factor product and unitarity check.
 
 Decoupling. The library evaluates a decoupled schedule as a tensor product
 of the active factor and the idle per-qubit factors (`noise._factor_slices`,
@@ -90,6 +92,15 @@ def project_to_logical(u_physical: np.ndarray, basis: LogicalBasis) -> np.ndarra
     if u.shape != (dim, dim):
         raise DimensionMismatchError(f"expected {dim}x{dim} operator, got {u.shape}")
     return basis.states.conj() @ u @ basis.states.T
+
+
+def invariance_residual(hamiltonian, basis: LogicalBasis) -> float:
+    """||H B - B H_L||_2 = ||(I - P) H P||_2, with B = basis.states.T and
+    H_L = B† H B: how far H moves the code space, from one dense
+    2**N x 2**(N-2) SVD."""
+    b = basis.states.T
+    hb = hamiltonian.to_matrix() @ b
+    return float(np.linalg.norm(hb - b @ (b.conj().T @ hb), 2))
 
 
 def sector_projector(group: DecouplingGroup, sx: int, sz: int) -> np.ndarray:

@@ -132,9 +132,8 @@ def test_criterion_4_holonomy_certification():
     start = time.perf_counter()
     ok = True
     for n in (4, 6):
-        basis = build_logical_basis(n)
         for schedule in _all_schedules(n):
-            report = verify_holonomy(schedule, basis, samples_per_segment=8)
+            report = verify_holonomy(schedule, samples_per_segment=8)
             ok &= report.cyclic_defect <= 1e-9
             ok &= report.max_parallel_transport_violation <= 1e-9
             if schedule.kind == "u3":
@@ -144,11 +143,10 @@ def test_criterion_4_holonomy_certification():
 
 def test_criterion_5_u3_block_identity():
     start = time.perf_counter()
-    basis = build_logical_basis(4)
     v = barred_transform(2, (1, 2))
     ok = True
     for phi in np.linspace(0.0, np.pi, 10):
-        simulated = v.conj().T @ logical_gate(schedule_u3(4, 1, 2, phi), basis) @ v
+        simulated = v.conj().T @ logical_gate(schedule_u3(4, 1, 2, phi)) @ v
         _, _, assembled = u3_block_decomposition(phi)
         ok &= bool(np.abs(simulated - assembled).max() <= 1e-10)
     _report(5, "u3 block identity", ok, time.perf_counter() - start, 1.0)
@@ -223,21 +221,19 @@ def test_criterion_8_property_suites():
         p = subspace_projector(build_logical_basis(n).states)
         ok &= bool(np.abs(p @ p - p).max() <= 1e-12)
 
-    basis = build_logical_basis(4)
-
     # u1/u2 on one target commute up to a global phase at half-turn angles
     for theta in (0.0, np.pi / 2, np.pi):
         for theta_p in (0.0, np.pi / 2, np.pi):
-            a = logical_gate(schedule_u1(4, 1, theta), basis)
-            b = logical_gate(schedule_u2(4, 1, theta_p), basis)
+            a = logical_gate(schedule_u1(4, 1, theta))
+            b = logical_gate(schedule_u2(4, 1, theta_p))
             ok &= phase_invariant_fidelity(a @ b, b @ a) >= 1 - 1e-10
 
     # the two single-qubit families generate an X rotation
     t = 1.0
     w = (
-        logical_gate(schedule_u1(4, 1, np.pi / 4), basis)
-        @ logical_gate(schedule_u2(4, 1, t), basis)
-        @ logical_gate(schedule_u1(4, 1, -np.pi / 4), basis)
+        logical_gate(schedule_u1(4, 1, np.pi / 4))
+        @ logical_gate(schedule_u2(4, 1, t))
+        @ logical_gate(schedule_u1(4, 1, -np.pi / 4))
     )
     x1 = np.kron(np.array([[0, 1], [1, 0]]), np.eye(2))
     ok &= (
@@ -246,7 +242,7 @@ def test_criterion_8_property_suites():
     )
 
     # the entangling gate has operator Schmidt rank 2 at phi = pi/4
-    block = logical_gate(schedule_u3(4, 1, 2, np.pi / 4), basis)
+    block = logical_gate(schedule_u3(4, 1, 2, np.pi / 4))
     reshaped = block.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
     ok &= int(np.sum(np.linalg.svd(reshaped, compute_uv=False) > 1e-10)) == 2
 

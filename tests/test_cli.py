@@ -71,7 +71,7 @@ class TestVerify:
         assert out.strip().endswith("result: PASS")
 
     def test_bad_samples_refused_before_evolution(self, capsys, monkeypatch):
-        def no_evolution(schedule, basis, samples_per_segment):
+        def no_evolution(schedule, samples_per_segment):
             raise AssertionError("evolution ran")
 
         monkeypatch.setattr(cli, "verify_holonomy", no_evolution)
@@ -175,6 +175,18 @@ class TestSweep:
             )
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_grid_stays_within_range(self, capsys, tmp_path):
+        # A step that does not divide the range rounded up to 0.12 past hi.
+        out_path = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--eps-range", "0:0.1", "--delta-range", "0:0.1",
+            "--step", "0.06", "--out", str(out_path),
+        )
+        assert code == 0
+        rows = out_path.read_text().splitlines()[1:]
+        assert len(rows) == 4
+        assert all(0 <= float(row.split(",")[1]) <= 0.1 for row in rows)
 
     def test_bad_step_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -289,6 +301,12 @@ class TestInputValidation:
             assert (hi - lo) / step > MAX_GRID_STEPS
         else:
             assert 0 <= steps <= MAX_GRID_STEPS
+
+    def test_missing_config_is_config_error(self, tmp_path):
+        assert_config_error("verify", "--config", str(tmp_path / "absent.cfg"))
+
+    def test_out_directory_is_config_error(self, tmp_path):
+        assert_config_error("sweep", "--step", "0.05", "--out", str(tmp_path))
 
     def test_fine_step_refused_before_the_grid_exists(self):
         # ~2e11 points: the count is refused without building the list.
