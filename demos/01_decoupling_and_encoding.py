@@ -3,7 +3,9 @@
 Walks through the symbolic layer: build the global-pulse group on four
 qubits, average a fully general linear system-bath coupling over it (the
 result is the zero operator, term for term), and construct the invariant
-sector that carries two logical qubits out of four physical ones.
+sector that carries two logical qubits out of four physical ones. The
+two-body interactions that commute with the group act on that sector as
+encoded single-qubit Paulis: X_1 X_(j+1) as X_j and Z_(j+1) Z_N as Z_j.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from dfsgates import (
     commutes,
     dfs_decomposition,
     group_average,
+    logical_image,
     pauli_to_matrix,
     subspace_projector,
     symbolic_bath_average,
@@ -65,10 +68,15 @@ for element in group.elements:
 print("\nall logical states are +1 eigenvectors of every group element")
 
 # --- operators that act inside the code space ------------------------------
-print("\ncommutant generators (two-body, all commute with the group):")
+print("\ncommutant generators (two-body, all commute with the group) and the")
+print("logical operator each acts as on the code space:")
 for gen in commutant_generators(n):
     assert all(commutes(gen, g) for g in group.elements)
-    print("   ", gen.label)
+    image = logical_image(PauliSum.from_terms(n, [(1.0, gen)]))
+    # the stabilizer rule agrees with the dense compression B† g B
+    dense = basis.states.conj() @ pauli_to_matrix(gen) @ basis.states.T
+    assert np.allclose(image.to_matrix(), dense, atol=1e-12)
+    print(f"    {gen.label} -> {image.text()}")
 
 p = subspace_projector(basis.states)
 for gen in commutant_generators(n):

@@ -22,7 +22,7 @@ from .dfs import (
     basis_dump,
     build_logical_basis,
     dfs_decomposition,
-    logical_pauli,
+    logical_image,
 )
 from .errors import (
     BadIndexPairError,

@@ -8,7 +8,8 @@ the N-2 encoded qubits; its basis states are the two-branch superpositions
     even-parity r:  (|0>|r>|0> + |1>|NOT r>|1>) / sqrt(2)
     odd-parity  r:  (|1>|r>|0> + |0>|NOT r>|1>) / sqrt(2)
 
-with r the middle (N-2)-bit string, which is also the logical label.
+with r the middle (N-2)-bit string, which is also the logical label: an
+[[N, N-2]] stabilizer code with logical X_j = X_1 X_(j+1), Z_j = Z_(j+1) Z_N.
 """
 
 from __future__ import annotations
@@ -17,14 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionTooLargeError,
-    LogicalIndexError,
-    OddQubitCountError,
-    TooFewQubitsError,
-)
-from .linalg import ATOL_NORM, SIGMA_I, SIGMA_Y, SIGMA_Z, kron_all
-from .pauli import MAX_QUBITS, DecouplingGroup
+from .errors import DimensionTooLargeError, OddQubitCountError, TooFewQubitsError
+from .linalg import ATOL_NORM
+from .pauli import MAX_QUBITS, DecouplingGroup, PauliString, PauliSum, commutant_split
 
 _FLIP = str.maketrans("01", "10")
 
@@ -45,12 +41,15 @@ class LogicalBasis:
     def n_logical(self) -> int:
         return self.n_physical - 2
 
-    @property
-    def n_states(self) -> int:
-        return len(self.labels)
 
-    def state(self, label: str) -> np.ndarray:
-        return self.states[int(label, 2)]
+def _check_code_size(n: int) -> None:
+    """Refuse n physical qubits unless n is even and in 4..MAX_QUBITS."""
+    if n % 2:
+        raise OddQubitCountError(f"logical encoding needs even n, got {n}")
+    if n < 4:
+        raise TooFewQubitsError(f"logical encoding needs n >= 4, got {n}")
+    if n > MAX_QUBITS:
+        raise DimensionTooLargeError(f"logical encoding needs n <= {MAX_QUBITS}, got {n}")
 
 
 def build_logical_basis(n: int) -> LogicalBasis:
@@ -63,12 +62,7 @@ def build_logical_basis(n: int) -> LogicalBasis:
     DimensionTooLargeError
         n above MAX_QUBITS, refused before the 2**(n-2) x 2**n array exists.
     """
-    if n % 2:
-        raise OddQubitCountError(f"logical encoding needs even n, got {n}")
-    if n < 4:
-        raise TooFewQubitsError(f"logical encoding needs n >= 4, got {n}")
-    if n > MAX_QUBITS:
-        raise DimensionTooLargeError(f"logical encoding needs n <= {MAX_QUBITS}, got {n}")
+    _check_code_size(n)
     n_logical = n - 2
     dim = 2**n
     states = np.zeros((2**n_logical, dim), dtype=np.complex128)
@@ -110,12 +104,28 @@ def dfs_decomposition(group: DecouplingGroup) -> list[tuple[tuple[int, int, int,
     return sorted(out, key=lambda item: item[0], reverse=True)
 
 
-def logical_pauli(n_logical: int, which: str, j: int) -> np.ndarray:
-    """Dense I (x) ... (x) sigma_which (x) ... (x) I on logical slot j (1-indexed)."""
-    if not 1 <= j <= n_logical:
-        raise LogicalIndexError(f"logical index {j} outside 1..{n_logical}")
-    sigma = {"Y": SIGMA_Y, "Z": SIGMA_Z}[which]
-    return kron_all(sigma if i == j else SIGMA_I for i in range(1, n_logical + 1))
+def logical_image(h: PauliSum) -> PauliSum:
+    """B† h B on the N-2 logical qubits, B the basis of build_logical_basis(N).
+
+    A term that anticommutes with X...X or Z...Z maps the code space into
+    another sector: its image is 0. A commutant string is multiplied by
+    X...X if it has X or Y on qubit N, then by Z...Z if it has Y or Z on
+    qubit 1 (both act as +1 on the code space). The product is
+    i**k X_1**a (x) m (x) Z_N**b, the logical Paulis of the middle letters
+    m, which acts on the code space as i**k m. Refuses h on qubit counts
+    that build_logical_basis refuses.
+    """
+    n = h.n_qubits
+    _check_code_size(n)
+    x, z = PauliString.uniform(n, "X"), PauliString.uniform(n, "Z")
+    terms = []
+    for coef, string in commutant_split(h)[0].terms:
+        if string.letters[-1] in (1, 2):
+            string = string * x
+        if string.letters[0] in (2, 3):
+            string = string * z
+        terms.append((coef, PauliString(n - 2, string.letters[1:-1], string.phase)))
+    return PauliSum.from_terms(n - 2, terms)
 
 
 def basis_dump(basis: LogicalBasis) -> str:

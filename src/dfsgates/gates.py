@@ -11,13 +11,13 @@ rotations
     u3: exp(+i phi Y_k (x) Z_l)    (two segments, entangling)
 
 Commutant Hamiltonians commute with X...X and Z...Z, so they never leave
-the all-(+1) sector that holds the code space. The gate layer builds that
-code space from N and works in its 2**(N-2)-dimensional block: each
-segment is compressed to H_L = B† H B and eigendecomposed once. The weight
-of each segment's terms outside the commutant bounds how far it moves the
-code space, so a schedule that does leave it is still caught, with no
-residual measured (see verify_holonomy). The full-register propagator is
-kept as the test oracle, in tests/oracles.py.
+the all-(+1) sector that holds the code space. The gate layer works in its
+2**(N-2)-dimensional block and builds no basis: each segment's Pauli sum is
+compressed term by term to H_L by the stabilizer rule of logical_image and
+eigendecomposed once. The weight of each segment's terms outside the
+commutant bounds how far it moves the code space, so a schedule that does
+leave it is still caught (see verify_holonomy). The full-register
+propagator and the dense code basis are test oracles, in tests/oracles.py.
 
 The holonomy checker certifies the two defining properties of a
 non-adiabatic holonomy directly from the simulated trajectory: the moving
@@ -31,17 +31,18 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dfs import build_logical_basis, logical_pauli
+from .dfs import _check_code_size, logical_image
 from .errors import (
     BadIndexPairError,
     DfsGatesError,
     LeakageError,
+    LengthMismatchError,
     LogicalIndexError,
-    OddQubitCountError,
     TooFewQubitsError,
 )
 from .linalg import (
@@ -89,13 +90,6 @@ class HolonomyReport:
     subspace_swap: float | None  # u3 only
 
 
-def _check_n(n: int) -> None:
-    if n % 2:
-        raise OddQubitCountError(f"gate construction needs even n, got {n}")
-    if n < 4:
-        raise TooFewQubitsError(f"gate construction needs n >= 4, got {n}")
-
-
 def _check_logical(n: int, j: int) -> None:
     if not 1 <= j <= n - 2:
         raise LogicalIndexError(f"logical target {j} outside 1..{n - 2}")
@@ -120,7 +114,7 @@ def schedule_u1(n: int, j: int, theta: float) -> GateSchedule:
     Segment 1 is Z_(j+1) Z_n at area pi/2; segment 2 mixes that term with
     X_1 X_(j+1) by the gate angle, again at area pi/2.
     """
-    _check_n(n)
+    _check_code_size(n)
     _check_logical(n, j)
     h1 = _zz(n, j + 1, n)
     h1p = np.cos(theta) * h1 + np.sin(theta) * _xx(n, 1, j + 1)
@@ -136,7 +130,7 @@ def schedule_u2(n: int, j: int, theta: float) -> GateSchedule:
     Wraps the u1 pair between X_1 X_(j+1) segments of areas -pi/4 and
     +pi/4; the sign of the first area sets the rotation direction.
     """
-    _check_n(n)
+    _check_code_size(n)
     _check_logical(n, j)
     h2 = _xx(n, 1, j + 1)
     inner = schedule_u1(n, j, theta).segments
@@ -153,7 +147,7 @@ def schedule_u2(n: int, j: int, theta: float) -> GateSchedule:
 
 def schedule_u3(n: int, k: int, l: int, phi: float) -> GateSchedule:
     """Two-segment schedule for the entangling rotation exp(i phi Y_k Z_l)."""
-    _check_n(n)
+    _check_code_size(n)
     _check_pair(n, k, l)
     h3 = np.cos(phi) * _xx(n, 1, k + 1) + (-np.sin(phi)) * _zz(n, k + 1, l + 1)
     h3p = _xx(n, 1, k + 1)
@@ -165,7 +159,7 @@ def schedule_u3(n: int, k: int, l: int, phi: float) -> GateSchedule:
 
 @dataclass(frozen=True, eq=False)
 class _BlockSegment:
-    """One segment in code-space coordinates: H_L = B† H B with its
+    """One segment in code-space coordinates: H_L = logical_image(H), its
     eigendecomposition, and the bound eps_s on ||(I - P) H P|| (verify_holonomy)."""
 
     h: np.ndarray
@@ -184,12 +178,11 @@ class _BlockSegment:
 
 
 def _block_segments(schedule: GateSchedule) -> list[_BlockSegment]:
-    """Every segment compressed onto the code space B of schedule.n_physical
-    qubits, one 2**(N-2)-dimensional eigendecomposition each."""
-    b = _orthonormal_frame(build_logical_basis(schedule.n_physical).states)
+    """Every segment compressed onto the code space by the stabilizer rule
+    of logical_image, one 2**(N-2)-dimensional eigendecomposition each."""
     out = []
     for segment in schedule.segments:
-        h = b.conj().T @ segment.hamiltonian.apply(b)
+        h = logical_image(segment.hamiltonian).to_matrix()
         leaking = commutant_split(segment.hamiltonian)[1]
         out.append(_BlockSegment(h, *_eigh_hermitian(h), segment.area,
                                  sum(abs(c) for c, _ in leaking.terms)))
@@ -230,29 +223,19 @@ def leakage_of(block: np.ndarray) -> float:
 def analytic_target(schedule: GateSchedule) -> np.ndarray:
     """Closed-form logical gate the schedule should match up to global phase.
 
-    Built from explicit 2x2 rotation blocks rather than any matrix
-    exponential, so it is an independent reference for the evolved gate.
+    cos(theta) I - i sin(theta) P as a Pauli sum on the N-2 logical qubits,
+    with P = Y_j (u1), Z_j (u2) or -Y_k Z_l (u3): no matrix exponential, so
+    it is an independent reference for the evolved gate.
     """
-    n_logical = schedule.n_physical - 2
-    theta = schedule.angle
-    if schedule.kind == "u1":
-        rot = np.array(
-            [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]],
-            dtype=np.complex128,
-        )
-        return _embed(n_logical, {schedule.target[0]: rot})
-    if schedule.kind == "u2":
-        rot = np.diag([np.exp(-1j * theta), np.exp(1j * theta)])
-        return _embed(n_logical, {schedule.target[0]: rot})
-    if schedule.kind == "u3":
-        k, l = schedule.target
-        yz = logical_pauli(n_logical, "Y", k) @ logical_pauli(n_logical, "Z", l)
-        return np.cos(theta) * np.eye(2**n_logical) + 1j * np.sin(theta) * yz
-    raise ValueError(f"unknown schedule kind {schedule.kind!r}")
-
-
-def _embed(n_logical: int, blocks: dict[int, np.ndarray]) -> np.ndarray:
-    return kron_all(blocks.get(i, SIGMA_I) for i in range(1, n_logical + 1))
+    letters = {"u1": "Y", "u2": "Z", "u3": "YZ"}.get(schedule.kind)
+    if letters is None:
+        raise ValueError(f"unknown schedule kind {schedule.kind!r}")
+    n_logical, theta = schedule.n_physical - 2, schedule.angle
+    p = PauliString.from_sites(n_logical, dict(zip(schedule.target, letters)),
+                               phase=2 if schedule.kind == "u3" else 0)
+    return PauliSum.from_terms(
+        n_logical, [(np.cos(theta), PauliString.identity(n_logical)), (-1j * np.sin(theta), p)]
+    ).to_matrix()
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +284,12 @@ def verify_holonomy(schedule: GateSchedule, samples_per_segment: int = 8) -> Hol
     cyclic-frame and no-dynamical-phase conditions numerically.
 
     Code-space block. With B the logical basis of schedule.n_physical
-    qubits as columns (checked orthonormal) and P = B B†, each segment
-    Hamiltonian H_s enters only as its block H_L,s = B† H_s B of dimension
-    2**(N-2), eigendecomposed once. One pass over the segments gives the
-    logical gate M = prod exp(-i a_s H_L,s) (earliest rightmost), the
-    frame trajectory, the transport samples and the swap check.
+    qubits as columns and P = B B†, each segment Hamiltonian H_s enters
+    only as its block H_L,s = B† H_s B = logical_image(H_s) of dimension
+    2**(N-2), eigendecomposed once; B itself is never built. One pass over
+    the segments gives the logical gate M = prod exp(-i a_s H_L,s)
+    (earliest rightmost), the frame trajectory, the transport samples and
+    the swap check.
 
     Frames. The frame F of _transported_frame, the barred states on the
     target slots in code-space coordinates, is moved as G = u(t) F.
@@ -462,31 +446,42 @@ def schedule_to_json(schedule: GateSchedule) -> str:
     )
 
 
+def _field(data, key: str, types: tuple[type, ...], what: str, where: str = "schedule"):
+    """data[key] if data is a JSON object and the value is of one of types (a
+    bool is no number), numbers within double range, else a DfsGatesError."""
+    value = data.get(key) if type(data) is dict else None
+    if type(value) not in types or (float in types and not abs(value) <= sys.float_info.max):
+        raise DfsGatesError(f"{where} field {key!r} must be {what}, got {value!r}")
+    return value
+
+
 def schedule_from_json(text: str) -> GateSchedule:
     """Parse and validate a schedule written by schedule_to_json.
 
     Raises
     ------
     DfsGatesError
-        Unknown kind, non-integer qubit count or target, or a non-finite
-        angle or area.
-    OddQubitCountError, TooFewQubitsError
-        n_physical odd or below 4.
-    LogicalIndexError, BadIndexPairError
-        A target of the wrong arity for the kind, or out of range.
-    LengthMismatchError
-        A Hamiltonian written on a qubit count other than n_physical.
-    DfsGatesError
-        A Hamiltonian term that anticommutes with X...X or Z...Z: it would
-        move states out of the code space, where the gate layer evolves.
+        Text that is not a JSON object; a missing or mistyped field, named
+        in the message; an unknown kind; a non-finite angle or area; a
+        Hamiltonian that does not parse, is written on another qubit count
+        (LengthMismatchError), has a complex or non-finite coefficient, or
+        has a term that anticommutes with X...X or Z...Z (it would leave
+        the code space, where the gate layer evolves). Subclasses name a
+        refused n_physical (odd, below 4, above MAX_QUBITS) or target.
     """
-    data = json.loads(text)
-    kind, n, target = data["kind"], data["n_physical"], tuple(data["target"])
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DfsGatesError(f"schedule is not valid JSON: {exc}") from exc
+    kind = _field(data, "kind", (str,), "a string")
+    n = _field(data, "n_physical", (int,), "an integer")
+    target = tuple(_field(data, "target", (list,), "a list of integers"))
+    angle = _field(data, "angle", (int, float), "a finite number")
     if kind not in ("u1", "u2", "u3"):
         raise DfsGatesError(f"unknown schedule kind {kind!r}")
-    if not all(type(v) is int for v in (n, *target)):
-        raise DfsGatesError(f"n_physical and target must be integers, got {n!r}, {target!r}")
-    _check_n(n)
+    if not all(type(v) is int for v in target):
+        raise DfsGatesError(f"target must be integers, got {target!r}")
+    _check_code_size(n)
     if kind == "u3":
         if len(target) != 2:
             raise BadIndexPairError(f"u3 needs a target pair (k, l), got {target}")
@@ -495,18 +490,22 @@ def schedule_from_json(text: str) -> GateSchedule:
         if len(target) != 1:
             raise LogicalIndexError(f"{kind} needs one logical target, got {target}")
         _check_logical(n, *target)
-    numbers = [data["angle"], *(seg["area"] for seg in data["segments"])]
-    if not all(math.isfinite(x) for x in numbers):
-        raise DfsGatesError(f"angle and areas must be finite, got {numbers}")
-    segments = tuple(
-        ScheduleSegment(PauliSum.from_text(n, seg["hamiltonian"]), seg["area"])
-        for seg in data["segments"]
-    )
-    for index, segment in enumerate(segments):
-        leaking = commutant_split(segment.hamiltonian)[1]
+    segments = []
+    for index, seg in enumerate(_field(data, "segments", (list,), "a list of segments")):
+        where = f"segment {index}"
+        spec = _field(seg, "hamiltonian", (str,), "a Pauli-sum string", where)
+        area = _field(seg, "area", (int, float), "a finite number", where)
+        try:
+            h = PauliSum.from_text(n, spec)
+        except LengthMismatchError:
+            raise
+        except ValueError as exc:
+            raise DfsGatesError(f"{where} hamiltonian {spec!r} does not parse") from exc
+        if not all(c.imag == 0 and math.isfinite(c.real) for c, _ in h.terms):
+            raise DfsGatesError(f"{where} hamiltonian {spec!r} needs real, finite coefficients")
+        leaking = commutant_split(h)[1]
         if leaking.terms:
-            raise DfsGatesError(
-                f"segment {index} term {leaking.terms[0][1].label} anticommutes with X...X "
-                "or Z...Z and would leave the code space"
-            )
-    return GateSchedule(kind, n, target, data["angle"], segments)
+            raise DfsGatesError(f"{where} term {leaking.terms[0][1].label} anticommutes with "
+                                "X...X or Z...Z and would leave the code space")
+        segments.append(ScheduleSegment(h, area))
+    return GateSchedule(kind, n, target, angle, tuple(segments))

@@ -226,15 +226,6 @@ class PauliSum:
             out[rows, cols] += coef * entries
         return out
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """to_matrix() @ x for a d x m block x, without the dense matrix:
-        each term signs and permutes the rows of x, O(d) per column."""
-        out = np.zeros(np.shape(x), dtype=np.complex128)
-        for coef, string in self.terms:
-            rows, _, entries = _signed_permutation(string)
-            out[rows] += (coef * entries)[:, None] * x
-        return out
-
     def embedded(self, n_total: int) -> "PauliSum":
         return PauliSum.from_terms(
             n_total, ((c, s.embedded(n_total)) for c, s in self.terms)

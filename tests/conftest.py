@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+
+from dfsgates.pauli import PauliString
 
 
 def kron_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -44,6 +48,13 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (z + z.conj().T) / 2
+
+
+def two_body_strings(n: int):
+    """Every n-qubit string with non-identity letters on exactly two qubits."""
+    for a, b in itertools.combinations(range(1, n + 1), 2):
+        for la, lb in itertools.product("XYZ", repeat=2):
+            yield PauliString.from_sites(n, {a: la, b: lb})
 
 
 @pytest.fixture

@@ -112,7 +112,7 @@ def test_criterion_2_dfs_structure():
         vec = np.zeros(16, dtype=complex)
         for idx, amp in entries.items():
             vec[idx] = amp
-        ok &= bool(np.abs(basis.state(label) - vec).max() <= 1e-12)
+        ok &= bool(np.abs(basis.states[int(label, 2)] - vec).max() <= 1e-12)
     _report(2, "DFS structure", ok, time.perf_counter() - start, 1.0)
 
 

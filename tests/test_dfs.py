@@ -7,22 +7,25 @@ from dfsgates.dfs import (
     basis_dump,
     build_logical_basis,
     dfs_decomposition,
-    logical_pauli,
+    logical_image,
 )
 from dfsgates.errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
-    LogicalIndexError,
     OddQubitCountError,
     TooFewQubitsError,
 )
-from dfsgates.linalg import SIGMA_I, SIGMA_Y, subspace_projector
+from dfsgates.linalg import subspace_projector
 from dfsgates.pauli import (
+    PauliString,
+    PauliSum,
     build_decoupling_group,
     commutant_generators,
+    commutant_split,
     pauli_to_matrix,
 )
-from oracles import kron, project_to_logical, sector_projector
+from conftest import two_body_strings
+from oracles import project_to_logical, sector_projector
 
 RSQRT2 = 1 / np.sqrt(2)
 
@@ -40,7 +43,7 @@ class TestLogicalBasis:
         basis = build_logical_basis(4)
         assert basis.labels == ("00", "01", "10", "11")
         for label, entries in N4_TABLE.items():
-            vec = basis.state(label)
+            vec = basis.states[int(label, 2)]
             expected = np.zeros(16, dtype=complex)
             for idx, amp in entries.items():
                 expected[idx] = amp
@@ -56,7 +59,7 @@ class TestLogicalBasis:
 
     def test_n6_shape(self):
         basis = build_logical_basis(6)
-        assert basis.n_states == 16
+        assert len(basis.labels) == 16
         assert np.allclose(basis.states.conj() @ basis.states.T, np.eye(16), atol=1e-12)
         # every state is an equal two-term superposition
         for vec in basis.states:
@@ -114,23 +117,61 @@ class TestSectorDecomposition:
                 assert np.linalg.norm(comp @ g @ p, 2) <= 1e-12
 
 
-class TestLogicalOperators:
-    def test_z1_diagonal(self):
-        n_logical = build_logical_basis(4).n_logical
-        assert np.allclose(logical_pauli(n_logical, "Z", 1), np.diag([1, 1, -1, -1]))
+class TestLogicalImage:
+    """The stabilizer rule against the dense compression B† S B of the
+    basis build_logical_basis constructs."""
 
-    def test_y2_form(self):
-        n_logical = build_logical_basis(4).n_logical
-        assert np.allclose(logical_pauli(n_logical, "Y", 2), kron(SIGMA_I, SIGMA_Y))
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_generators_are_encoded_single_qubit_paulis(self, n):
+        gens = commutant_generators(n)
+        for j in range(1, n - 1):
+            for gen, letter in ((gens[j - 1], "X"), (gens[n - 3 + j], "Z")):
+                image = logical_image(PauliSum.from_terms(n, [(1.0, gen)]))
+                assert image == PauliSum.from_terms(
+                    n - 2, [(1.0, PauliString.from_sites(n - 2, {j: letter}))]
+                )
 
-    def test_anticommutation_same_target(self):
-        y = logical_pauli(2, "Y", 1)
-        z = logical_pauli(2, "Z", 1)
-        assert np.allclose(y @ z + z @ y, np.zeros((4, 4)), atol=1e-12)
+    @pytest.mark.parametrize("n, commutant", [(4, 18), (6, 45), (8, 84)])
+    def test_every_two_body_string_matches_dense_compression(self, n, commutant):
+        basis = build_logical_basis(n)
+        kept = 0
+        for string in two_body_strings(n):
+            h = PauliSum.from_terms(n, [(1.0, string)])
+            image, dense = logical_image(h), project_to_logical(h.to_matrix(), basis)
+            if commutant_split(h)[1].is_zero():
+                kept += 1
+                assert image.n_terms == 1
+                assert np.abs(image.to_matrix() - dense).max() <= 1e-15
+            else:
+                assert image.is_zero()
+                assert np.abs(dense).max() <= 1e-15
+        assert kept == commutant
 
-    def test_index_out_of_range(self):
-        with pytest.raises(LogicalIndexError):
-            logical_pauli(2, "Y", 3)
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_random_strings_match_dense_compression(self, n, rng):
+        basis = build_logical_basis(n)
+        for _ in range(60):
+            letters = tuple(int(c) for c in rng.integers(0, 4, n))
+            h = PauliSum.from_terms(n, [(1.0, PauliString(n, letters, int(rng.integers(4))))])
+            dense = project_to_logical(h.to_matrix(), basis)
+            assert np.abs(logical_image(h).to_matrix() - dense).max() <= 1e-15
+
+    def test_random_sums_are_compressed_term_by_term(self, rng):
+        n = 6
+        basis = build_logical_basis(n)
+        for _ in range(10):
+            h = PauliSum.from_terms(n, [
+                (complex(*rng.normal(size=2)), PauliString(n, tuple(rng.integers(0, 4, n))))
+                for _ in range(8)
+            ])
+            dense = project_to_logical(h.to_matrix(), basis)
+            assert np.abs(logical_image(h).to_matrix() - dense).max() <= 1e-14
+
+    def test_refuses_what_the_encoding_refuses(self):
+        for n, error in ((5, OddQubitCountError), (2, TooFewQubitsError),
+                         (10, DimensionTooLargeError)):
+            with pytest.raises(error):
+                logical_image(PauliSum.zero(n))
 
 
 class TestProjectToLogical:
@@ -149,7 +190,7 @@ class TestProjectToLogical:
         basis = build_logical_basis(4)
         outside = np.zeros(16, dtype=complex)
         outside[1] = 1.0  # |0001> has odd weight, not in the code space
-        state = basis.state("00")
+        state = basis.states[int("00", 2)]
         u = np.eye(16, dtype=complex)
         u = u - np.outer(state, state.conj()) - np.outer(outside, outside.conj())
         u = u + np.outer(outside, state.conj()) + np.outer(state, outside.conj())

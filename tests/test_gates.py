@@ -8,10 +8,11 @@ import pytest
 import dfsgates.gates as gates
 import dfsgates.linalg as linalg
 from dfsgates.cli import main
-from dfsgates.dfs import build_logical_basis, logical_pauli
+from dfsgates.dfs import build_logical_basis
 from dfsgates.errors import (
     BadIndexPairError,
     DfsGatesError,
+    DimensionTooLargeError,
     LeakageError,
     LengthMismatchError,
     LogicalIndexError,
@@ -40,7 +41,13 @@ from dfsgates.linalg import (
     spectral_norm,
     subspace_projector,
 )
-from dfsgates.pauli import PauliString, PauliSum, build_decoupling_group, commutes
+from dfsgates.pauli import (
+    PauliString,
+    PauliSum,
+    build_decoupling_group,
+    commutes,
+    pauli_to_matrix,
+)
 from oracles import (
     evolve_schedule,
     frame_groups,
@@ -137,6 +144,14 @@ class TestScheduleConstruction:
         with pytest.raises(BadIndexPairError):
             schedule_u3(4, 1, 1, 0.1)
 
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_register_above_max_qubits_refused(self, n):
+        for build in (schedule_u1, schedule_u2):
+            with pytest.raises(DimensionTooLargeError):
+                build(n, 1, 0.5)
+        with pytest.raises(DimensionTooLargeError):
+            schedule_u3(n, 1, 2, 0.5)
+
 
 class TestEvolution:
     def test_empty_schedule_is_identity(self):
@@ -183,7 +198,7 @@ class TestEvolution:
         basis = build_logical_basis(6)
         phi = 0.8
         block = project_to_logical(evolve_schedule(schedule_u3(6, 2, 3, phi)), basis)
-        yz = logical_pauli(4, "Y", 2) @ logical_pauli(4, "Z", 3)
+        yz = pauli_to_matrix(PauliString.from_sites(4, {2: "Y", 3: "Z"}))
         target = np.cos(phi) * np.eye(16) + 1j * np.sin(phi) * yz
         assert phase_invariant_fidelity(block, target) >= 1 - 1e-12
 
@@ -192,7 +207,7 @@ class TestEvolution:
         basis = build_logical_basis(6)
         phi = 0.33
         block = project_to_logical(evolve_schedule(schedule_u3(6, 1, 2, phi)), basis)
-        yz = logical_pauli(4, "Y", 1) @ logical_pauli(4, "Z", 2)
+        yz = pauli_to_matrix(PauliString.from_sites(4, {1: "Y", 2: "Z"}))
         assert np.allclose(
             block, -(np.cos(phi) * np.eye(16) + 1j * np.sin(phi) * yz), atol=1e-12
         )
@@ -619,6 +634,11 @@ class TestScheduleFromJsonValidation:
         with pytest.raises(TooFewQubitsError):
             schedule_from_json(edited_json(schedule_u1(4, 1, 0.3), n_physical=2))
 
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_qubit_count_above_max_qubits(self, n):
+        with pytest.raises(DimensionTooLargeError):
+            schedule_from_json(edited_json(schedule_u1(4, 1, 0.3), n_physical=n))
+
     def test_non_integer_qubit_count(self):
         with pytest.raises(DfsGatesError, match="integer"):
             schedule_from_json(edited_json(schedule_u1(4, 1, 0.3), n_physical=4.0))
@@ -665,4 +685,40 @@ class TestScheduleFromJsonValidation:
         data = json.loads(schedule_to_json(schedule_u1(6, 1, 0.3)))
         data["n_physical"] = 4
         with pytest.raises(LengthMismatchError):
+            schedule_from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("text", ["", "{", "[]", "5", '"u1"', "null"])
+    def test_text_that_is_not_a_json_object(self, text):
+        with pytest.raises(DfsGatesError, match="JSON|field"):
+            schedule_from_json(text)
+
+    @pytest.mark.parametrize("edit, names", [
+        (lambda d: d.pop("kind"), "kind"),
+        (lambda d: d.update(n_physical=True), "n_physical"),
+        (lambda d: d.update(target=1), "target"),
+        (lambda d: d.update(target=["1"]), "target"),
+        (lambda d: d.update(angle="0.3"), "angle"),
+        (lambda d: d.update(angle=10**400), "angle"),
+        (lambda d: d.pop("segments"), "segments"),
+        (lambda d: d.update(segments=5), "segments"),
+        (lambda d: d["segments"].__setitem__(1, 5), "segment 1"),
+        (lambda d: d["segments"][0].update(area="x"), "area"),
+        (lambda d: d["segments"][0].update(area=None), "area"),
+        (lambda d: d["segments"][0].update(area=-10**400), "area"),
+        (lambda d: d["segments"][0].pop("area"), "area"),
+        (lambda d: d["segments"][0].pop("hamiltonian"), "hamiltonian"),
+        (lambda d: d["segments"][0].update(hamiltonian=1.0), "hamiltonian"),
+        (lambda d: d["segments"][0].update(hamiltonian="1.0*+XQII"), "hamiltonian"),
+        (lambda d: d["segments"][0].update(hamiltonian="+XXII"), "hamiltonian"),
+        (lambda d: d["segments"][0].update(hamiltonian="one*+XXII"), "hamiltonian"),
+        (lambda d: d["segments"][0].update(hamiltonian="nan*+XXII"), "real, finite"),
+        (lambda d: d["segments"][0].update(hamiltonian="inf*+XXII"), "real, finite"),
+        (lambda d: d["segments"][0].update(hamiltonian="-inf*+XXII"), "real, finite"),
+        (lambda d: d["segments"][0].update(hamiltonian="1j*+XXII"), "real, finite"),
+        (lambda d: d["segments"][0].update(hamiltonian="1.0*+iXXII"), "real, finite"),
+    ])
+    def test_malformed_field_is_named(self, edit, names):
+        data = json.loads(schedule_to_json(schedule_u2(4, 1, 0.3)))
+        edit(data)
+        with pytest.raises(DfsGatesError, match=names):
             schedule_from_json(json.dumps(data))
