@@ -11,10 +11,11 @@ encoded single-qubit Paulis: X_1 X_(j+1) as X_j and Z_(j+1) Z_N as Z_j.
 import numpy as np
 
 from dfsgates import (
+    ATOL_NORM,
     BathModel,
+    LogicalBasis,
     PauliString,
     PauliSum,
-    basis_dump,
     build_decoupling_group,
     build_logical_basis,
     commutant_generators,
@@ -22,12 +23,29 @@ from dfsgates import (
     dfs_decomposition,
     group_average,
     logical_image,
-    pauli_to_matrix,
-    subspace_projector,
     symbolic_bath_average,
 )
 
 n = 4
+
+
+def basis_dump(basis: LogicalBasis) -> str:
+    """One line per state: "label : coeff|bits⟩ + coeff|bits⟩"."""
+    lines = []
+    width = basis.n_physical
+    for label, vec in zip(basis.labels, basis.states):
+        parts = [
+            f"{vec[idx].real:.12f}|{format(idx, f'0{width}b')}⟩"
+            for idx in np.nonzero(np.abs(vec) > ATOL_NORM)[0]
+        ]
+        lines.append(f"{label} : " + " + ".join(parts))
+    return "\n".join(lines)
+
+
+def matrix(string: PauliString) -> np.ndarray:
+    """Dense matrix of one Pauli string, phase included."""
+    return PauliSum.from_terms(string.n_qubits, [(1.0, string)]).to_matrix()
+
 
 # --- the group -------------------------------------------------------------
 group = build_decoupling_group(n)
@@ -63,7 +81,7 @@ print(basis_dump(basis))
 
 # every logical state is a +1 eigenvector of every group element
 for element in group.elements:
-    m = pauli_to_matrix(element)
+    m = matrix(element)
     assert np.allclose(m @ basis.states.T, basis.states.T, atol=1e-12)
 print("\nall logical states are +1 eigenvectors of every group element")
 
@@ -74,13 +92,13 @@ for gen in commutant_generators(n):
     assert all(commutes(gen, g) for g in group.elements)
     image = logical_image(PauliSum.from_terms(n, [(1.0, gen)]))
     # the stabilizer rule agrees with the dense compression B† g B
-    dense = basis.states.conj() @ pauli_to_matrix(gen) @ basis.states.T
+    dense = basis.states.conj() @ matrix(gen) @ basis.states.T
     assert np.allclose(image.to_matrix(), dense, atol=1e-12)
     print(f"    {gen.label} -> {image.text()}")
 
-p = subspace_projector(basis.states)
+p = basis.states.T @ basis.states.conj()  # projector onto the code space
 for gen in commutant_generators(n):
-    g = pauli_to_matrix(gen)
+    g = matrix(gen)
     leak = np.linalg.norm((np.eye(2**n) - p) @ g @ p, 2)
     assert leak <= 1e-12
 print("each generator preserves the code space to machine precision")

@@ -16,12 +16,11 @@ from dfsgates import (
     barred_transform,
     leakage_of,
     logical_gate,
-    phase_invariant_fidelity,
+    product_fidelity,
     schedule_to_json,
     schedule_u1,
     schedule_u2,
     schedule_u3,
-    u3_block_decomposition,
     verify_holonomy,
 )
 
@@ -39,7 +38,7 @@ print("as JSON:", schedule_to_json(s1)[:80], "...")
 # --- evolve and compare against the closed forms ----------------------------
 for schedule in (s1, schedule_u2(n, 1, theta), schedule_u3(n, 1, 2, phi)):
     block = logical_gate(schedule)
-    fid = phase_invariant_fidelity(block, analytic_target(schedule))
+    fid = product_fidelity([block], [analytic_target(schedule)])
     print(
         f"\n{schedule.kind} target={schedule.target} angle={schedule.angle:.4f}: "
         f"fidelity to closed form = {fid:.15f}, leakage = {leakage_of(block):.2e}"
@@ -59,7 +58,17 @@ swap = verify_holonomy(schedule_u3(n, 1, 2, phi)).subspace_swap
 print(f"u3 mid-sequence subspace swap defect: {swap:.2e}")
 
 # --- the entangling gate block by block --------------------------------------
-a, b, assembled = u3_block_decomposition(phi)
+# In the barred basis of the two targets, the two segment generators have
+# the unitary off-diagonal blocks A and B, and the gate is
+# U = -diag(B A†, B† A).
+a = np.array(
+    [[-1j * np.cos(phi), -np.sin(phi)], [-np.sin(phi), -1j * np.cos(phi)]],
+    dtype=np.complex128,
+)
+b = -1j * np.eye(2, dtype=np.complex128)
+assembled = np.zeros((4, 4), dtype=np.complex128)
+assembled[:2, :2] = -(b @ a.conj().T)
+assembled[2:, 2:] = -(b.conj().T @ a)
 v = barred_transform(2, (1, 2))
 simulated = v.conj().T @ logical_gate(schedule_u3(n, 1, 2, phi)) @ v
 print("\nanalytic blocks at phi = pi/4:")

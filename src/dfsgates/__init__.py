@@ -3,7 +3,7 @@
 Layers, bottom up:
 
     linalg  dense kernels: tensor products, Hermitian exponentials,
-            phase-invariant fidelity, projectors
+            the phase-invariant fidelity of tensor products
     pauli   exact symbolic Pauli strings, the global decoupling group,
             group averaging onto the commutant
     dfs     the four invariant sectors and the logical-qubit encoding
@@ -13,13 +13,12 @@ Layers, bottom up:
             sweeps, decoupling-order probes
     cli     verify / sweep / decouple commands
 
-The full-register propagators and projectors that check these layers are
-test oracles, in tests/oracles.py.
+The full-register propagators, projectors and Pauli matrices that check
+these layers are test oracles, in tests/oracles.py.
 """
 
 from .dfs import (
     LogicalBasis,
-    basis_dump,
     build_logical_basis,
     dfs_decomposition,
     logical_image,
@@ -52,7 +51,6 @@ from .gates import (
     schedule_u1,
     schedule_u2,
     schedule_u3,
-    u3_block_decomposition,
     verify_holonomy,
 )
 from .linalg import (
@@ -61,9 +59,8 @@ from .linalg import (
     expm_hermitian,
     is_hermitian,
     kron_all,
-    phase_invariant_fidelity,
+    product_fidelity,
     spectral_norm,
-    subspace_projector,
 )
 from .noise import (
     BathModel,
@@ -88,7 +85,6 @@ from .pauli import (
     commutant_split,
     commutes,
     group_average,
-    pauli_to_matrix,
 )
 
 __version__ = "0.1.0"

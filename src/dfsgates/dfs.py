@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionTooLargeError, OddQubitCountError, TooFewQubitsError
-from .linalg import ATOL_NORM
 from .pauli import MAX_QUBITS, DecouplingGroup, PauliString, PauliSum, commutant_split
 
 _FLIP = str.maketrans("01", "10")
@@ -127,15 +126,3 @@ def logical_image(h: PauliSum) -> PauliSum:
         terms.append((coef, PauliString(n - 2, string.letters[1:-1], string.phase)))
     return PauliSum.from_terms(n - 2, terms)
 
-
-def basis_dump(basis: LogicalBasis) -> str:
-    """One line per state: "label : coeff|bits⟩ + coeff|bits⟩"."""
-    lines = []
-    width = basis.n_physical
-    for label, vec in zip(basis.labels, basis.states):
-        parts = [
-            f"{vec[idx].real:.12f}|{format(idx, f'0{width}b')}⟩"
-            for idx in np.nonzero(np.abs(vec) > ATOL_NORM)[0]
-        ]
-        lines.append(f"{label} : " + " + ".join(parts))
-    return "\n".join(lines)

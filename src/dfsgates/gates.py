@@ -366,24 +366,6 @@ def verify_holonomy(schedule: GateSchedule, samples_per_segment: int = 8) -> Hol
     )
 
 
-def u3_block_decomposition(phi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Analytic blocks of the entangling gate in the barred two-qubit basis.
-
-    Returns (A, B, U) where A and B are the unitary off-diagonal blocks of
-    the two segment generators and U = -diag(B A†, B† A) is the assembled
-    4x4 gate in the basis {|00>, |01>, |10>, |11>} of barred states.
-    """
-    a = np.array(
-        [[-1j * np.cos(phi), -np.sin(phi)], [-np.sin(phi), -1j * np.cos(phi)]],
-        dtype=np.complex128,
-    )
-    b = -1j * np.eye(2, dtype=np.complex128)
-    u = np.zeros((4, 4), dtype=np.complex128)
-    u[:2, :2] = -(b @ a.conj().T)
-    u[2:, 2:] = -(b.conj().T @ a)
-    return a, b, u
-
-
 def barred_transform(n_logical: int, slots: tuple[int, ...]) -> np.ndarray:
     """Basis-change matrix sending computational to barred states on `slots`.
 

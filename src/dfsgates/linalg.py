@@ -82,32 +82,29 @@ def _eigh_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(h)
 
 
-def phase_invariant_fidelity(u: np.ndarray, v: np.ndarray) -> float:
-    """|Tr(u v†)| / sqrt(Tr(u u†) Tr(v v†)).
+def product_fidelity(us, vs) -> float:
+    """|Tr(U V†)| / sqrt(Tr(U U†) Tr(V V†)) of the tensor products
+    U = (x)_f us[f] and V = (x)_f vs[f], from their factors.
 
-    Equals 1 exactly when v = e^{i gamma} u for some real gamma (for
+    Equals 1 exactly when V = e^{i gamma} U for some real gamma (for
     unitary inputs), and is insensitive to the global phase either way.
     Also well-defined for non-unitary inputs such as bath-reduced
-    propagators, where the normalization keeps it in [0, 1].
-    """
-    u = np.asarray(u, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.complex128)
-    if u.shape != v.shape:
-        raise DimensionMismatchError(f"shape mismatch: {u.shape} vs {v.shape}")
-    return product_fidelity([u], [v])
-
-
-def product_fidelity(us, vs) -> float:
-    """phase_invariant_fidelity of the tensor products (x)_f us[f] and
-    (x)_f vs[f], from their factors.
+    propagators, where the normalization keeps it in [0, 1]. Compare two
+    single matrices as product_fidelity([u], [v]).
 
     The trace overlap and the Frobenius norms of a tensor product are the
     products of the factors' own, and a permutation of the tensor factors
-    changes none of them. With one factor the arithmetic is exactly the
-    single-matrix formula.
+    changes none of them.
+
+    Raises
+    ------
+    DimensionMismatchError
+        A factor of us and its partner in vs differ in shape.
     """
     num, den = 1.0 + 0j, 1.0
     for u, v in zip(us, vs, strict=True):
+        if u.shape != v.shape:
+            raise DimensionMismatchError(f"shape mismatch: {u.shape} vs {v.shape}")
         # Tr(u v†) = sum_ij u_ij conj(v_ij): O(d^2) elementwise sums in place
         # of d x d products. np.sum adds pairwise; a flat np.vdot over the
         # d^2 terms drifts by ~1e-15 at d = 256, the products' own accuracy
@@ -116,18 +113,6 @@ def product_fidelity(us, vs) -> float:
         den *= np.sum(u * u.conj()).real * np.sum(v * v.conj()).real
     # Cauchy-Schwarz bounds |num| <= sqrt(den); clamp the last-ulp excess.
     return float(min(abs(num) / np.sqrt(den), 1.0))
-
-
-def subspace_projector(basis) -> np.ndarray:
-    """Projector sum_k |psi_k><psi_k| onto the span of orthonormal vectors.
-
-    Raises
-    ------
-    NotOrthonormalError
-        If the Gram matrix of the input deviates from the identity.
-    """
-    frame = _orthonormal_frame(basis)
-    return frame @ frame.conj().T
 
 
 def _orthonormal_frame(vectors) -> np.ndarray:

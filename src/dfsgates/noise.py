@@ -112,6 +112,11 @@ class BathModel:
     couplings: np.ndarray = field(repr=False)  # shape (n_system, 3), real
 
     def __post_init__(self):
+        if self.kind not in ("scalar", "qubit"):
+            raise ValueError(f"bath kind must be 'scalar' or 'qubit', got {self.kind!r}")
+        if np.shape(self.couplings) != (self.n_system, 3):
+            raise ValueError(f"bath couplings must have shape ({self.n_system}, 3), "
+                             f"got {np.shape(self.couplings)}")
         if not np.isfinite(self.couplings).all():
             raise ValueError("bath couplings must be finite")
 
@@ -129,10 +134,6 @@ class BathModel:
     @property
     def total_qubits(self) -> int:
         return self.n_system if self.kind == "scalar" else 2 * self.n_system
-
-    @property
-    def dim(self) -> int:
-        return 2**self.total_qubits
 
     def hamiltonian_sum(self) -> PauliSum:
         """The coupling as a symbolic Pauli sum on the model's full register."""

@@ -21,7 +21,6 @@ from .errors import (
     OddQubitCountError,
     TooFewQubitsError,
 )
-from .linalg import ATOL_NORM
 
 MAX_QUBITS = 8
 
@@ -81,13 +80,22 @@ class PauliString:
 
     @classmethod
     def from_label(cls, text: str) -> "PauliString":
-        """Parse the text form, e.g. "+XIZY", "-iYY", "ZZ" (implicit +)."""
+        """Parse the text form, e.g. "+XIZY", "-iYY", "ZZ" (implicit +).
+
+        Raises
+        ------
+        ValueError
+            A character of the string part is not one of I, X, Y, Z.
+        """
         body = text.strip()
         phase = 0
         for k, prefix in sorted(enumerate(_PHASE_LABELS), key=lambda p: -len(p[1])):
             if body.startswith(prefix):
                 phase, body = k, body[len(prefix):]
                 break
+        bad = next((ch for ch in body if ch not in _LETTERS), None)
+        if bad is not None:
+            raise ValueError(f"Pauli letter {bad!r} in {text!r} is not one of {_LETTERS}")
         letters = tuple(_LETTERS.index(ch) for ch in body)
         return cls(len(letters), letters, phase)
 
@@ -100,8 +108,8 @@ class PauliString:
         return _PHASE_VALUES[self.phase]
 
     def __mul__(self, other: "PauliString") -> "PauliString":
-        """Exact symbolic product; pauli_to_matrix(a * b) equals
-        pauli_to_matrix(a) @ pauli_to_matrix(b)."""
+        """Exact symbolic product: the matrix of a * b is the matrix of a
+        times the matrix of b."""
         if self.n_qubits != other.n_qubits:
             raise LengthMismatchError(f"{self.n_qubits} vs {other.n_qubits} qubits")
         phase = self.phase + other.phase
@@ -155,14 +163,6 @@ def _signed_permutation(p: PauliString) -> tuple[np.ndarray, np.ndarray, np.ndar
     cols = np.arange(2**p.n_qubits)
     unit = _PHASE_VALUES[(p.phase + p.letters.count(2)) % 4]
     return cols ^ x, cols, unit * _SIGNS[cols & z]
-
-
-def pauli_to_matrix(p: PauliString) -> np.ndarray:
-    """Dense 2**n matrix phase * (x) letter_i, qubit 1 leftmost."""
-    rows, cols, entries = _signed_permutation(p)
-    out = np.zeros((cols.size,) * 2, dtype=np.complex128)
-    out[rows, cols] = entries
-    return out
 
 
 @dataclass(frozen=True)
@@ -278,22 +278,29 @@ class PauliSum:
 
     @classmethod
     def from_text(cls, n_qubits: int, text: str) -> "PauliSum":
+        """Parse the form written by text().
+
+        Raises
+        ------
+        ValueError
+            A term is not "<coef>*<string>", its coefficient is not a
+            number, or its string has a letter outside I, X, Y, Z.
+        """
         text = text.strip()
         if text == "0":
             return cls.zero(n_qubits)
         terms = []
         for chunk in text.split(" + "):
+            if "*" not in chunk:
+                raise ValueError(f"term {chunk!r} is not of the form <coef>*<string>")
             coef_txt, label = chunk.split("*", 1)
-            terms.append((complex(coef_txt), PauliString.from_label(label)))
+            try:
+                coef = complex(coef_txt)
+            except ValueError:
+                raise ValueError(f"coefficient {coef_txt!r} of term {chunk!r} "
+                                 "is not a number") from None
+            terms.append((coef, PauliString.from_label(label)))
         return cls.from_terms(n_qubits, terms)
-
-    def isclose(self, other: "PauliSum") -> bool:
-        if self.n_qubits != other.n_qubits:
-            return False
-        keys = {s.letters for _, s in self.terms} | {s.letters for _, s in other.terms}
-        a = {s.letters: c for c, s in self.terms}
-        b = {s.letters: c for c, s in other.terms}
-        return all(abs(a.get(k, 0) - b.get(k, 0)) <= ATOL_NORM for k in keys)
 
 
 @dataclass(frozen=True)

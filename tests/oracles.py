@@ -11,7 +11,13 @@ The oracles work on the whole register or bit by bit:
     sector_projector     the dense projector onto one decoherence-free sector;
     frame_groups         the transported frames, built state by state from
                          the bits of the logical labels;
-    kron, is_unitary     the dense two-factor product and unitarity check.
+    kron, is_unitary     the dense two-factor product and unitarity check;
+    pauli_to_matrix      one Pauli string as a dense matrix;
+    sums_isclose         Pauli sums compared coefficient by coefficient;
+    subspace_projector   the projector onto the span of orthonormal vectors;
+    u3_block_decomposition
+                         the entangling gate's analytic 2x2 blocks in the
+                         barred basis.
 
 Decoupling. The library evaluates a decoupled schedule as a tensor product
 of the active factor and the idle per-qubit factors (`noise._factor_slices`,
@@ -48,7 +54,14 @@ import dfsgates.noise as noise
 from dfsgates.dfs import LogicalBasis
 from dfsgates.errors import BadPartitionError, DimensionMismatchError, DimensionTooLargeError
 from dfsgates.gates import GateSchedule
-from dfsgates.linalg import ATOL_STRUCT, expm_hermitian, kron_all, phase_invariant_fidelity
+from dfsgates.linalg import (
+    ATOL_NORM,
+    ATOL_STRUCT,
+    _orthonormal_frame,
+    expm_hermitian,
+    kron_all,
+    product_fidelity,
+)
 from dfsgates.noise import (
     IDEAL_PULSES,
     MAX_CYCLES_PER_SEGMENT,
@@ -57,7 +70,55 @@ from dfsgates.noise import (
     dd_cycle,
     single_qubit_pulse,
 )
-from dfsgates.pauli import DecouplingGroup, pauli_to_matrix
+from dfsgates.pauli import DecouplingGroup, PauliString, PauliSum, _signed_permutation
+
+
+def pauli_to_matrix(p: PauliString) -> np.ndarray:
+    """Dense 2**n matrix phase * (x) letter_i, qubit 1 leftmost."""
+    rows, cols, entries = _signed_permutation(p)
+    out = np.zeros((cols.size,) * 2, dtype=np.complex128)
+    out[rows, cols] = entries
+    return out
+
+
+def sums_isclose(h: PauliSum, other: PauliSum) -> bool:
+    """Whether two Pauli sums agree coefficient by coefficient within ATOL_NORM."""
+    if h.n_qubits != other.n_qubits:
+        return False
+    keys = {s.letters for _, s in h.terms} | {s.letters for _, s in other.terms}
+    a = {s.letters: c for c, s in h.terms}
+    b = {s.letters: c for c, s in other.terms}
+    return all(abs(a.get(k, 0) - b.get(k, 0)) <= ATOL_NORM for k in keys)
+
+
+def subspace_projector(basis) -> np.ndarray:
+    """Projector sum_k |psi_k><psi_k| onto the span of orthonormal vectors.
+
+    Raises
+    ------
+    NotOrthonormalError
+        If the Gram matrix of the input deviates from the identity.
+    """
+    frame = _orthonormal_frame(basis)
+    return frame @ frame.conj().T
+
+
+def u3_block_decomposition(phi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Analytic blocks of the entangling gate in the barred two-qubit basis.
+
+    Returns (A, B, U) where A and B are the unitary off-diagonal blocks of
+    the two segment generators and U = -diag(B A†, B† A) is the assembled
+    4x4 gate in the basis {|00>, |01>, |10>, |11>} of barred states.
+    """
+    a = np.array(
+        [[-1j * np.cos(phi), -np.sin(phi)], [-np.sin(phi), -1j * np.cos(phi)]],
+        dtype=np.complex128,
+    )
+    b = -1j * np.eye(2, dtype=np.complex128)
+    u = np.zeros((4, 4), dtype=np.complex128)
+    u[:2, :2] = -(b @ a.conj().T)
+    u[2:, 2:] = -(b.conj().T @ a)
+    return a, b, u
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -200,9 +261,9 @@ def decoupled_propagator(slices, bath, plan, errors) -> np.ndarray:
     """Product over segments of one XY-4 cycle P_y F P_x F P_y F P_x F of
     the segment's slice F, with dense global pulses, raised to
     cycles_per_segment."""
-    p_x = pulse("x", bath.n_system, errors, total_dim=bath.dim)
-    p_y = pulse("y", bath.n_system, errors, total_dim=bath.dim)
-    u = np.eye(bath.dim, dtype=np.complex128)
+    p_x = pulse("x", bath.n_system, errors, total_dim=2**bath.total_qubits)
+    p_y = pulse("y", bath.n_system, errors, total_dim=2**bath.total_qubits)
+    u = np.eye(2**bath.total_qubits, dtype=np.complex128)
     for f in slices:
         cycle = p_y @ f @ p_x @ f @ p_y @ f @ p_x @ f
         u = np.linalg.matrix_power(cycle, plan.cycles_per_segment) @ u
@@ -218,7 +279,7 @@ def interleave(schedule, bath, plan, errors: DDErrorModel = IDEAL_PULSES) -> np.
 def interleave_oracle(schedule, bath, plan, errors) -> np.ndarray:
     """Pulse-by-pulse XY-4 threading: after each of the 4 * cycles slices of
     a segment, one global pulse, axes X, Y, X, Y, ..."""
-    dim = bath.dim
+    dim = 2**bath.total_qubits
     bath_h = hamiltonian_matrix(bath)
     slices = 4 * plan.cycles_per_segment
     u = np.eye(dim, dtype=np.complex128)
@@ -301,7 +362,7 @@ def dense_decoupling_order_probe(
                 f"outside 1..{MAX_CYCLES_PER_SEGMENT}"
             )
         u = np.linalg.matrix_power(dd_cycle(h, dt, n_system=bath.n_system), cycles)
-        err = 1 - phase_invariant_fidelity(reduced_system_propagator(u, bath), eye)
+        err = 1 - product_fidelity([reduced_system_propagator(u, bath)], [eye])
         out.append((float(dt), float(err)))
     return out
 
@@ -309,6 +370,6 @@ def dense_decoupling_order_probe(
 def dense_bare_evolution_error(bath: BathModel, total_time: float) -> float:
     """`noise.bare_evolution_error` on the full register."""
     u = expm_hermitian(hamiltonian_matrix(bath), total_time)
-    return 1 - phase_invariant_fidelity(
-        reduced_system_propagator(u, bath), np.eye(2**bath.n_system)
+    return 1 - product_fidelity(
+        [reduced_system_propagator(u, bath)], [np.eye(2**bath.n_system)]
     )

@@ -264,6 +264,11 @@ def assert_config_error(*argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def out_flag(command, out_csv):
+    """--out for the one command that writes a file, nothing for the others."""
+    return ["--out", str(out_csv)] if command == "sweep" else []
+
+
 @pytest.fixture(scope="module")
 def out_csv(tmp_path_factory):
     """Where a sweep would write; module-scoped so hypothesis can reuse it."""
@@ -328,19 +333,19 @@ class TestInputValidation:
 
     @settings(max_examples=30, deadline=None)
     @given(width=st.one_of(not_finite, st.floats(max_value=0.0, exclude_max=True)),
-           command=st.sampled_from(["sweep", "decouple", "verify"]))
+           command=st.sampled_from(["sweep", "decouple"]))
     def test_bath_width_must_be_finite_and_non_negative(self, out_csv, width, command):
         assert_config_error(command, "--bath", "scalar", f"--bath-width={width!r}",
-                            "--out", str(out_csv))
+                            *out_flag(command, out_csv))
 
     @settings(max_examples=30, deadline=None)
     @given(width=st.floats(min_value=MAX_BATH_WIDTH, exclude_min=True, allow_infinity=False),
-           command=st.sampled_from(["sweep", "decouple", "verify"]))
+           command=st.sampled_from(["sweep", "decouple"]))
     def test_bath_width_bounded_above(self, out_csv, width, command):
         # sweep --bath-width 1e300 exited 0 and wrote fidelities that carry
         # no significant digit.
         code, err = run_quiet(command, "--bath", "scalar", f"--bath-width={width!r}",
-                              "--out", str(out_csv))
+                              *out_flag(command, out_csv))
         assert code == 2
         assert err.startswith("error: bath_width must be in") and "Traceback" not in err
         assert not out_csv.exists()
@@ -356,7 +361,7 @@ class TestInputValidation:
     def test_n_outside_even_range_refused(self, out_csv, n, command):
         # verify --n 16 used to allocate the 2**14 x 2**16 logical basis
         # (16 GiB) before any check ran.
-        assert_config_error(command, f"--n={n}", "--out", str(out_csv))
+        assert_config_error(command, f"--n={n}", *out_flag(command, out_csv))
         assert not out_csv.exists()
 
     @settings(max_examples=30, deadline=None)
@@ -382,14 +387,16 @@ class TestInputValidation:
         assert err.startswith("error: cycles per segment") and "Traceback" not in err
         assert not out_csv.exists()
 
-    @pytest.mark.parametrize("line", ["gate = u9", "bath = foo"])
-    @pytest.mark.parametrize("command", ["verify", "sweep", "decouple"])
+    @pytest.mark.parametrize("line, command", [
+        ("gate = u9", "verify"), ("gate = u9", "sweep"),
+        ("bath = foo", "sweep"), ("bath = foo", "decouple"),
+    ])
     def test_config_gate_and_bath_must_be_parser_choices(self, out_csv, line, command):
         # The parser's choices never see config-file values: gate = u9 ran
         # u3 and printed "verify u9 ... PASS", bath = foo ran the qubit bath.
         cfg = out_csv.parent / "choices.cfg"
         cfg.write_text(line + "\n")
-        code, err = run_quiet(command, "--config", str(cfg), "--out", str(out_csv))
+        code, err = run_quiet(command, "--config", str(cfg), *out_flag(command, out_csv))
         assert code == 2
         assert err.startswith(f"error: {line.split()[0]} must be one of")
         assert not out_csv.exists()
@@ -409,8 +416,71 @@ class TestInputValidation:
 
     @settings(max_examples=20, deadline=None)
     @given(value=not_finite, call=st.sampled_from(
-        [("verify", "angle"), ("sweep", "angle"), ("decouple", "angle"),
-         ("decouple", "total-time")]))
+        [("verify", "angle"), ("sweep", "angle"), ("decouple", "total-time")]))
     def test_angle_and_total_time_must_be_finite(self, out_csv, value, call):
         command, option = call
-        assert_config_error(command, f"--{option}={value!r}", "--out", str(out_csv))
+        assert_config_error(command, f"--{option}={value!r}", *out_flag(command, out_csv))
+
+
+# One valid value per option, and the options each command reads besides
+# --config. verify --bath qubit --seed 3 --out x.csv used to exit 0 without
+# a bath and without writing x.csv.
+OPTION_VALUES = {
+    "n": "4", "gate": "u1", "j": "1", "k": "1", "l": "2", "angle": "0.5",
+    "samples": "4", "cycles": "1", "out": "x.csv", "eps-range": "0:0.1",
+    "delta-range": "0:0.1", "step": "0.05", "bath": "scalar", "bath-width": "0.1",
+    "seed": "3", "dt-ladder": "0.1,0.05", "total-time": "2.0",
+}
+GATE_OPTIONS = {"gate", "j", "k", "l", "angle"}
+BATH_OPTIONS = {"bath", "bath-width", "seed"}
+READS = {
+    "verify": {"n", "samples"} | GATE_OPTIONS,
+    "sweep": {"n", "cycles", "out", "eps-range", "delta-range", "step"}
+    | GATE_OPTIONS | BATH_OPTIONS,
+    "decouple": {"n", "dt-ladder", "total-time"} | BATH_OPTIONS,
+}
+UNREAD = [(command, option) for command, reads in READS.items()
+          for option in sorted(set(OPTION_VALUES) - reads)]
+
+
+class TestOptionsPerCommand:
+    def test_each_command_takes_exactly_the_options_it_reads(self):
+        commands = next(action for action in cli.build_parser()._actions
+                        if action.dest == "command").choices
+        for command, reads in READS.items():
+            flags = {flag for action in commands[command]._actions
+                     for flag in action.option_strings}
+            assert flags == {f"--{option}" for option in reads | {"config"}} | {"-h", "--help"}
+
+    @pytest.mark.parametrize("command, option", UNREAD)
+    def test_unread_flag_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, command,
+                                                    option):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run_quiet(command, f"--{option}", OPTION_VALUES[option])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, option", UNREAD)
+    def test_unread_config_key_exits_2_and_writes_nothing(self, tmp_path, monkeypatch,
+                                                          command, option):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{option} = {OPTION_VALUES[option]}\n")
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        code, err = run_quiet(command, "--config", str(cfg))
+        assert code == 2
+        assert err == f"error: unknown config key {option.replace('-', '_')!r} for {command}\n"
+        assert list(workdir.iterdir()) == []
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_own_config_keys_accepted(self, tmp_path, monkeypatch, command):
+        # Every option a command reads is also a valid config key for it.
+        monkeypatch.chdir(tmp_path)
+        values = dict(OPTION_VALUES, step="0.1")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{option} = {values[option]}\n" for option in READS[command]))
+        code, err = run_quiet(command, "--config", str(cfg))
+        assert code == 0, err
+        assert (tmp_path / "x.csv").exists() == (command == "sweep")

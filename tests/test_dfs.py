@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dfsgates.dfs import (
-    basis_dump,
     build_logical_basis,
     dfs_decomposition,
     logical_image,
@@ -15,17 +14,15 @@ from dfsgates.errors import (
     OddQubitCountError,
     TooFewQubitsError,
 )
-from dfsgates.linalg import subspace_projector
 from dfsgates.pauli import (
     PauliString,
     PauliSum,
     build_decoupling_group,
     commutant_generators,
     commutant_split,
-    pauli_to_matrix,
 )
 from conftest import two_body_strings
-from oracles import project_to_logical, sector_projector
+from oracles import pauli_to_matrix, project_to_logical, sector_projector, subspace_projector
 
 RSQRT2 = 1 / np.sqrt(2)
 
@@ -201,10 +198,3 @@ class TestProjectToLogical:
         with pytest.raises(DimensionMismatchError):
             project_to_logical(np.eye(8), build_logical_basis(4))
 
-
-class TestDump:
-    def test_n4_golden_lines(self):
-        dump = basis_dump(build_logical_basis(4)).splitlines()
-        assert dump[0] == "00 : 0.707106781187|0000⟩ + 0.707106781187|1111⟩"
-        assert dump[3] == "11 : 0.707106781187|0110⟩ + 0.707106781187|1001⟩"
-        assert len(dump) == 4

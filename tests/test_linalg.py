@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import expm_oracle, kron_oracle, random_hermitian, random_unitary
-from dfsgates.errors import NotHermitianError, NotOrthonormalError
+from dfsgates.errors import DimensionMismatchError, NotHermitianError, NotOrthonormalError
 from dfsgates.linalg import (
     SIGMA_I,
     SIGMA_X,
@@ -13,11 +13,9 @@ from dfsgates.linalg import (
     expm_hermitian,
     is_hermitian,
     kron_all,
-    phase_invariant_fidelity,
     product_fidelity,
-    subspace_projector,
 )
-from oracles import is_unitary, kron
+from oracles import is_unitary, kron, subspace_projector
 
 
 class TestKron:
@@ -155,27 +153,27 @@ def trace_fidelity(u, v):
 class TestPhaseInvariantFidelity:
     def test_self(self, rng):
         u = random_unitary(8, rng)
-        assert phase_invariant_fidelity(u, u) == pytest.approx(1.0, abs=1e-12)
+        assert product_fidelity([u], [u]) == pytest.approx(1.0, abs=1e-12)
 
     def test_global_phase(self, rng):
         u = random_unitary(8, rng)
-        assert phase_invariant_fidelity(u, -u) == pytest.approx(1.0, abs=1e-12)
-        assert phase_invariant_fidelity(u, np.exp(0.31j) * u) == pytest.approx(1.0, abs=1e-12)
+        assert product_fidelity([u], [-u]) == pytest.approx(1.0, abs=1e-12)
+        assert product_fidelity([u], [np.exp(0.31j) * u]) == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_vs_x(self):
-        assert phase_invariant_fidelity(SIGMA_I, SIGMA_X) == pytest.approx(0.0, abs=1e-12)
+        assert product_fidelity([SIGMA_I], [SIGMA_X]) == pytest.approx(0.0, abs=1e-12)
 
     def test_range_and_symmetry(self, rng):
         for _ in range(25):
             u, v = random_unitary(8, rng), random_unitary(8, rng)
-            f = phase_invariant_fidelity(u, v)
+            f = product_fidelity([u], [v])
             assert 0.0 <= f <= 1.0
-            assert f == pytest.approx(phase_invariant_fidelity(v, u), abs=1e-12)
+            assert f == pytest.approx(product_fidelity([v], [u]), abs=1e-12)
 
     def test_strictly_below_one_off_phase(self, rng):
         u = random_unitary(4, rng)
         v = u @ expm_hermitian(kron(SIGMA_Z, SIGMA_I), 0.2)
-        assert phase_invariant_fidelity(u, v) < 1 - 1e-4
+        assert product_fidelity([u], [v]) < 1 - 1e-4
 
     @pytest.mark.parametrize("dim", [4, 16, 64, 256])
     def test_matches_trace_formula(self, rng, dim):
@@ -187,7 +185,7 @@ class TestPhaseInvariantFidelity:
             for v in (u @ expm_hermitian(random_hermitian(dim, rng), 1e-3),
                       random_unitary(dim, rng)):
                 for a, b in ((u, v), (u[::stride, ::stride], v[::stride, ::stride])):
-                    assert abs(phase_invariant_fidelity(a, b) - trace_fidelity(a, b)) <= 1e-15
+                    assert abs(product_fidelity([a], [b]) - trace_fidelity(a, b)) <= 1e-15
 
     def test_product_matches_kron(self, rng):
         # Factor pairs of 2 to 16 dimensions, unitary and strided blocks:
@@ -202,6 +200,14 @@ class TestPhaseInvariantFidelity:
                 assert abs(product_fidelity(a, b) - trace_fidelity(full_a, full_b)) <= 1e-15
         with pytest.raises(ValueError):
             product_fidelity(us, vs[:-1])
+
+    def test_factor_shapes_must_match(self, rng):
+        # A (2, 2) factor against a (1, 2) one broadcast to a fidelity.
+        u, v = random_unitary(4, rng), random_unitary(2, rng)
+        with pytest.raises(DimensionMismatchError):
+            product_fidelity([u, v], [u, v[:1]])
+        with pytest.raises(DimensionMismatchError):
+            product_fidelity([u], [u[:2, :2]])
 
 
 class TestSubspaceProjector:

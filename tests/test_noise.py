@@ -19,7 +19,7 @@ from dfsgates.linalg import (
     SIGMA_Z,
     expm_hermitian,
     kron_all,
-    phase_invariant_fidelity,
+    product_fidelity,
 )
 from dfsgates.noise import (
     MAX_CYCLES_PER_SEGMENT,
@@ -35,7 +35,7 @@ from dfsgates.noise import (
     single_qubit_pulse,
     symbolic_bath_average,
 )
-from dfsgates.pauli import PauliString, PauliSum, pauli_to_matrix
+from dfsgates.pauli import PauliString, PauliSum
 from oracles import (
     assemble,
     dense_bare_evolution_error,
@@ -47,6 +47,7 @@ from oracles import (
     interleave,
     interleave_oracle,
     is_unitary,
+    pauli_to_matrix,
     pulse,
     reduced_system_propagator,
 )
@@ -103,7 +104,7 @@ class TestPulses:
 class TestDDCycle:
     def test_zero_hamiltonian_ideal_is_identity_up_to_phase(self):
         u = dd_cycle(np.zeros((16, 16)), 0.1)
-        assert phase_invariant_fidelity(u, np.eye(16)) >= 1 - 1e-12
+        assert product_fidelity([u], [np.eye(16)]) >= 1 - 1e-12
 
     def test_matches_group_conjugation_product(self, rng):
         # XY-4 toggling realizes conjugation by each group element once:
@@ -119,7 +120,7 @@ class TestDDCycle:
         for letter in ("X", "Z", "Y"):
             g = pauli_to_matrix(PauliString.uniform(n, letter))
             conj = g @ f @ g @ conj
-        assert phase_invariant_fidelity(dd_cycle(h, dt), conj) >= 1 - 1e-12
+        assert product_fidelity([dd_cycle(h, dt)], [conj]) >= 1 - 1e-12
 
     @pytest.mark.parametrize("dim, n_system", [(2, 1), (4, 1), (8, 2)])
     def test_stack_equals_each_slice(self, rng, dim, n_system):
@@ -137,8 +138,8 @@ class TestDDCycle:
         h = hamiltonian_matrix(bath)
         dt = 0.05
         eye = np.eye(4)
-        f_dd = phase_invariant_fidelity(dd_cycle(h, dt), eye)
-        f_bare = phase_invariant_fidelity(expm_hermitian(h, 4 * dt), eye)
+        f_dd = product_fidelity([dd_cycle(h, dt)], [eye])
+        f_bare = product_fidelity([expm_hermitian(h, 4 * dt)], [eye])
         assert f_dd > f_bare
 
 
@@ -152,7 +153,7 @@ class TestInterleave:
             schedule = make(*args)
             bare = evolve_schedule(schedule)
             dressed = engine_propagator(schedule, BathModel.zero(4), InterleavingPlan(2))
-            assert phase_invariant_fidelity(bare, dressed) >= 1 - 1e-9
+            assert product_fidelity([bare], [dressed]) >= 1 - 1e-9
 
     def test_zero_area_single_cycle_matches_dd_cycle(self):
         schedule = schedule_u1(4, 1, 0.4)
@@ -172,7 +173,7 @@ class TestInterleave:
         fids = []
         for cycles in (1, 2):
             dressed = engine_propagator(schedule, bath, InterleavingPlan(cycles))
-            fids.append(phase_invariant_fidelity(bare, dressed))
+            fids.append(product_fidelity([bare], [dressed]))
         assert fids[1] > fids[0]
 
     def test_bath_qubit_register_dimensions(self):
@@ -222,7 +223,7 @@ class TestInterleave:
         dressed = engine_propagator(
             schedule, BathModel.zero(4), InterleavingPlan(MAX_CYCLES_PER_SEGMENT))
         assert is_unitary(dressed, atol=1e-9)
-        assert phase_invariant_fidelity(evolve_schedule(schedule), dressed) >= 1 - 1e-9
+        assert product_fidelity([evolve_schedule(schedule)], [dressed]) >= 1 - 1e-9
 
 
 class TestLocalPulses:
@@ -303,8 +304,8 @@ class TestInterleaveOracle:
             ref = interleave_oracle(schedule, bath, plan, errors)
             new = engine_propagator(schedule, bath, plan, errors)
             assert np.abs(new - ref).max() <= 1e-13
-            f_ref = phase_invariant_fidelity(
-                reduced_system_propagator(ref_ideal, bath), reduced_system_propagator(ref, bath)
+            f_ref = product_fidelity(
+                [reduced_system_propagator(ref_ideal, bath)], [reduced_system_propagator(ref, bath)]
             )
             assert abs(f_new - f_ref) <= 2e-14
 
@@ -357,7 +358,7 @@ class TestFactoring:
         for kind, value, fid in rows:
             errors = DDErrorModel(epsilon=value) if kind == "flip" else DDErrorModel(delta=value)
             noisy = reduced_system_propagator(interleave(schedule, bath, plan, errors), bath)
-            assert abs(fid - phase_invariant_fidelity(reference, noisy)) <= 1e-14
+            assert abs(fid - product_fidelity([reference], [noisy])) <= 1e-14
 
 
 class TestGateFidelity:
@@ -406,7 +407,7 @@ class TestGateFidelity:
             errors = DDErrorModel(epsilon=value) if kind_ == "flip" else DDErrorModel(delta=value)
             noisy = reduced_system_propagator(
                 engine_propagator(schedule, bath, plan, errors), bath)
-            assert abs(fid - phase_invariant_fidelity(reference, noisy)) <= 1e-15
+            assert abs(fid - product_fidelity([reference], [noisy])) <= 1e-15
 
     def test_slices_built_once_per_sweep(self, monkeypatch):
         calls = []
@@ -490,6 +491,20 @@ class TestBathModels:
         with pytest.raises(ValueError, match="width"):
             BathModel.random(4, -0.1, seed=1)
         assert BathModel.random(4, 0.0, seed=1).is_zero()
+
+    @pytest.mark.parametrize("kind", ["Qubit", "none", ""])
+    def test_unknown_kind_rejected(self, kind):
+        # kind="Qubit" reported 8 total qubits and ran scalar per-qubit factors.
+        with pytest.raises(ValueError, match="bath kind"):
+            BathModel.random(4, 0.1, 0, kind=kind)
+        with pytest.raises(ValueError, match="bath kind"):
+            BathModel.zero(4, kind=kind)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (5, 3), (4, 2), (4,), (4, 3, 1)])
+    def test_couplings_shape_must_be_n_system_by_3(self, shape):
+        # A (3, 3) array with n_system = 4 built 3 per-qubit factors.
+        with pytest.raises(ValueError, match=r"shape \(4, 3\)"):
+            BathModel("scalar", 4, np.zeros(shape))
 
 
 class TestDDErrorModel:
