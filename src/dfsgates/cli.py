@@ -302,7 +302,12 @@ def cmd_decouple(cfg: dict) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unread = parser.parse_known_args(argv)
+    if unread:
+        # Refused with the command's own usage line, which lists the
+        # options it does read, not the top-level one.
+        sub = next(action for action in parser._actions if action.dest == "command")
+        sub.choices[args.command].error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         cfg = _resolve(args)
         _check_values(cfg)

@@ -5,17 +5,17 @@ into four equal intervals with a global pi pulse after each slice, axes
 ordered X, Y, X, Y. With ideal pulses the cycle is the decoupling-group
 conjugation product of Viola, Knill & Lloyd, PRL 82, 2417 (1999).
 No code path forms the full register. Every coupling term acts on one
-system qubit (and its own bath qubit), every segment term on at most three
-qubits, and every pulse is a tensor power of one 2x2 rotation; so each
-propagator is a tensor product over register factors, and so are its bath
-reduction and its trace overlap. Every system qubit that no gate term
-acts on is a factor of its own, with its bath qubit if any: one stack of
-these per-qubit factors (see `BathModel.factor_hamiltonians`) carries the
-idle evolution for both `error_sweep` and `decoupling_order_probe` /
-`bare_evolution_error`. `error_sweep` threads c cycles through each gate
-segment, on the active factor (the qubits the gate acts on and their bath
-partners) and on that idle stack; `dd_cycle` builds one cycle of idle
-evolution. Two pulse imperfections are modelled, both relative:
+system qubit, every segment term on at most three qubits, and every pulse
+is a tensor power of one 2x2 rotation; so each propagator is a tensor
+product over register factors, and so are its bath reduction and its
+trace overlap. Every system qubit that no gate term acts on is a factor of
+its own: one stack of these per-qubit factors (see
+`BathModel.factor_hamiltonians`) carries the idle evolution for both
+`error_sweep` and `decoupling_order_probe` / `bare_evolution_error`.
+`error_sweep` threads c cycles through each gate segment, on the active
+factor (the system qubits the gate acts on) and on that idle stack;
+`dd_cycle` builds one cycle of idle evolution. Two pulse imperfections are
+modelled, both relative:
 
     flip-angle error eps:  rotation angle (1 + eps) * pi
     detuning error delta:  axis tilted out of the transverse plane by
@@ -27,7 +27,18 @@ which is also the worst case for coherent accumulation).
 Baths realize the linear system-bath coupling sum_i,a b_i^a sigma_i^a (x) B_i^a
 either with scalar B (random static fields, the default; cheap and makes
 decoupling-order fits clean) or with one bath qubit per system qubit
-coupled through tau_x.
+coupled through tau_x. Nothing else acts on a bath qubit, and the gate
+terms and pulses act on system qubits only, so each tau_x^(i) commutes
+with the whole evolution. Over the tau_x eigenbasis |s> of the bath
+qubits, s in {+1, -1}^m, the propagator is
+
+    U = sum_s U(s) (x) |s><s|,    <0|_bath U |0>_bath = 2^-m sum_s U(s),
+
+where U(s) is the propagator of the system qubits alone under the scalar
+fields s_i b_i. So every factor is a stack over sign patterns on its
+leading axis, 2^m patterns of its m system qubits for a bath-qubit model
+and the one pattern of a scalar bath, and the bath reduction is the mean
+over that axis. The doubled register is never formed.
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadPartitionError, DimensionMismatchError
+from .errors import BadPartitionError, DimensionMismatchError, DimensionTooLargeError
 from .gates import GateSchedule
 from .linalg import (
     SIGMA_I,
@@ -46,6 +57,7 @@ from .linalg import (
     SIGMA_Y,
     SIGMA_Z,
     expm_hermitian,
+    kron_all,
     product_fidelity,
 )
 from .pauli import PauliString, PauliSum, build_decoupling_group, group_average
@@ -60,6 +72,11 @@ _AXES = ("x", "y", "z")
 # flip 0.1 and detuning -0.1 pulses); far beyond it the entries overflow
 # and fidelities are nan.
 MAX_CYCLES_PER_SEGMENT = 10_000
+
+# Most system qubits a schedule may act on under a bath-qubit model. Its
+# active factor stacks 2^m sign patterns of 2^m x 2^m slices, 8^m entries
+# per segment: 2^18, 4 MiB, at this bound.
+MAX_SIGN_QUBITS = 6
 
 
 @dataclass(frozen=True)
@@ -104,7 +121,10 @@ class BathModel:
 
     kind "scalar" treats the bath operators as static classical fields on
     the system space; kind "qubit" couples system qubit i to its own bath
-    qubit through tau_x on a doubled register (system qubits first).
+    qubit through tau_x on a doubled register (system qubits first). The
+    engine evaluates a bath-qubit model as the scalar fields s_i b[i] for
+    each sign s_i = +-1 of the conserved tau_x^(i), never on the doubled
+    register (see the module docstring).
     """
 
     kind: str  # "scalar" | "qubit"
@@ -152,16 +172,13 @@ class BathModel:
         return PauliSum.from_terms(n_total, terms)
 
     def factor_hamiltonians(self) -> np.ndarray:
-        """The coupling of each system qubit i, with its bath qubit if any,
-        as a stack of shape (n_system, d, d): sum_a b[i, a] sigma^a, d = 2,
-        for a scalar bath, and sum_a b[i, a] sigma^a (x) tau_x, d = 4 with
-        the system qubit first, for a qubit bath. The coupling on the whole
-        register is the sum of these terms, each on its own qubits, so its
-        propagator is the tensor product of theirs."""
-        h = np.einsum("ia,ajk->ijk", self.couplings, np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z]))
-        if self.kind == "qubit":
-            h = np.einsum("ijk,lm->ijlkm", h, SIGMA_X).reshape(self.n_system, 4, 4)
-        return h
+        """The scalar coupling sum_a b[i, a] sigma^a of each system qubit i,
+        as a stack of shape (n_system, 2, 2). For a bath-qubit model the
+        coupling of qubit i is this times tau_x^(i), so it is this or its
+        negative on each tau_x eigenvector of the bath qubit. The coupling
+        on the whole register is the sum of these terms, each on its own
+        qubits, so its propagator is the tensor product of theirs."""
+        return np.einsum("ia,ajk->ijk", self.couplings, np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z]))
 
     def is_zero(self) -> bool:
         return not self.couplings.any()
@@ -228,18 +245,44 @@ def dd_cycle(
     return d @ d
 
 
+def _qubit_patterns(h: np.ndarray, kind: str) -> np.ndarray:
+    """The per-qubit couplings h, shape (n, 2, 2), stacked over the tau_x
+    sign of each qubit's bath partner: h and -h, shape (2, n, 2, 2), for a
+    bath-qubit model, and h alone, (1, n, 2, 2), for a scalar bath. Each
+    qubit is a factor of its own, so its bath reduction is the mean over
+    its own entries."""
+    return np.stack([h, -h]) if kind == "qubit" else h[None]
+
+
+def _sign_stack(h: np.ndarray) -> np.ndarray:
+    """sum_k s_k h[k], with h[k] on qubit k + 1 of m, for every sign pattern
+    s in {+1, -1}^m: a stack of shape (2^m, 2^m, 2^m). Pattern p has
+    s_k = -1 where bit k of p, counted from the most significant of m
+    bits, is set; so the patterns come in the order of
+    itertools.product((1, -1), repeat=m)."""
+    m = len(h)
+    bits = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    terms = [kron_all([SIGMA_I] * k + [h[k]] + [SIGMA_I] * (m - 1 - k)) for k in range(m)]
+    return np.einsum("pk,kij->pij", 1 - 2 * bits, np.reshape(terms, (m, 2**m, 2**m)))
+
+
+def _bath_mean(u: np.ndarray) -> np.ndarray:
+    """<0...0|_bath U |0...0>_bath of factor propagators stacked over sign
+    patterns on the leading axis: their mean, 2^-m sum_s U(s). A scalar
+    bath's one-pattern stack is its only entry."""
+    return u[0] if len(u) == 1 else u.mean(axis=0)
+
+
 @dataclass(frozen=True, eq=False)
 class _Factor:
     """The active tensor factor of the register and its segment slices.
 
-    qubits are the 1-indexed register positions some segment term acts on,
-    with their bath partners, in ascending order, so the factor's n_system
-    system qubits come before its bath qubits; slices stacks the factor's
-    slice propagator of every segment, shape (segments, d, d).
+    qubits are the 1-indexed system qubits some segment term acts on, in
+    ascending order; slices stacks the factor's slice propagator of every
+    sign pattern and segment, shape (patterns, segments, d, d).
     """
 
     qubits: tuple[int, ...]
-    n_system: int
     slices: np.ndarray
 
 
@@ -249,35 +292,47 @@ def _factor_slices(
     """Slice propagators exp(-i (area_s H_s + H_bath) / (4c)) of each segment
     s, as the active factor and the stack of idle per-qubit factors.
 
-    The active factor holds every qubit a segment term acts on, with its
-    bath partner when the bath is made of qubits, and the identity term of
-    the segments, if any. Every other system qubit, with its own bath qubit,
-    is a factor of `BathModel.factor_hamiltonians`: no segment term acts on
-    it, so its one slice, of the bath term alone, serves every segment. The
-    idle slices come as one stack, shape (n_idle, d, d) with d = 2 or 4,
-    empty when the schedule acts on every system qubit. Every coupling term
-    acts on one system qubit and its own bath qubit, so the slice of the
-    register is the tensor product of these. The slices do not depend on
-    the pulse errors, so a sweep builds them once.
+    The active factor holds every system qubit a segment term acts on, and
+    the identity term of the segments, if any. Its bath term is the scalar
+    coupling of those qubits, and for a bath-qubit model that coupling with
+    each sign pattern of `_sign_stack`. Every other system qubit is a
+    factor of `BathModel.factor_hamiltonians`: no segment term acts on it,
+    so its one slice, of the bath term alone, serves every segment. The
+    idle slices come as one stack of `_qubit_patterns`, shape
+    (patterns, n_idle, 2, 2), empty when the schedule acts on every system
+    qubit. The slices do not depend on the pulse errors, so a sweep builds
+    them once.
+
+    Raises
+    ------
+    DimensionTooLargeError
+        A bath-qubit model with more than MAX_SIGN_QUBITS active qubits.
     """
     if bath.n_system != schedule.n_physical:
         raise DimensionMismatchError(
             f"bath on {bath.n_system} system qubits, schedule on {schedule.n_physical}"
         )
-    hamiltonians = [seg.hamiltonian.embedded(bath.total_qubits) for seg in schedule.segments]
-    system = frozenset().union(*(h.support() for h in hamiltonians))
-    partners = {q + bath.n_system for q in system} if bath.kind == "qubit" else set()
-    qubits = tuple(sorted(system | partners))
-    bath_h = bath.hamiltonian_sum().restricted(qubits).to_matrix()
+    supports = (segment.hamiltonian.support() for segment in schedule.segments)
+    system = tuple(sorted(frozenset().union(*supports)))
+    couplings = bath.factor_hamiltonians()
+    if bath.kind == "scalar":
+        bath_h = bath.hamiltonian_sum().restricted(system).to_matrix()[None]
+    elif len(system) > MAX_SIGN_QUBITS:
+        raise DimensionTooLargeError(
+            f"a bath-qubit model on {len(system)} active system qubits exceeds "
+            f"{MAX_SIGN_QUBITS}: 8^{len(system)} entries per segment"
+        )
+    else:
+        bath_h = _sign_stack(couplings[[q - 1 for q in system]])
     scale = 1.0 / (4 * plan.cycles_per_segment)
     slices = np.stack([
-        expm_hermitian(seg.area * h.restricted(qubits).to_matrix() + bath_h, scale)
-        for seg, h in zip(schedule.segments, hamiltonians)
-    ])
+        expm_hermitian(seg.area * seg.hamiltonian.restricted(system).to_matrix() + bath_h, scale)
+        for seg in schedule.segments
+    ], axis=1)
     idle = [q for q in range(bath.n_system) if q + 1 not in system]
     return (
-        _Factor(qubits, len(system), slices),
-        expm_hermitian(bath.factor_hamiltonians()[idle], scale),
+        _Factor(system, slices),
+        expm_hermitian(_qubit_patterns(couplings[idle], bath.kind), scale),
     )
 
 
@@ -285,33 +340,26 @@ def _factor_propagators(
     factors: tuple[_Factor, np.ndarray], plan: InterleavingPlan, errors: DDErrorModel
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decoupled propagator of the schedule on the active factor and on
-    each idle per-qubit factor.
+    each idle per-qubit factor, for every sign pattern.
 
     One segment runs c = cycles_per_segment XY-4 cycles, each the square
     of the half cycle D (see `_half_cycle`); so the active factor takes one
-    batched product for D over its segment stack, one stacked D^(2c), and
-    the product over segments, earliest rightmost. The idle stack forms its
-    D^(2c) once and applies it once per segment.
+    batched product for D over its pattern and segment stack, one stacked
+    D^(2c), and the product over segments, earliest rightmost. The idle
+    stack forms its D^(2c) once and applies it once per segment.
     """
     active, idle = factors
     p_x = single_qubit_pulse("x", errors)
     p_y = single_qubit_pulse("y", errors)
     power = 2 * plan.cycles_per_segment
-    segments = np.linalg.matrix_power(_half_cycle(active.slices, active.n_system, p_x, p_y), power)
+    segments = np.linalg.matrix_power(
+        _half_cycle(active.slices, len(active.qubits), p_x, p_y), power)
     idle_segment = np.linalg.matrix_power(_half_cycle(idle, 1, p_x, p_y), power)
-    u, v = segments[0], idle_segment
-    for segment in segments[1:]:
-        u = segment @ u
+    u, v = segments[:, 0], idle_segment
+    for s in range(1, segments.shape[1]):
+        u = segments[:, s] @ u
         v = idle_segment @ v
     return u, v
-
-
-def _bath_block(u: np.ndarray, n_system: int) -> np.ndarray:
-    """<0...0|_bath u |0...0>_bath of a factor propagator u, or of each of a
-    stack of them, whose n_system system qubits come before its bath qubits:
-    every (d >> n_system)-th row and column, all of u without bath qubits."""
-    step = u.shape[-1] >> n_system
-    return u[..., ::step, ::step]
 
 
 def error_sweep(
@@ -328,8 +376,9 @@ def error_sweep(
     with imperfect and with ideal pulses, on the full register
     (bath-reduced when a bath-qubit model is used). Both propagators are
     evaluated as tensor products of the active factor and the idle
-    per-qubit factors (see `_factor_slices`); the bath reduction and the
-    overlap factor the same way. The factor slices and the ideal reference
+    per-qubit factors (see `_factor_slices`); the bath reduction, the mean
+    over sign patterns, and the overlap factor the same way. The factor
+    slices and the ideal reference
     are computed once per call and shared by every kind and value; the
     reference is reused at zero error.
     """
@@ -340,7 +389,7 @@ def error_sweep(
 
     def reduced(errors: DDErrorModel) -> list[np.ndarray]:
         active, idle = _factor_propagators(factors, plan, errors)
-        return [_bath_block(active, factors[0].n_system), *_bath_block(idle, 1)]
+        return [_bath_mean(active), *_bath_mean(idle)]
 
     reference = reduced(IDEAL_PULSES)
     rows = []
@@ -376,9 +425,9 @@ def decoupling_order_probe(
     bath coupling and reports 1 minus the fidelity of the (reduced)
     propagator to the identity. First-order decoupling leaves a residual
     generator of order dt, so the error falls off close to dt**2. Each
-    rung is one `dd_cycle` on the stack of per-qubit factors, raised to
-    the cycle count; the bath reduction and the fidelity are taken factor
-    by factor.
+    rung is one `dd_cycle` on the stack of per-qubit factors and their
+    sign patterns, raised to the cycle count; the bath reduction and the
+    fidelity are taken factor by factor.
 
     Raises
     ------
@@ -387,7 +436,7 @@ def decoupling_order_probe(
         number of them outside 1..MAX_CYCLES_PER_SEGMENT (a negative power
         would invert the cycle).
     """
-    h = bath.factor_hamiltonians()
+    h = _qubit_patterns(bath.factor_hamiltonians(), bath.kind)
     out = []
     for dt in dt_values:
         ratio = total_time / (4 * dt)
@@ -399,22 +448,23 @@ def decoupling_order_probe(
                 f"dt={dt} gives {cycles} cycles over total_time={total_time}, "
                 f"outside 1..{MAX_CYCLES_PER_SEGMENT}"
             )
-        u = np.linalg.matrix_power(dd_cycle(h, dt, n_system=1), cycles)
+        u = np.linalg.matrix_power(dd_cycle(h, dt), cycles)
         out.append((float(dt), _identity_infidelity(u)))
     return out
 
 
 def bare_evolution_error(bath: BathModel, total_time: float) -> float:
     """1 - fidelity to identity of the undecoupled bath evolution, from
-    the stack of per-qubit factors."""
-    u = expm_hermitian(bath.factor_hamiltonians(), total_time)
+    the stack of per-qubit factors and their sign patterns."""
+    u = expm_hermitian(_qubit_patterns(bath.factor_hamiltonians(), bath.kind), total_time)
     return _identity_infidelity(u)
 
 
 def _identity_infidelity(u: np.ndarray) -> float:
-    """1 - fidelity to the identity of the tensor product of the stack u of
-    per-qubit factor propagators, each reduced to its 2x2 bath block."""
-    reduced = _bath_block(u, 1)
+    """1 - fidelity to the identity of the tensor product of the per-qubit
+    factor propagators u, stacked over sign patterns on the leading axis,
+    each reduced to the mean over its patterns."""
+    reduced = _bath_mean(u)
     return 1 - product_fidelity(reduced, np.broadcast_to(np.eye(2), reduced.shape))
 
 

@@ -21,22 +21,30 @@ The oracles work on the whole register or bit by bit:
 
 Decoupling. The library evaluates a decoupled schedule as a tensor product
 of the active factor and the idle per-qubit factors (`noise._factor_slices`,
-`noise._factor_propagators`). These oracles compute the same propagator on
-the whole register:
+`noise._factor_propagators`), on system qubits only. With a bath-qubit
+model each factor is a stack over the tau_x sign patterns s of its bath
+partners: entry s is the factor's propagator U(s) under the scalar fields
+s_i b_i, and the factor on the doubled register is sum_s U(s) (x) Pi_s,
+with Pi_s the projector onto the tau_x eigenvector |s> of the partners.
+These oracles compute the same propagator on the whole register:
 
     interleave        the dense path the sweep used before the register was
                       factored: one slice propagator per segment, one XY-4
                       cycle of dense pulses raised to the number of cycles
                       per segment;
     interleave_oracle the pulses threaded one at a time, slice by slice;
-    factor_qubits     the register qubits of each of the engine's factors;
+    factor_qubits     the register qubits of each of the engine's factors,
+                      system qubits then their bath partners;
+    sign_sum          sum_s U(s) (x) Pi_s of one factor's pattern stack,
+                      with Pi_s built densely;
     assemble          the engine's factor matrices put back together on the
                       full register, by a Kronecker product and a
                       permutation of the tensor axes.
 
 Idle evolution. The library runs the decoupling-order ladder and the bare
-evolution on a stack of per-qubit factors (`BathModel.factor_hamiltonians`).
-These oracles are the dense paths it replaced, on the whole register:
+evolution on a stack of per-qubit factors and their sign patterns
+(`BathModel.factor_hamiltonians`). These oracles are the dense paths it
+replaced, on the whole register:
 
     hamiltonian_matrix            the bath coupling as one dense matrix;
     reduced_system_propagator     <0...0|_bath U |0...0>_bath;
@@ -46,6 +54,7 @@ These oracles are the dense paths it replaced, on the whole register:
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -57,6 +66,7 @@ from dfsgates.gates import GateSchedule
 from dfsgates.linalg import (
     ATOL_NORM,
     ATOL_STRUCT,
+    SIGMA_X,
     _orthonormal_frame,
     expm_hermitian,
     kron_all,
@@ -313,19 +323,42 @@ def assemble(qubit_sets, matrices, n_total: int) -> np.ndarray:
 
 def factor_qubits(active, bath: BathModel) -> list[tuple[int, ...]]:
     """The 1-indexed register qubits of the engine's factors: the active
-    factor's, then (q,) or, with a bath qubit, (q, n + q) for each idle
-    system qubit q in ascending order, as the idle stack holds them."""
+    factor's system qubits, with a bath qubit followed by their partners
+    in the same order, then (q,) or, with a bath qubit, (q, n + q) for
+    each idle system qubit q in ascending order, as the idle stack holds
+    them."""
     n = bath.n_system
     idle = [q for q in range(1, n + 1) if q not in active.qubits]
-    return [active.qubits, *((q,) if bath.kind == "scalar" else (q, n + q) for q in idle)]
+    if bath.kind == "scalar":
+        return [active.qubits, *((q,) for q in idle)]
+    return [(*active.qubits, *(n + q for q in active.qubits)), *((q, n + q) for q in idle)]
+
+
+def sign_sum(stack: np.ndarray) -> np.ndarray:
+    """sum_s stack[s] (x) Pi_s, on m system qubits followed by their m bath
+    qubits: stack holds one 2^m x 2^m propagator per tau_x sign pattern s
+    of the bath qubits, in the order of itertools.product((1, -1), repeat=m),
+    and Pi_s = (x)_k (I + s_k X) / 2 projects onto their tau_x eigenvector |s>."""
+    m = stack.shape[-1].bit_length() - 1
+    assert stack.shape == (2**m, 2**m, 2**m)
+    out = np.zeros((4**m, 4**m), dtype=np.complex128)
+    for u, signs in zip(stack, itertools.product((1, -1), repeat=m)):
+        out += kron(u, kron_all([(np.eye(2) + s * SIGMA_X) / 2 for s in signs]))
+    return out
 
 
 def engine_propagator(schedule, bath, plan, errors: DDErrorModel = IDEAL_PULSES) -> np.ndarray:
     """The full-register propagator the sweep engine evaluates, assembled
-    from its factor propagators."""
+    from its factor propagators: each factor's one entry for a scalar bath,
+    its `sign_sum` over the tau_x patterns of its bath partners for a
+    bath-qubit model."""
     factors = noise._factor_slices(schedule, bath, plan)
     active, idle = noise._factor_propagators(factors, plan, errors)
-    return assemble(factor_qubits(factors[0], bath), [active, *idle], bath.total_qubits)
+    if bath.kind == "scalar":
+        matrices = [active[0], *idle[0]]
+    else:
+        matrices = [sign_sum(active), *(sign_sum(idle[:, i]) for i in range(idle.shape[1]))]
+    return assemble(factor_qubits(factors[0], bath), matrices, bath.total_qubits)
 
 
 def hamiltonian_matrix(bath: BathModel) -> np.ndarray:

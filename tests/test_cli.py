@@ -142,9 +142,9 @@ class TestSweep:
     @pytest.mark.parametrize("gate", ["u1", "u2", "u3"])
     def test_qubit_bath_runs_at_n8(self, capsys, tmp_path, gate):
         # The doubled register has 2**16 dimensions. The sweep evaluates the
-        # gate's qubits with their bath qubits (at most 64 dimensions) and
-        # one 4x4 factor per idle qubit; one idle block of 5 system and 5
-        # bath qubits exited 2.
+        # gate's system qubits (at most 8 dimensions, for each of at most 8
+        # tau_x sign patterns of their bath qubits) and one 2x2 pair per
+        # idle qubit; one idle block of 5 system and 5 bath qubits exited 2.
         out_path = tmp_path / "sweep.csv"
         code, _, err = run_cli(
             capsys, "sweep", "--n", "8", "--bath", "qubit", "--gate", gate,
@@ -453,12 +453,16 @@ class TestOptionsPerCommand:
             assert flags == {f"--{option}" for option in reads | {"config"}} | {"-h", "--help"}
 
     @pytest.mark.parametrize("command, option", UNREAD)
-    def test_unread_flag_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, command,
-                                                    option):
+    def test_unread_flag_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys,
+                                                    command, option):
+        # The usage line is the command's own, which lists what it reads.
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
-            run_quiet(command, f"--{option}", OPTION_VALUES[option])
+            main([command, f"--{option}", OPTION_VALUES[option]])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: dfsgates {command} ")
+        assert f"dfsgates {command}: error: unrecognized arguments: --{option}" in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command, option", UNREAD)

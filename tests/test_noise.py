@@ -50,6 +50,7 @@ from oracles import (
     pauli_to_matrix,
     pulse,
     reduced_system_propagator,
+    sign_sum,
 )
 
 
@@ -177,32 +178,34 @@ class TestInterleave:
         assert fids[1] > fids[0]
 
     def test_bath_qubit_register_dimensions(self):
-        # u1 on logical qubit 1 acts on system qubits 1, 2, 4; with their bath
-        # partners 5, 6, 8 they make the 64-dim active factor, and system
-        # qubit 3 with bath qubit 7 the one 4-dim idle factor.
+        # u1 on logical qubit 1 acts on system qubits 1, 2, 4: the 8-dim
+        # active factor, one slice per tau_x sign pattern of their bath
+        # partners 5, 6, 8. System qubit 3 is the one 2-dim idle factor,
+        # one slice per sign of bath qubit 7.
         schedule = schedule_u1(4, 1, 0.3)
         bath = BathModel.random(4, 0.05, seed=2, kind="qubit")
         plan = InterleavingPlan(1)
         factors = noise._factor_slices(schedule, bath, plan)
         active, idle = factors
-        assert (active.qubits, active.n_system) == ((1, 2, 4, 5, 6, 8), 3)
+        assert active.qubits == (1, 2, 4)
         assert factor_qubits(active, bath) == [(1, 2, 4, 5, 6, 8), (3, 7)]
         # The idle factor holds bath terms only: one slice for both segments.
-        assert [active.slices.shape, idle.shape] == [(2, 64, 64), (1, 4, 4)]
+        assert [active.slices.shape, idle.shape] == [(8, 2, 8, 8), (2, 1, 2, 2)]
         # Shared or stacked per segment, the idle slice gives the same bits.
-        per_segment = noise._Factor((3, 7), 1, np.repeat(idle, 2, axis=0))
+        per_segment = noise._Factor((3,), np.repeat(idle, 2, axis=1))
         for errors in (IDEAL_PULSES, DDErrorModel(epsilon=0.05)):
-            _, [shared] = noise._factor_propagators(factors, plan, errors)
+            _, shared = noise._factor_propagators(factors, plan, errors)
             stacked, _ = noise._factor_propagators((per_segment, idle), plan, errors)
-            assert np.array_equal(shared, stacked)
+            assert np.array_equal(shared[:, 0], stacked)
         u_active, u_idle = noise._factor_propagators(factors, plan, DDErrorModel(epsilon=0.05))
-        u = assemble(factor_qubits(active, bath), [u_active, *u_idle], bath.total_qubits)
+        assert [u_active.shape, u_idle.shape] == [(8, 8, 8), (2, 1, 2, 2)]
+        u = engine_propagator(schedule, bath, plan, DDErrorModel(epsilon=0.05))
         assert u.shape == (256, 256)
         reduced = reduced_system_propagator(u, bath)
         assert reduced.shape == (16, 16)
         # The bath reduction factors too: <0|_bath U |0>_bath of the full
-        # register is the product of the factors' own reductions.
-        blocks = [noise._bath_block(u_active, active.n_system), *noise._bath_block(u_idle, 1)]
+        # register is the product of the factors' means over their patterns.
+        blocks = [noise._bath_mean(u_active), *noise._bath_mean(u_idle)]
         assert [b.shape for b in blocks] == [(8, 8), (2, 2)]
         assert np.abs(assemble([(1, 2, 4), (3,)], blocks, 4) - reduced).max() <= 1e-15
 
@@ -350,8 +353,8 @@ class TestFactoring:
         zz = PauliSum.from_terms(4, [(0.2, PauliString.from_sites(4, {3: "Z", 4: "Z"}))])
         schedule = _add_term(schedule_u1(4, 1, 0.7), 1, zz)
         active, idle = noise._factor_slices(schedule, bath, plan)
-        assert active.qubits == tuple(range(1, bath.total_qubits + 1))
-        assert idle.shape[0] == 0
+        assert active.qubits == (1, 2, 3, 4)
+        assert idle.shape[1] == 0
         values = [-0.1, 0.0, 0.05]
         rows = error_sweep(schedule, plan, bath, {"flip": values, "detuning": values})
         reference = reduced_system_propagator(interleave(schedule, bath, plan), bath)
@@ -359,6 +362,56 @@ class TestFactoring:
             errors = DDErrorModel(epsilon=value) if kind == "flip" else DDErrorModel(delta=value)
             noisy = reduced_system_propagator(interleave(schedule, bath, plan, errors), bath)
             assert abs(fid - product_fidelity([reference], [noisy])) <= 1e-14
+
+
+def _pair_schedule(n: int, text: str) -> GateSchedule:
+    """One segment of area 0.9 under the n-qubit Pauli sum text."""
+    h = PauliSum.from_text(n, text) if text else PauliSum.zero(n)
+    return GateSchedule("u1", n, (1,), 0.0, (ScheduleSegment(h, 0.9),))
+
+
+class TestSignPatternReach:
+    """A bath-qubit model runs on system qubits alone, so the active factor
+    may hold up to MAX_SIGN_QUBITS of them, not 4 of a doubled register."""
+
+    def test_three_disjoint_pairs_at_n6(self):
+        # X_1X_6 + Z_2Z_5 + Z_3Z_4 acts on all 6 system qubits: 64 sign
+        # patterns of a 64-dim factor. Its three terms act on disjoint
+        # pairs, so its fidelity is the product of the pairs' own; each
+        # pair alone also carries the other 4 qubits idle, which the empty
+        # schedule's fidelity divides out.
+        bath, plan = BathModel.random(6, 0.1, seed=6, kind="qubit"), InterleavingPlan(1)
+        grids = {"flip": [0.0, 0.05], "detuning": [-0.1]}
+        whole = _pair_schedule(6, "1.0*+XIIIIX + 1.0*+IZIIZI + 1.0*+IIZZII")
+        active, idle = noise._factor_slices(whole, bath, plan)
+        assert [active.slices.shape, idle.shape] == [(64, 1, 64, 64), (2, 0, 2, 2)]
+        rows = error_sweep(whole, plan, bath, grids)
+        assert rows[0] == ("flip", 0.0, 1.0)
+
+        def fidelities(text):
+            rows = error_sweep(_pair_schedule(6, text), plan, bath, grids)
+            return np.array([f for _, _, f in rows])
+
+        pairs = [fidelities(t) for t in ("1.0*+XIIIIX", "1.0*+IZIIZI", "1.0*+IIZZII")]
+        product = pairs[0] * pairs[1] * pairs[2] / fidelities("") ** 2
+        assert np.abs(np.array([f for _, _, f in rows]) - product).max() <= 3e-15
+        assert min(f for _, _, f in rows) < 0.99
+
+    def test_seven_active_qubits_refused_before_any_slice(self, monkeypatch):
+        def no_slices(h, scale):
+            raise AssertionError("slices built")
+
+        schedule = _pair_schedule(
+            8, "1.0*+XXIIIIII + 1.0*+IIZZIIII + 1.0*+IIIIXXII + 0.5*+IIIIIIZI")
+        bath = BathModel.random(8, 0.1, seed=1, kind="qubit")
+        monkeypatch.setattr(noise, "expm_hermitian", no_slices)
+        with pytest.raises(DimensionTooLargeError, match="7 active system qubits"):
+            error_sweep(schedule, InterleavingPlan(1), bath, {"flip": [0.0]})
+        monkeypatch.undo()
+        # A scalar bath keeps 2^7 entries per slice and runs.
+        rows = error_sweep(schedule, InterleavingPlan(1), BathModel.random(8, 0.1, seed=1),
+                           {"flip": [0.0, 0.05]})
+        assert [f for _, _, f in rows][0] == 1.0
 
 
 class TestGateFidelity:
@@ -457,13 +510,20 @@ class TestBathModels:
     def test_factor_propagators_assemble_to_dense(self, n, kind):
         # The coupling is a sum of terms on disjoint qubits (system qubit i
         # and its bath qubit n + i), so its propagator is the tensor product
-        # of the per-qubit factors' propagators.
+        # of the per-qubit factors' propagators. With a bath qubit, factor i
+        # evolves under h_i on tau_x = +1 and under -h_i on tau_x = -1.
         bath = BathModel.random(n, 0.3, seed=n, kind=kind)
         factors = bath.factor_hamiltonians()
-        d = 2 if kind == "scalar" else 4
-        assert factors.shape == (n, d, d)
-        qubits = [(i,) if kind == "scalar" else (i, n + i) for i in range(1, n + 1)]
-        assembled = assemble(qubits, list(expm_hermitian(factors, 1.7)), bath.total_qubits)
+        assert factors.shape == (n, 2, 2)
+        u = expm_hermitian(noise._qubit_patterns(factors, kind), 1.7)
+        if kind == "scalar":
+            assert u.shape == (1, n, 2, 2)
+            qubits, matrices = [(i,) for i in range(1, n + 1)], list(u[0])
+        else:
+            assert u.shape == (2, n, 2, 2)
+            qubits = [(i, n + i) for i in range(1, n + 1)]
+            matrices = [sign_sum(u[:, i]) for i in range(n)]
+        assembled = assemble(qubits, matrices, bath.total_qubits)
         dense = expm_hermitian(hamiltonian_matrix(bath), 1.7)
         assert np.abs(assembled - dense).max() <= 1e-13
 
@@ -565,11 +625,13 @@ class TestDecouplingProbe:
             return dd_cycle(h, dt, *args, **kwargs)
 
         monkeypatch.setattr(noise, "dd_cycle", recording_cycle)
-        for kind, d in (("scalar", 2), ("qubit", 4)):
+        # One 2x2 factor per system qubit, stacked over the tau_x sign of
+        # its bath qubit if it has one.
+        for kind, patterns in (("scalar", 1), ("qubit", 2)):
             shapes.clear()
             decoupling_order_probe(BathModel.random(6, 0.1, seed=1, kind=kind),
                                    [0.1, 0.05, 0.025], 2.0)
-            assert shapes == [(6, d, d)] * 3
+            assert shapes == [(patterns, 6, 2, 2)] * 3
 
     @pytest.mark.parametrize("n", [6, 8])
     def test_qubit_bath_past_n4(self, n):
