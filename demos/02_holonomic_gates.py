@@ -48,7 +48,7 @@ for schedule in (s1, schedule_u2(n, 1, theta), schedule_u3(n, 1, 2, phi)):
 # --- holonomy certification --------------------------------------------------
 print("\nholonomy reports (cyclic defect / transport violation / leakage):")
 for schedule in (s1, schedule_u2(n, 2, 1.0), schedule_u3(n, 1, 2, phi)):
-    r = verify_holonomy(schedule, samples_per_segment=8)
+    r = verify_holonomy(schedule)
     print(
         f"    {schedule.kind}: {r.cyclic_defect:.2e} / "
         f"{r.max_parallel_transport_violation:.2e} / {r.leakage:.2e}"

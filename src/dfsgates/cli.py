@@ -57,15 +57,12 @@ DEFAULTS = {
     "bath_width": 0.1,
     "seed": 0,
     "out": "sweep.csv",
-    "samples": 8,
     "dt_ladder": "0.1,0.05,0.025",
     "total_time": 2.0,
 }
 
 # Largest number of steps one sweep range may have; finer grids exit 2.
 MAX_GRID_STEPS = 10_000
-# Largest number of holonomy samples per segment `verify` accepts.
-MAX_SAMPLES = 1024
 # Largest --bath-width. Couplings of this size turn a qubit through ~1e3
 # radians per unit time, far past any pulse spacing that decouples them;
 # at widths near 1e15 times the evolution time a double keeps no digit of
@@ -106,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check one gate end to end")
     code_options(p_verify)
     gate_options(p_verify)
-    p_verify.add_argument("--samples", type=int, help="holonomy samples per segment")
 
     p_sweep = sub.add_parser("sweep", help="fidelity vs pulse error, CSV out")
     code_options(p_sweep)
@@ -180,8 +176,6 @@ def _check_values(cfg: dict) -> None:
         )
     if cfg["step"] <= 0:
         raise ValueError("step must be positive")
-    if not 1 <= cfg["samples"] <= MAX_SAMPLES:
-        raise ValueError(f"samples must be in 1..{MAX_SAMPLES}, got {cfg['samples']!r}")
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -205,7 +199,14 @@ def _grid_steps(lo: float, hi: float, step: float) -> int:
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
-    return [round(lo + i * step, 12) for i in range(_grid_steps(lo, hi, step) + 1)]
+    """The grid points lo + i * step up to hi, rounded to 12 decimals;
+    refused if the rounding repeats a point."""
+    points = [round(lo + i * step, 12) for i in range(_grid_steps(lo, hi, step) + 1)]
+    if not all(a < b for a, b in zip(points, points[1:])):
+        raise ValueError(
+            f"grid {lo:g}:{hi:g} at step {step:g} repeats points after rounding to 12 decimals"
+        )
+    return points
 
 
 def _parse_ladder(text: str) -> list[float]:
@@ -233,7 +234,7 @@ def _bath(cfg: dict) -> BathModel:
 
 def cmd_verify(cfg: dict) -> int:
     schedule = _schedule(cfg)
-    report = verify_holonomy(schedule, cfg["samples"])
+    report = verify_holonomy(schedule)
     checks: list[tuple[str, float, str, float, bool]] = []
     fid = product_fidelity([report.gate], [analytic_target(schedule)])
     checks.append(("gate_fidelity", fid, ">=", 1 - 1e-9, fid >= 1 - 1e-9))

@@ -14,7 +14,7 @@ Commutant Hamiltonians commute with X...X and Z...Z, so they never leave
 the all-(+1) sector that holds the code space. The gate layer works in its
 2**(N-2)-dimensional block and builds no basis: each segment's Pauli sum is
 compressed term by term to H_L by the stabilizer rule of logical_image and
-eigendecomposed once. The weight of each segment's terms outside the
+exponentiated once. The weight of each segment's terms outside the
 commutant bounds how far it moves the code space, so a schedule that does
 leave it is still caught (see verify_holonomy). The full-register
 propagator and the dense code basis are test oracles, in tests/oracles.py.
@@ -22,9 +22,11 @@ propagator and the dense code basis are test oracles, in tests/oracles.py.
 The holonomy checker certifies the two defining properties of a
 non-adiabatic holonomy directly from the simulated trajectory: the moving
 frame returns to itself over the full period, and the Hamiltonian has no
-matrix elements inside any transported frame subspace at any sampled time
-(single states for u1/u2; for u3 the two-dimensional subspaces that swap
-places halfway through).
+matrix elements inside any transported frame subspace (single states for
+u1/u2; for u3 the two-dimensional subspaces that swap places halfway
+through). Each segment's propagator commutes with its Hamiltonian, so
+those matrix elements are constant over the segment and are checked at
+its two ends.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ from .errors import (
 from .linalg import (
     ATOL_STRUCT,
     SIGMA_I,
-    _eigh_hermitian,
     _orthonormal_frame,
+    expm_hermitian,
     kron_all,
     spectral_norm,
 )
@@ -160,33 +162,29 @@ def schedule_u3(n: int, k: int, l: int, phi: float) -> GateSchedule:
 @dataclass(frozen=True, eq=False)
 class _BlockSegment:
     """One segment in code-space coordinates: H_L = logical_image(H), its
-    eigendecomposition, and the bound eps_s on ||(I - P) H P|| (verify_holonomy)."""
+    propagator exp(-i * area * H_L), and the bound eps_s on ||(I - P) H P||
+    (verify_holonomy)."""
 
     h: np.ndarray
-    evals: np.ndarray
-    vecs: np.ndarray
+    u: np.ndarray
     area: float
     leak_weight: float
 
-    def propagate(self, x: np.ndarray, fractions=(1.0,)) -> list[np.ndarray]:
-        """exp(-i * f * area * H_L) @ x for each fraction f."""
-        coeffs = self.vecs.conj().T @ x
-        return [
-            self.vecs @ (np.exp(-1j * f * self.area * self.evals)[:, None] * coeffs)
-            for f in fractions
-        ]
 
-
-def _block_segments(schedule: GateSchedule) -> list[_BlockSegment]:
+def _boundary_chain(schedule: GateSchedule) -> tuple[list[_BlockSegment], list[np.ndarray]]:
     """Every segment compressed onto the code space by the stabilizer rule
-    of logical_image, one 2**(N-2)-dimensional eigendecomposition each."""
-    out = []
+    of logical_image and exponentiated once (2**(N-2)-dimensional), and the
+    propagators to the segment boundaries: M_0 = I, M_s = U_s M_(s-1), so
+    M_S is the logical gate."""
+    segments = []
+    chain = [np.eye(2 ** (schedule.n_physical - 2), dtype=np.complex128)]
     for segment in schedule.segments:
         h = logical_image(segment.hamiltonian).to_matrix()
         leaking = commutant_split(segment.hamiltonian)[1]
-        out.append(_BlockSegment(h, *_eigh_hermitian(h), segment.area,
-                                 sum(abs(c) for c, _ in leaking.terms)))
-    return out
+        segments.append(_BlockSegment(h, expm_hermitian(h, segment.area), segment.area,
+                                      sum(abs(c) for c, _ in leaking.terms)))
+        chain.append(segments[-1].u @ chain[-1])
+    return segments, chain
 
 
 def _leakage(gate: np.ndarray, segments: list[_BlockSegment]) -> float:
@@ -205,14 +203,11 @@ def logical_gate(schedule: GateSchedule) -> np.ndarray:
         If the leakage bound of verify_holonomy exceeds ATOL_STRUCT, i.e.
         the evolution may have moved population out of the code space.
     """
-    segments = _block_segments(schedule)
-    gate = np.eye(2 ** (schedule.n_physical - 2), dtype=np.complex128)
-    for segment in segments:
-        [gate] = segment.propagate(gate)
-    leak = _leakage(gate, segments)
+    segments, chain = _boundary_chain(schedule)
+    leak = _leakage(chain[-1], segments)
     if leak > ATOL_STRUCT:
         raise LeakageError(f"code-space leakage {leak:.3e} exceeds {ATOL_STRUCT:.1e}")
-    return gate
+    return chain[-1]
 
 
 def leakage_of(block: np.ndarray) -> float:
@@ -279,17 +274,16 @@ def _principal_sines(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.linalg.norm(q - v @ (v.conj().swapaxes(1, 2) @ q), 2, axis=(1, 2))
 
 
-def verify_holonomy(schedule: GateSchedule, samples_per_segment: int = 8) -> HolonomyReport:
+def verify_holonomy(schedule: GateSchedule) -> HolonomyReport:
     """Evolve the schedule in the code-space block and certify the
     cyclic-frame and no-dynamical-phase conditions numerically.
 
     Code-space block. With B the logical basis of schedule.n_physical
     qubits as columns and P = B B†, each segment Hamiltonian H_s enters
     only as its block H_L,s = B† H_s B = logical_image(H_s) of dimension
-    2**(N-2), eigendecomposed once; B itself is never built. One pass over
-    the segments gives the logical gate M = prod exp(-i a_s H_L,s)
-    (earliest rightmost), the frame trajectory, the transport samples and
-    the swap check.
+    2**(N-2), exponentiated once to U_s = exp(-i a_s H_L,s); B itself is
+    never built. The chain M_0 = I, M_s = U_s M_(s-1) gives the logical
+    gate M = M_S and the frame M_s F at each segment boundary.
 
     Frames. The frame F of _transported_frame, the barred states on the
     target slots in code-space coordinates, is moved as G = u(t) F.
@@ -303,14 +297,15 @@ def verify_holonomy(schedule: GateSchedule, samples_per_segment: int = 8) -> Hol
     frame is the invariance of the code space, which leakage bounds.
 
     The transport violation is the largest Hamiltonian matrix element
-    inside any transported subspace, sampled at samples_per_segment+1
-    times per segment: per sample one product H_L G and the group-diagonal
-    k x k blocks of G†(H_L G), batched over the groups (each segment
-    Hamiltonian commutes with its own propagator, so endpoint checks would
-    suffice analytically; interior samples are defense in depth). For u3,
-    subspace_swap is the largest principal-angle sine between each barred
-    pair subspace after the first segment and its partner's initial span,
-    in both directions; it is None for the other kinds.
+    inside any transported subspace: the group-diagonal k x k blocks of
+    G†(H_L,s G), batched over the groups, with G the boundary frame
+    M_(s-1) F or M_s F at either end of segment s. Within the segment
+    G(t) = exp(-i t H_L,s) G(0), and that propagator commutes with H_L,s,
+    so G(t)† H_L,s G(t) = G(0)† H_L,s G(0) at every time of the segment
+    and its two ends stand for all of it. For u3, subspace_swap is the
+    largest principal-angle sine between each barred pair subspace after
+    the first segment, M_1 F, and its partner's initial span, in both
+    directions; it is None for the other kinds.
 
     Leakage. The reported leakage is max(||M†M - I||, (sum_s |a_s| eps_s)**2),
     with eps_s the sum of |c| over the terms c S of h_leak,s in the split
@@ -331,37 +326,28 @@ def verify_holonomy(schedule: GateSchedule, samples_per_segment: int = 8) -> Hol
     leaves the code space therefore still reports its leakage, and M is
     the exact logical gate of one that does not.
     """
-    if samples_per_segment < 1:
-        raise ValueError("samples_per_segment must be >= 1")
-    segments = _block_segments(schedule)
+    segments, chain = _boundary_chain(schedule)
     frame, k = _transported_frame(schedule)
-    fractions = [m / samples_per_segment for m in range(samples_per_segment + 1)]
+    frames = [m @ frame for m in chain]
 
     worst = 0.0
-    gate = np.eye(2 ** (schedule.n_physical - 2), dtype=np.complex128)
-    moved = after_first = frame
-    for index, segment in enumerate(segments):
-        for g in segment.propagate(moved, fractions):
+    for s, segment in enumerate(segments):
+        for g in frames[s : s + 2]:
             blocks = _by_group(g, k).conj().swapaxes(1, 2) @ _by_group(segment.h @ g, k)
             worst = max(worst, float(np.abs(blocks).max()))
-        # The last fraction is exactly 1.0, so g is the frame after the segment.
-        moved = g
-        if index == 0:
-            after_first = moved
-        [gate] = segment.propagate(gate)
 
     start = _by_group(frame, k)
     swap = None
     if schedule.kind == "u3":
         # Consecutive groups are the pairs that trade places mid-sequence.
-        half = _by_group(after_first, k)
+        half = _by_group(frames[1], k)
         swap = float(max(_principal_sines(half[0::2], start[1::2]).max(),
                          _principal_sines(half[1::2], start[0::2]).max()))
     return HolonomyReport(
-        cyclic_defect=float(_principal_sines(_by_group(moved, k), start).max()),
+        cyclic_defect=float(_principal_sines(_by_group(frames[-1], k), start).max()),
         max_parallel_transport_violation=worst,
-        leakage=_leakage(gate, segments),
-        gate=gate,
+        leakage=_leakage(chain[-1], segments),
+        gate=chain[-1],
         subspace_swap=swap,
     )
 

@@ -54,22 +54,8 @@ def expm_hermitian(h: np.ndarray, scale: float) -> np.ndarray:
 
     h may be a stack of matrices, shape (..., d, d); each is exponentiated
     alike. Exact up to eigensolver accuracy; at these dimensions (<= 256)
-    this is both cheap and more accurate than series methods.
-
-    Raises
-    ------
-    NotHermitianError
-        If h deviates from its own conjugate transpose by more than ATOL_STRUCT.
-    """
-    evals, vecs = _eigh_hermitian(h)
-    return (vecs * np.exp(-1j * scale * evals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-
-
-def _eigh_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of h, or of each matrix of a stack h of
-    shape (..., d, d), after checking that h is Hermitian.
-
-    The one eigendecomposition path behind every propagator in the package.
+    this is both cheap and more accurate than series methods. The one
+    eigendecomposition path behind every propagator in the package.
 
     Raises
     ------
@@ -79,7 +65,8 @@ def _eigh_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = np.asarray(h, dtype=np.complex128)
     if not is_hermitian(h):
         raise NotHermitianError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigh(h)
+    evals, vecs = np.linalg.eigh(h)
+    return (vecs * np.exp(-1j * scale * evals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def product_fidelity(us, vs) -> float:

@@ -11,6 +11,8 @@ The oracles work on the whole register or bit by bit:
     sector_projector     the dense projector onto one decoherence-free sector;
     frame_groups         the transported frames, built state by state from
                          the bits of the logical labels;
+    holonomy_oracle      the holonomy certifier on the full register, from
+                         projector differences and interior time samples;
     kron, is_unitary     the dense two-factor product and unitarity check;
     pauli_to_matrix      one Pauli string as a dense matrix;
     sums_isclose         Pauli sums compared coefficient by coefficient;
@@ -62,7 +64,7 @@ import numpy as np
 import dfsgates.noise as noise
 from dfsgates.dfs import LogicalBasis
 from dfsgates.errors import BadPartitionError, DimensionMismatchError, DimensionTooLargeError
-from dfsgates.gates import GateSchedule
+from dfsgates.gates import GateSchedule, leakage_of
 from dfsgates.linalg import (
     ATOL_NORM,
     ATOL_STRUCT,
@@ -71,6 +73,7 @@ from dfsgates.linalg import (
     expm_hermitian,
     kron_all,
     product_fidelity,
+    spectral_norm,
 )
 from dfsgates.noise import (
     IDEAL_PULSES,
@@ -233,6 +236,56 @@ def frame_groups(schedule: GateSchedule, states: np.ndarray) -> list[list[np.nda
                 groups.append(group)
         return groups
     raise ValueError(f"unknown schedule kind {schedule.kind!r}")
+
+
+def holonomy_oracle(schedule, basis, samples_per_segment=8):
+    """Projector-difference certifier: full d x d propagators, one vdot per
+    frame-vector pair at samples_per_segment+1 times per segment, and
+    ||P_U - P_V|| from a d x d SVD. Returns (cyclic defect, transport
+    violation, leakage, swap), swap None except for u3."""
+    groups = frame_groups(schedule, basis.states)
+    flat0 = [vec for group in groups for vec in group]
+    fractions = [m / samples_per_segment for m in range(samples_per_segment + 1)]
+    worst = 0.0
+    prefix = np.eye(2**schedule.n_physical, dtype=np.complex128)
+    for segment in schedule.segments:
+        h = segment.hamiltonian.to_matrix()
+        evals, vecs = np.linalg.eigh(h)
+        for f in fractions:
+            u_frac = (vecs * np.exp(-1j * f * segment.area * evals)) @ vecs.conj().T
+            u_t = u_frac @ prefix
+            for group in groups:
+                moved = [u_t @ vec for vec in group]
+                for a in moved:
+                    ha = h @ a
+                    for b in moved:
+                        worst = max(worst, abs(np.vdot(b, ha)))
+        prefix = u_frac @ prefix
+    defect = 0.0
+    for group in [flat0, *groups]:
+        defect = max(
+            defect,
+            spectral_norm(
+                subspace_projector([prefix @ v for v in group]) - subspace_projector(group)
+            ),
+        )
+    swap = None
+    if schedule.kind == "u3":
+        seg = schedule.segments[0]
+        evals, vecs = np.linalg.eigh(seg.hamiltonian.to_matrix())
+        u_boundary = (vecs * np.exp(-1j * seg.area * evals)) @ vecs.conj().T
+        swap = 0.0
+        for pa, pb in zip(groups[::2], groups[1::2]):
+            for src, dst in ((pa, pb), (pb, pa)):
+                swap = max(
+                    swap,
+                    spectral_norm(
+                        subspace_projector([u_boundary @ v for v in src])
+                        - subspace_projector(dst)
+                    ),
+                )
+    leakage = leakage_of(project_to_logical(prefix, basis))
+    return defect, worst, leakage, swap
 
 
 def pulse(

@@ -134,7 +134,7 @@ def test_criterion_4_holonomy_certification():
     ok = True
     for n in (4, 6):
         for schedule in _all_schedules(n):
-            report = verify_holonomy(schedule, samples_per_segment=8)
+            report = verify_holonomy(schedule)
             ok &= report.cyclic_defect <= 1e-9
             ok &= report.max_parallel_transport_violation <= 1e-9
             if schedule.kind == "u3":

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dfsgates.cli as cli
-from dfsgates.cli import MAX_BATH_WIDTH, MAX_GRID_STEPS, MAX_SAMPLES, _grid_steps, main
+from dfsgates.cli import MAX_BATH_WIDTH, MAX_GRID_STEPS, _grid_steps, main
 from dfsgates.noise import MAX_CYCLES_PER_SEGMENT
 
 
@@ -64,21 +64,6 @@ class TestVerify:
         assert len(rows) == (6 if gate == "u3" else 5)
         assert all(row.endswith("PASS") for row in rows)
         assert out.strip().endswith("result: PASS")
-
-    def test_samples_at_cap_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--gate", "u1", "--samples", str(MAX_SAMPLES))
-        assert code == 0
-        assert out.strip().endswith("result: PASS")
-
-    def test_bad_samples_refused_before_evolution(self, capsys, monkeypatch):
-        def no_evolution(schedule, samples_per_segment):
-            raise AssertionError("evolution ran")
-
-        monkeypatch.setattr(cli, "verify_holonomy", no_evolution)
-        for samples in ("0", str(MAX_SAMPLES + 1)):
-            code, _, err = run_cli(capsys, "verify", "--samples", samples)
-            assert code == 2
-            assert err.startswith("error: samples")
 
 
 class TestSweep:
@@ -187,6 +172,23 @@ class TestSweep:
         rows = out_path.read_text().splitlines()[1:]
         assert len(rows) == 4
         assert all(0 <= float(row.split(",")[1]) <= 0.1 for row in rows)
+
+    def test_grid_that_rounds_to_repeated_points_refused(self, capsys, tmp_path,
+                                                          monkeypatch):
+        # Points are rounded to 12 decimals: a 1e-13 step wrote 52 rows
+        # holding 6 distinct flip values.
+        def no_evolution(*args):
+            raise AssertionError("evolution ran")
+
+        monkeypatch.setattr(cli, "error_sweep", no_evolution)
+        out_path = tmp_path / "sweep.csv"
+        code, _, err = run_cli(
+            capsys, "sweep", "--eps-range=0:5e-12", "--delta-range=0:0", "--step", "1e-13",
+            "--out", str(out_path),
+        )
+        assert code == 2
+        assert err.startswith("error: grid 0:5e-12 at step 1e-13 repeats points")
+        assert not out_path.exists()
 
     def test_bad_step_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -365,11 +367,6 @@ class TestInputValidation:
         assert not out_csv.exists()
 
     @settings(max_examples=30, deadline=None)
-    @given(samples=st.one_of(st.integers(max_value=0), st.integers(min_value=MAX_SAMPLES + 1)))
-    def test_verify_samples_must_be_in_range(self, samples):
-        assert_config_error("verify", f"--samples={samples}")
-
-    @settings(max_examples=30, deadline=None)
     @given(cycles=st.one_of(st.integers(max_value=0),
                             st.integers(min_value=MAX_CYCLES_PER_SEGMENT + 1)),
            from_config=st.booleans())
@@ -434,7 +431,7 @@ OPTION_VALUES = {
 GATE_OPTIONS = {"gate", "j", "k", "l", "angle"}
 BATH_OPTIONS = {"bath", "bath-width", "seed"}
 READS = {
-    "verify": {"n", "samples"} | GATE_OPTIONS,
+    "verify": {"n"} | GATE_OPTIONS,
     "sweep": {"n", "cycles", "out", "eps-range", "delta-range", "step"}
     | GATE_OPTIONS | BATH_OPTIONS,
     "decouple": {"n", "dt-ladder", "total-time"} | BATH_OPTIONS,

@@ -1,5 +1,5 @@
-"""Differential property tests: the code-space gate path against the
-full-register oracle on random commutant schedules.
+"""Differential property tests: the code-space gate path and the holonomy
+certifier against the full-register oracles on random commutant schedules.
 
 The schedules draw their terms from every commutant two-body string, so
 they reach logical images that u1/u2/u3 never produce, such as
@@ -14,34 +14,51 @@ from hypothesis import strategies as st
 
 from conftest import two_body_strings
 from dfsgates.dfs import build_logical_basis
-from dfsgates.gates import GateSchedule, ScheduleSegment, logical_gate
+from dfsgates.gates import GateSchedule, ScheduleSegment, logical_gate, verify_holonomy
 from dfsgates.pauli import PauliString, PauliSum, commutant_split
-from oracles import evolve_schedule, project_to_logical
+from oracles import evolve_schedule, holonomy_oracle, project_to_logical
 
 COMMUTANT = {
     n: [s for s in two_body_strings(n)
         if commutant_split(PauliSum.from_terms(n, [(1.0, s)]))[1].is_zero()]
     for n in (4, 6)
 }
+# Two-body strings that anticommute with X...X or Z...Z: one such term
+# moves the code space.
+LEAKING = {n: [s for s in two_body_strings(n) if s not in COMMUTANT[n]] for n in COMMUTANT}
 BASES = {n: build_logical_basis(n) for n in COMMUTANT}
 
 
-def _schedule(n: int, segments) -> GateSchedule:
+def _schedule(n: int, segments, kind: str = "u1", target=(1,)) -> GateSchedule:
     """A schedule of (terms, area) segments; kind and target do not enter
-    logical_gate."""
-    return GateSchedule("u1", n, (1,), 0.0, tuple(
+    logical_gate, only the frames that verify_holonomy transports."""
+    return GateSchedule(kind, n, tuple(target), 0.0, tuple(
         ScheduleSegment(PauliSum.from_terms(n, terms), area) for terms, area in segments
     ))
 
 
 @st.composite
-def commutant_schedules(draw) -> GateSchedule:
+def commutant_schedules(draw, leaking: bool = False) -> GateSchedule:
     """1-3 segments of 1-3 commutant two-body strings at N = 4 or 6, with
-    coefficients in [-3, 3] and areas in [-2, 2]."""
+    coefficients in [-3, 3] and areas in [-2, 2], under a random kind and
+    valid target. With leaking, one segment also holds one term that
+    anticommutes with X...X or Z...Z, of coefficient +-[0.05, 1]."""
     n = draw(st.sampled_from(sorted(COMMUTANT)))
     term = st.tuples(st.floats(-3.0, 3.0), st.sampled_from(COMMUTANT[n]))
     segment = st.tuples(st.lists(term, min_size=1, max_size=3), st.floats(-2.0, 2.0))
-    return _schedule(n, draw(st.lists(segment, min_size=1, max_size=3)))
+    segments = draw(st.lists(segment, min_size=1, max_size=3))
+    if leaking:
+        at = draw(st.integers(0, len(segments) - 1))
+        kick = (draw(st.floats(0.05, 1.0)) * draw(st.sampled_from([-1, 1])),
+                draw(st.sampled_from(LEAKING[n])))
+        segments[at] = ([*segments[at][0], kick], segments[at][1])
+    kind = draw(st.sampled_from(["u1", "u2", "u3"]))
+    if kind == "u3":
+        k = draw(st.integers(1, n - 3))
+        target = (k, draw(st.integers(k + 1, n - 2)))
+    else:
+        target = (draw(st.integers(1, n - 2)),)
+    return _schedule(n, segments, kind, target)
 
 
 @settings(max_examples=60, deadline=None)
@@ -54,3 +71,27 @@ def test_block_gate_matches_full_register_oracle(schedule):
     full = evolve_schedule(schedule)
     oracle = project_to_logical(full, BASES[schedule.n_physical])
     assert np.abs(logical_gate(schedule) - oracle).max() <= 1e-12
+
+
+# Each example runs the dense oracle on the full register; 40 keep the
+# pair of tests near two seconds.
+@settings(max_examples=40, deadline=None)
+@given(commutant_schedules())
+def test_certifier_matches_holonomy_oracle(schedule):
+    report = verify_holonomy(schedule)
+    got = (report.cyclic_defect, report.max_parallel_transport_violation,
+           report.leakage, report.subspace_swap)
+    want = holonomy_oracle(schedule, BASES[schedule.n_physical])
+    assert (got[3] is None) == (want[3] is None)
+    for value, reference in zip(got, want):
+        if reference is not None:
+            assert abs(value - reference) <= 1e-12 * reference + 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(commutant_schedules(leaking=True))
+def test_leaking_term_reported_at_least_the_oracle_leakage(schedule):
+    # The oracle's leakage of B† U B carries its own rounding, ~1e-15, which
+    # a vanishing area leaves as the whole value.
+    oracle_leakage = holonomy_oracle(schedule, BASES[schedule.n_physical])[2]
+    assert verify_holonomy(schedule).leakage >= oracle_leakage - 1e-14
