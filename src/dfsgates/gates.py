@@ -11,13 +11,14 @@ rotations
     u3: exp(+i phi Y_k (x) Z_l)    (two segments, entangling)
 
 Commutant Hamiltonians commute with X...X and Z...Z, so they never leave
-the all-(+1) sector that holds the code space. The gate layer works in its
-2**(N-2)-dimensional block and builds no basis: each segment's Pauli sum is
-compressed term by term to H_L by the stabilizer rule of logical_image and
-exponentiated once. The weight of each segment's terms outside the
-commutant bounds how far it moves the code space, so a schedule that does
-leave it is still caught (see verify_holonomy). The full-register
-propagator and the dense code basis are test oracles, in tests/oracles.py.
+the all-(+1) sector that holds the code space. The gate layer builds no
+basis: logical_image compresses each segment to H_L by a stabilizer rule,
+and H_L is exponentiated once on the logical support, the target qubits
+and those H_L acts on (one for u1/u2, two for u3, at any N). The weight of
+each segment's terms outside the commutant bounds how far it moves the
+code space, so a schedule that does leave it is still caught (see
+verify_holonomy). The full-register propagator, the dense code basis and
+the whole-block certifier are test oracles, in tests/oracles.py.
 
 The holonomy checker certifies the two defining properties of a
 non-adiabatic holonomy directly from the simulated trajectory: the moving
@@ -102,12 +103,8 @@ def _check_pair(n: int, k: int, l: int) -> None:
         raise BadIndexPairError(f"need 1 <= k < l <= {n - 2}, got k={k}, l={l}")
 
 
-def _xx(n: int, a: int, b: int) -> PauliSum:
-    return PauliSum.from_terms(n, [(1.0, PauliString.from_sites(n, {a: "X", b: "X"}))])
-
-
-def _zz(n: int, a: int, b: int) -> PauliSum:
-    return PauliSum.from_terms(n, [(1.0, PauliString.from_sites(n, {a: "Z", b: "Z"}))])
+def _pair(n: int, letter: str, a: int, b: int) -> PauliSum:
+    return PauliSum.from_terms(n, [(1.0, PauliString.from_sites(n, {a: letter, b: letter}))])
 
 
 def schedule_u1(n: int, j: int, theta: float) -> GateSchedule:
@@ -118,8 +115,8 @@ def schedule_u1(n: int, j: int, theta: float) -> GateSchedule:
     """
     _check_code_size(n)
     _check_logical(n, j)
-    h1 = _zz(n, j + 1, n)
-    h1p = np.cos(theta) * h1 + np.sin(theta) * _xx(n, 1, j + 1)
+    h1 = _pair(n, "Z", j + 1, n)
+    h1p = np.cos(theta) * h1 + np.sin(theta) * _pair(n, "X", 1, j + 1)
     return GateSchedule(
         "u1", n, (j,), theta,
         (ScheduleSegment(h1, np.pi / 2), ScheduleSegment(h1p, np.pi / 2)),
@@ -134,7 +131,7 @@ def schedule_u2(n: int, j: int, theta: float) -> GateSchedule:
     """
     _check_code_size(n)
     _check_logical(n, j)
-    h2 = _xx(n, 1, j + 1)
+    h2 = _pair(n, "X", 1, j + 1)
     inner = schedule_u1(n, j, theta).segments
     return GateSchedule(
         "u2", n, (j,), theta,
@@ -151,8 +148,8 @@ def schedule_u3(n: int, k: int, l: int, phi: float) -> GateSchedule:
     """Two-segment schedule for the entangling rotation exp(i phi Y_k Z_l)."""
     _check_code_size(n)
     _check_pair(n, k, l)
-    h3 = np.cos(phi) * _xx(n, 1, k + 1) + (-np.sin(phi)) * _zz(n, k + 1, l + 1)
-    h3p = _xx(n, 1, k + 1)
+    h3p = _pair(n, "X", 1, k + 1)
+    h3 = np.cos(phi) * h3p + (-np.sin(phi)) * _pair(n, "Z", k + 1, l + 1)
     return GateSchedule(
         "u3", n, (k, l), phi,
         (ScheduleSegment(h3, np.pi / 2), ScheduleSegment(h3p, np.pi / 2)),
@@ -161,41 +158,42 @@ def schedule_u3(n: int, k: int, l: int, phi: float) -> GateSchedule:
 
 @dataclass(frozen=True, eq=False)
 class _BlockSegment:
-    """One segment in code-space coordinates: H_L = logical_image(H), its
-    propagator exp(-i * area * H_L), and the bound eps_s on ||(I - P) H P||
-    (verify_holonomy)."""
+    """One segment on the logical support: H_L, its area, and the bound
+    eps_s on ||(I - P) H P||."""
 
     h: np.ndarray
-    u: np.ndarray
     area: float
     leak_weight: float
 
 
-def _boundary_chain(schedule: GateSchedule) -> tuple[list[_BlockSegment], list[np.ndarray]]:
-    """Every segment compressed onto the code space by the stabilizer rule
-    of logical_image and exponentiated once (2**(N-2)-dimensional), and the
-    propagators to the segment boundaries: M_0 = I, M_s = U_s M_(s-1), so
-    M_S is the logical gate."""
+def _boundary_chain(schedule: GateSchedule) -> tuple[list, list, tuple[int, ...]]:
+    """(segments, chain, Q): every segment compressed onto the code space
+    by logical_image, restricted to the logical support Q (the ascending
+    target qubits and every qubit an image acts on) and exponentiated once,
+    and the propagators to the boundaries, M_0 = I, M_s = U_s M_(s-1)."""
+    images = [logical_image(segment.hamiltonian) for segment in schedule.segments]
+    support = tuple(sorted(set(schedule.target).union(*(h.support() for h in images))))
     segments = []
-    chain = [np.eye(2 ** (schedule.n_physical - 2), dtype=np.complex128)]
-    for segment in schedule.segments:
-        h = logical_image(segment.hamiltonian).to_matrix()
-        leaking = commutant_split(segment.hamiltonian)[1]
-        segments.append(_BlockSegment(h, expm_hermitian(h, segment.area), segment.area,
-                                      sum(abs(c) for c, _ in leaking.terms)))
-        chain.append(segments[-1].u @ chain[-1])
-    return segments, chain
+    chain = [np.eye(2 ** len(support), dtype=np.complex128)]
+    for segment, image in zip(schedule.segments, images):
+        h = image.restricted(support).to_matrix()
+        chain.append(expm_hermitian(h, segment.area) @ chain[-1])
+        leak_weight = sum(abs(c) for c, _ in commutant_split(segment.hamiltonian)[1].terms)
+        segments.append(_BlockSegment(h, segment.area, leak_weight))
+    return segments, chain, support
 
 
-def _leakage(gate: np.ndarray, segments: list[_BlockSegment]) -> float:
-    """max(||M†M - I||, (sum_s |a_s| eps_s)**2): a bound on the leakage of
-    the true restriction P U P (derivation in verify_holonomy)."""
-    drift = sum(abs(segment.area) * segment.leak_weight for segment in segments)
-    return max(leakage_of(gate), drift**2)
+def _embed(m: np.ndarray, support: tuple[int, ...], n_logical: int) -> np.ndarray:
+    """m on the ascending 1-indexed support of n_logical qubits, the identity
+    on the rest: one Kronecker product, its tensor axes permuted."""
+    rest = [q for q in range(1, n_logical + 1) if q not in support]
+    order = np.argsort([*support, *rest])
+    full = np.kron(m, np.eye(2 ** len(rest))).reshape((2,) * 2 * n_logical)
+    return full.transpose([*order, *(order + n_logical)]).reshape(2**n_logical, -1)
 
 
 def logical_gate(schedule: GateSchedule) -> np.ndarray:
-    """Evolve the schedule in the code-space block, in logical coordinates.
+    """The gate of verify_holonomy, in logical coordinates.
 
     Raises
     ------
@@ -203,11 +201,10 @@ def logical_gate(schedule: GateSchedule) -> np.ndarray:
         If the leakage bound of verify_holonomy exceeds ATOL_STRUCT, i.e.
         the evolution may have moved population out of the code space.
     """
-    segments, chain = _boundary_chain(schedule)
-    leak = _leakage(chain[-1], segments)
-    if leak > ATOL_STRUCT:
-        raise LeakageError(f"code-space leakage {leak:.3e} exceeds {ATOL_STRUCT:.1e}")
-    return chain[-1]
+    report = verify_holonomy(schedule)
+    if report.leakage > ATOL_STRUCT:
+        raise LeakageError(f"code-space leakage {report.leakage:.3e} exceeds {ATOL_STRUCT:.1e}")
+    return report.gate
 
 
 def leakage_of(block: np.ndarray) -> float:
@@ -237,13 +234,13 @@ def analytic_target(schedule: GateSchedule) -> np.ndarray:
 # Holonomy certification
 
 
-def _transported_frame(schedule: GateSchedule) -> tuple[np.ndarray, int]:
-    """The parallel-transported frame in code-space coordinates, as the
-    columns of one orthonormal matrix F, and the size k of its groups,
-    which fill consecutive columns.
+def _transported_frame(schedule: GateSchedule, support: tuple) -> tuple[np.ndarray, int]:
+    """The parallel-transported frame on the logical support, ascending
+    qubits that hold the target, as the columns of one orthonormal matrix
+    F, and the size k of its groups, which fill consecutive columns.
 
-    F is barred_transform on the target slots, with the slot axes of its
-    column index moved last:
+    F is barred_transform on the target slots, numbered within the
+    support, with the slot axes of its column index moved last:
 
     u1: barred states on the target, computational elsewhere; one group
         per state.
@@ -256,9 +253,9 @@ def _transported_frame(schedule: GateSchedule) -> tuple[np.ndarray, int]:
     slots = {"u1": schedule.target, "u2": (), "u3": schedule.target}.get(schedule.kind)
     if slots is None:
         raise ValueError(f"unknown schedule kind {schedule.kind!r}")
-    n_logical = schedule.n_physical - 2
-    frame = barred_transform(n_logical, slots).reshape(-1, *(2,) * n_logical)
-    frame = np.moveaxis(frame, slots, range(-len(slots), 0)).reshape(2**n_logical, -1)
+    slots, n = tuple(support.index(q) + 1 for q in slots), len(support)
+    frame = barred_transform(n, slots).reshape(-1, *(2,) * n)
+    frame = np.moveaxis(frame, slots, range(-len(slots), 0)).reshape(2**n, -1)
     return _orthonormal_frame(frame.T), 2 if schedule.kind == "u3" else 1
 
 
@@ -275,15 +272,18 @@ def _principal_sines(q: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def verify_holonomy(schedule: GateSchedule) -> HolonomyReport:
-    """Evolve the schedule in the code-space block and certify the
+    """Evolve the schedule on its logical support and certify the
     cyclic-frame and no-dynamical-phase conditions numerically.
 
-    Code-space block. With B the logical basis of schedule.n_physical
+    Logical support. With B the logical basis of schedule.n_physical
     qubits as columns and P = B B†, each segment Hamiltonian H_s enters
-    only as its block H_L,s = B† H_s B = logical_image(H_s) of dimension
-    2**(N-2), exponentiated once to U_s = exp(-i a_s H_L,s); B itself is
-    never built. The chain M_0 = I, M_s = U_s M_(s-1) gives the logical
-    gate M = M_S and the frame M_s F at each segment boundary.
+    only as its block B† H_s B = logical_image(H_s) = H_L,s (x) I, H_L,s on
+    the support Q (dimension 2 for u1/u2, 4 for u3, at any N), which is
+    exponentiated once to U_s = exp(-i a_s H_L,s); B is never built. The
+    chain M_0 = I, M_s = U_s M_(s-1) gives the logical gate M = M_S,
+    reported as M (x) I on all N-2 logical qubits, and the frame M_s F at
+    each segment boundary. The block's frame is F (x) I, so the checks
+    below, made on Q, are exact for M (x) I.
 
     Frames. The frame F of _transported_frame, the barred states on the
     target slots in code-space coordinates, is moved as G = u(t) F.
@@ -293,7 +293,7 @@ def verify_holonomy(schedule: GateSchedule) -> HolonomyReport:
     Math. Comp. 27 (1973)), which keeps full relative accuracy at small
     angles; the cosine route sqrt(1 - sigma_min(F† G)**2) floors at the
     square root of the rounding unit, 1.5e-8, above the 1e-9 bound. The
-    groups together span the whole block, so the closure of the full
+    groups together span the support block, so the closure of the full
     frame is the invariance of the code space, which leakage bounds.
 
     The transport violation is the largest Hamiltonian matrix element
@@ -308,33 +308,28 @@ def verify_holonomy(schedule: GateSchedule) -> HolonomyReport:
     directions; it is None for the other kinds.
 
     Leakage. The reported leakage is max(||M†M - I||, (sum_s |a_s| eps_s)**2),
-    with eps_s the sum of |c| over the terms c S of h_leak,s in the split
-    H_s = h_c,s + h_leak,s of commutant_split. It is a rigorous upper bound
-    on the leakage ||M_true†M_true - I|| of the true restriction
-    M_true = B† U B of the full propagator U. The terms of h_c,s commute
-    with X...X and Z...Z, hence with P, and every Pauli string has norm 1,
-    so ||(I - P) H_s P|| = ||(I - P) h_leak,s P|| <= eps_s. Since U is
-    unitary, M_true†M_true - I = -B† U† (I - P) U B, whose norm is
-    ||(I - P) U P||**2. Split each H_s = D_s + E_s into its part D_s that is
-    block diagonal in P and the off-diagonal rest E_s, with ||E_s|| <= eps_s.
-    Duhamel's formula gives ||exp(-i a_s H_s) - exp(-i a_s D_s)|| <=
-    |a_s| eps_s, and telescoping over the segments bounds ||U - U_D|| by
-    sum_s |a_s| eps_s, where U_D, the product of the block-diagonal
-    exponentials, has (I - P) U_D P = 0. Hence ||(I - P) U P|| =
-    ||(I - P)(U - U_D) P|| <= sum_s |a_s| eps_s, with no matrix beyond the
-    block; a commutant schedule has eps_s = 0 exactly. A schedule that
-    leaves the code space therefore still reports its leakage, and M is
-    the exact logical gate of one that does not.
+    with eps_s the sum of |c| over the terms of h_leak,s in the split
+    H_s = h_c,s + h_leak,s of commutant_split: a rigorous upper bound on the
+    leakage ||M_true†M_true - I|| = ||(I - P) U P||**2 of the true
+    restriction M_true = B† U B of the full (unitary) propagator U. The
+    terms of h_c,s commute with X...X and Z...Z, hence with P, and every
+    Pauli string has norm 1, so the part E_s of H_s off the diagonal blocks
+    of P has ||E_s|| <= eps_s. With D_s = H_s - E_s, Duhamel's formula gives
+    ||exp(-i a_s H_s) - exp(-i a_s D_s)|| <= |a_s| eps_s, and telescoping
+    over the segments bounds ||U - U_D|| by sum_s |a_s| eps_s, where U_D,
+    the product of the block-diagonal exponentials, has (I - P) U_D P = 0.
+    Hence ||(I - P) U P|| = ||(I - P)(U - U_D) P|| <= sum_s |a_s| eps_s,
+    with no matrix beyond the block; a commutant schedule has eps_s = 0
+    exactly. A schedule that leaves the code space therefore still reports
+    its leakage, and M is the exact logical gate of one that does not.
     """
-    segments, chain = _boundary_chain(schedule)
-    frame, k = _transported_frame(schedule)
+    segments, chain, support = _boundary_chain(schedule)
+    frame, k = _transported_frame(schedule, support)
     frames = [m @ frame for m in chain]
 
-    worst = 0.0
-    for s, segment in enumerate(segments):
-        for g in frames[s : s + 2]:
-            blocks = _by_group(g, k).conj().swapaxes(1, 2) @ _by_group(segment.h @ g, k)
-            worst = max(worst, float(np.abs(blocks).max()))
+    blocks = [_by_group(g, k).conj().swapaxes(1, 2) @ _by_group(segment.h @ g, k)
+              for s, segment in enumerate(segments) for g in frames[s : s + 2]]
+    worst = max((float(np.abs(b).max()) for b in blocks), default=0.0)
 
     start = _by_group(frame, k)
     swap = None
@@ -343,11 +338,12 @@ def verify_holonomy(schedule: GateSchedule) -> HolonomyReport:
         half = _by_group(frames[1], k)
         swap = float(max(_principal_sines(half[0::2], start[1::2]).max(),
                          _principal_sines(half[1::2], start[0::2]).max()))
+    drift = sum(abs(segment.area) * segment.leak_weight for segment in segments)
     return HolonomyReport(
         cyclic_defect=float(_principal_sines(_by_group(frames[-1], k), start).max()),
         max_parallel_transport_violation=worst,
-        leakage=_leakage(chain[-1], segments),
-        gate=chain[-1],
+        leakage=max(leakage_of(chain[-1]), drift**2),
+        gate=_embed(chain[-1], support, schedule.n_physical - 2),
         subspace_swap=swap,
     )
 
@@ -430,7 +426,7 @@ def schedule_from_json(text: str) -> GateSchedule:
     ------
     DfsGatesError
         Text that is not a JSON object; a missing or mistyped field, named
-        in the message; an unknown kind; a non-finite angle or area; a
+        in the message; an empty segment list; an unknown kind; a non-finite angle or area; a
         Hamiltonian that does not parse, is written on another qubit count
         (LengthMismatchError), has a complex or non-finite coefficient, or
         has a term that anticommutes with X...X or Z...Z (it would leave
@@ -458,8 +454,11 @@ def schedule_from_json(text: str) -> GateSchedule:
         if len(target) != 1:
             raise LogicalIndexError(f"{kind} needs one logical target, got {target}")
         _check_logical(n, *target)
+    specs = _field(data, "segments", (list,), "a non-empty list of segments")
+    if not specs:
+        raise DfsGatesError("schedule field 'segments' must be a non-empty list of segments")
     segments = []
-    for index, seg in enumerate(_field(data, "segments", (list,), "a list of segments")):
+    for index, seg in enumerate(specs):
         where = f"segment {index}"
         spec = _field(seg, "hamiltonian", (str,), "a Pauli-sum string", where)
         area = _field(seg, "area", (int, float), "a finite number", where)

@@ -1,9 +1,14 @@
 """Dense full-register oracles for the library's structured fast paths.
 
-Gates and code space. The library evolves a schedule in the code-space
-block, bounds how far each segment moves the code space from the symbolic
+Gates and code space. The library evolves and certifies a schedule on its
+logical support (the target qubits and the qubits its compressed terms act
+on), bounds how far each segment moves the code space from the symbolic
 commutant split, and builds the transported frames from `barred_transform`.
-The oracles work on the whole register or bit by bit:
+The oracles work on the whole code-space block, the whole register or bit
+by bit:
+
+    block_certifier      the certifier on the whole 2**(N-2)-dimensional
+                         code-space block;
 
     evolve_schedule      the product of full-register segment exponentials;
     project_to_logical   a full-register operator in logical coordinates;
@@ -62,7 +67,7 @@ import math
 import numpy as np
 
 import dfsgates.noise as noise
-from dfsgates.dfs import LogicalBasis
+from dfsgates.dfs import LogicalBasis, logical_image
 from dfsgates.errors import BadPartitionError, DimensionMismatchError, DimensionTooLargeError
 from dfsgates.gates import GateSchedule, leakage_of
 from dfsgates.linalg import (
@@ -83,7 +88,13 @@ from dfsgates.noise import (
     dd_cycle,
     single_qubit_pulse,
 )
-from dfsgates.pauli import DecouplingGroup, PauliString, PauliSum, _signed_permutation
+from dfsgates.pauli import (
+    DecouplingGroup,
+    PauliString,
+    PauliSum,
+    _signed_permutation,
+    commutant_split,
+)
 
 
 def pauli_to_matrix(p: PauliString) -> np.ndarray:
@@ -286,6 +297,48 @@ def holonomy_oracle(schedule, basis, samples_per_segment=8):
                 )
     leakage = leakage_of(project_to_logical(prefix, basis))
     return defect, worst, leakage, swap
+
+
+def block_certifier(schedule: GateSchedule):
+    """The holonomy certifier on the whole 2**(N-2)-dimensional code-space
+    block: each segment's logical_image(H_s) as a full block matrix,
+    exponentiated once; the boundary chain M_0 = I, M_s = U_s M_(s-1); the
+    frame of frame_groups moved along it; transport from the group-diagonal
+    blocks of G†H_sG at both ends of each segment; cyclic and u3 swap
+    defects as largest principal-angle sines ||G - F(F†G)||_2; leakage as
+    max(||M†M - I||, (sum_s |a_s| eps_s)**2). Returns (cyclic defect,
+    transport violation, leakage, swap, gate M), swap None except for u3."""
+    n_logical = schedule.n_physical - 2
+    groups = frame_groups(schedule, np.eye(2**n_logical, dtype=np.complex128))
+    k = len(groups[0])
+    frame = np.array([vec for group in groups for vec in group]).T
+
+    def by_group(x):
+        return x.reshape(x.shape[0], -1, k).transpose(1, 0, 2)
+
+    def sines(q, v):
+        return np.linalg.norm(q - v @ (v.conj().swapaxes(1, 2) @ q), 2, axis=(1, 2))
+
+    hs = [logical_image(segment.hamiltonian).to_matrix() for segment in schedule.segments]
+    chain = [np.eye(2**n_logical, dtype=np.complex128)]
+    for h, segment in zip(hs, schedule.segments):
+        chain.append(expm_hermitian(h, segment.area) @ chain[-1])
+    frames = [m @ frame for m in chain]
+    worst = 0.0
+    for s, h in enumerate(hs):
+        for g in frames[s : s + 2]:
+            blocks = by_group(g).conj().swapaxes(1, 2) @ by_group(h @ g)
+            worst = max(worst, float(np.abs(blocks).max()))
+    start = by_group(frame)
+    swap = None
+    if schedule.kind == "u3":
+        half = by_group(frames[1])
+        swap = float(max(sines(half[0::2], start[1::2]).max(),
+                         sines(half[1::2], start[0::2]).max()))
+    drift = sum(abs(segment.area) * abs(c) for segment in schedule.segments
+                for c, _ in commutant_split(segment.hamiltonian)[1].terms)
+    leakage = max(leakage_of(chain[-1]), drift**2)
+    return float(sines(by_group(frames[-1]), start).max()), worst, leakage, swap, chain[-1]
 
 
 def pulse(

@@ -42,6 +42,7 @@ from dfsgates.pauli import (
     commutes,
 )
 from oracles import (
+    block_certifier,
     evolve_schedule,
     frame_groups,
     holonomy_oracle,
@@ -338,25 +339,70 @@ def _every_target(n):
 
 
 class TestTransportedFrame:
-    """The certifier's frame, barred_transform with the target axes moved
-    last, against the bit-by-bit frame oracle in code-space coordinates."""
+    """The certifier's frame on a logical support, barred_transform on the
+    target renumbered into it with the target axes moved last, against the
+    bit-by-bit frame oracle in code-space coordinates: on every logical
+    qubit, and on the schedule's own support, where the oracle runs on a
+    code of that many logical qubits with the target renumbered alike."""
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_matches_frame_groups_oracle(self, n):
         for kind, target in _every_target(n):
             schedule = _schedule(kind, n, target, 0.5)
-            frame, k = _transported_frame(schedule)
-            groups = frame_groups(schedule, np.eye(2 ** (n - 2)))
-            assert {len(group) for group in groups} == {k}
-            want = np.array([vec for group in groups for vec in group]).T
-            assert frame.shape == want.shape
-            assert np.abs(frame - want).max() <= 1e-15
+            own = gates._boundary_chain(schedule)[2]
+            assert own == target
+            for support in (tuple(range(1, n - 1)), own):
+                frame, k = _transported_frame(schedule, support)
+                renumbered = tuple(support.index(q) + 1 for q in target)
+                small = GateSchedule(kind, len(support) + 2, renumbered, 0.5, ())
+                groups = frame_groups(small, np.eye(2 ** len(support)))
+                assert {len(group) for group in groups} == {k}
+                want = np.array([vec for group in groups for vec in group]).T
+                assert frame.shape == want.shape
+                assert np.abs(frame - want).max() <= 1e-15
 
     def test_unknown_kind_rejected(self):
         schedule = schedule_u1(4, 1, 0.5)
         odd = GateSchedule("u4", 4, schedule.target, schedule.angle, schedule.segments)
         with pytest.raises(ValueError, match="unknown schedule kind"):
-            _transported_frame(odd)
+            _transported_frame(odd, (1,))
+
+
+class TestLogicalSupport:
+    """The certifier on the schedule's logical support against the same
+    certifier on the whole 2**(N-2) code-space block."""
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_every_target_matches_block_oracle(self, n):
+        for kind, target in _every_target(n):
+            for angle in (0.7, -0.4):
+                schedule = _schedule(kind, n, target, angle)
+                *want, gate = block_certifier(schedule)
+                got = certify(schedule)
+                assert (got[3] is None) == (want[3] is None)
+                for value, reference in zip(got, want):
+                    if reference is not None:
+                        assert abs(value - reference) <= 1e-12 * reference + 1e-14
+                assert np.abs(verify_holonomy(schedule).gate - gate).max() <= 1e-14
+                assert np.abs(logical_gate(schedule) - gate).max() <= 1e-14
+
+    @pytest.mark.parametrize("kind, target", [("u1", (1,)), ("u2", (1,)), ("u3", (1, 2))])
+    def test_report_is_bit_identical_across_n(self, kind, target):
+        reports = [certify(_schedule(kind, n, target, 0.7)) for n in (4, 6, 8)]
+        assert reports[0] == reports[1] == reports[2]
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_image_on_every_logical_qubit_runs_on_the_whole_block(self, n):
+        # X_1 X_N compresses to X...X, which acts on all N-2 logical qubits.
+        data = json.loads(schedule_to_json(schedule_u1(n, 1, 0.5)))
+        data["segments"].append({"hamiltonian": "0.3*+X" + "I" * (n - 2) + "X", "area": 0.8})
+        schedule = schedule_from_json(json.dumps(data))
+        assert gates._boundary_chain(schedule)[2] == tuple(range(1, n - 1))
+        *want, gate = block_certifier(schedule)
+        for value, reference in zip(certify(schedule), want):
+            if reference is not None:
+                assert abs(value - reference) <= 1e-12 * reference + 1e-14
+        assert np.abs(logical_gate(schedule) - gate).max() <= 1e-14
 
 
 class TestCertifierOracle:
@@ -465,7 +511,9 @@ class TestBlockEigendecompositions:
         assert main(["verify", "--n", str(n), "--gate", gate, *target]) == 0
         assert capsys.readouterr().out.strip().endswith("result: PASS")
         segments = {"u1": 2, "u2": 4, "u3": 2}[gate]
-        assert shapes == [(2 ** (n - 2),) * 2] * segments
+        # The logical support: the target qubit for u1/u2, the pair for u3.
+        dim = 4 if gate == "u3" else 2
+        assert shapes == [(dim, dim)] * segments
 
 
 class TestU3Blocks:
@@ -623,6 +671,11 @@ class TestScheduleFromJsonValidation:
         data["segments"][2]["area"] = bad
         with pytest.raises(DfsGatesError, match="finite"):
             schedule_from_json(json.dumps(data))
+
+    def test_empty_segment_list(self):
+        # A u3 schedule without segments has no half-way frame to check.
+        with pytest.raises(DfsGatesError, match="segments"):
+            schedule_from_json(edited_json(schedule_u3(6, 1, 2, 0.3), segments=[]))
 
     def test_term_leaving_the_code_space(self):
         data = json.loads(schedule_to_json(schedule_u3(6, 1, 2, 0.3)))

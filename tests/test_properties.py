@@ -1,9 +1,12 @@
-"""Differential property tests: the code-space gate path and the holonomy
-certifier against the full-register oracles on random commutant schedules.
+"""Differential property tests: the logical-support gate path and the
+holonomy certifier against the whole-block and full-register oracles on
+random commutant schedules.
 
 The schedules draw their terms from every commutant two-body string, so
 they reach logical images that u1/u2/u3 never produce, such as
-X_1 X_N -> X...X of weight N - 2.
+X_1 X_N -> X...X of weight N - 2, whose support is every logical qubit.
+The full-register oracles run at N = 4 and 6; the whole-block oracle also
+at N = 8.
 """
 
 from __future__ import annotations
@@ -16,17 +19,18 @@ from conftest import two_body_strings
 from dfsgates.dfs import build_logical_basis
 from dfsgates.gates import GateSchedule, ScheduleSegment, logical_gate, verify_holonomy
 from dfsgates.pauli import PauliString, PauliSum, commutant_split
-from oracles import evolve_schedule, holonomy_oracle, project_to_logical
+from oracles import block_certifier, evolve_schedule, holonomy_oracle, project_to_logical
 
 COMMUTANT = {
     n: [s for s in two_body_strings(n)
         if commutant_split(PauliSum.from_terms(n, [(1.0, s)]))[1].is_zero()]
-    for n in (4, 6)
+    for n in (4, 6, 8)
 }
 # Two-body strings that anticommute with X...X or Z...Z: one such term
 # moves the code space.
 LEAKING = {n: [s for s in two_body_strings(n) if s not in COMMUTANT[n]] for n in COMMUTANT}
-BASES = {n: build_logical_basis(n) for n in COMMUTANT}
+# The full-register oracles' sizes.
+BASES = {n: build_logical_basis(n) for n in (4, 6)}
 
 
 def _schedule(n: int, segments, kind: str = "u1", target=(1,)) -> GateSchedule:
@@ -38,12 +42,12 @@ def _schedule(n: int, segments, kind: str = "u1", target=(1,)) -> GateSchedule:
 
 
 @st.composite
-def commutant_schedules(draw, leaking: bool = False) -> GateSchedule:
-    """1-3 segments of 1-3 commutant two-body strings at N = 4 or 6, with
+def commutant_schedules(draw, sizes=tuple(BASES), leaking: bool = False) -> GateSchedule:
+    """1-3 segments of 1-3 commutant two-body strings at an N of sizes, with
     coefficients in [-3, 3] and areas in [-2, 2], under a random kind and
     valid target. With leaking, one segment also holds one term that
     anticommutes with X...X or Z...Z, of coefficient +-[0.05, 1]."""
-    n = draw(st.sampled_from(sorted(COMMUTANT)))
+    n = draw(st.sampled_from(sizes))
     term = st.tuples(st.floats(-3.0, 3.0), st.sampled_from(COMMUTANT[n]))
     segment = st.tuples(st.lists(term, min_size=1, max_size=3), st.floats(-2.0, 2.0))
     segments = draw(st.lists(segment, min_size=1, max_size=3))
@@ -95,3 +99,27 @@ def test_leaking_term_reported_at_least_the_oracle_leakage(schedule):
     # a vanishing area leaves as the whole value.
     oracle_leakage = holonomy_oracle(schedule, BASES[schedule.n_physical])[2]
     assert verify_holonomy(schedule).leakage >= oracle_leakage - 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(commutant_schedules(sizes=(4, 6, 8)))
+@example(_schedule(8, [
+    ([(0.7, PauliString.from_label("XIIIIIIX")), (0.3, PauliString.from_label("IZIIIZII"))], 1.3),
+], "u3", (2, 5)))
+def test_support_path_matches_block_oracle(schedule):
+    *want, gate = block_certifier(schedule)
+    report = verify_holonomy(schedule)
+    got = (report.cyclic_defect, report.max_parallel_transport_violation,
+           report.leakage, report.subspace_swap)
+    assert (got[3] is None) == (want[3] is None)
+    for value, reference in zip(got, want):
+        if reference is not None:
+            assert abs(value - reference) <= 1e-12 * reference + 1e-14
+    # Both paths round each eigenphase of a_s H_s, so the gates agree to
+    # 1e-14 per radian of the summed phase bound sum_s |a_s| sum |c|;
+    # u1/u2/u3 stay within 1e-14 flat (test_gates).
+    phase = sum(abs(seg.area) * abs(c) for seg in schedule.segments
+                for c, _ in seg.hamiltonian.terms)
+    bound = 1e-14 * (1 + phase)
+    assert np.abs(report.gate - gate).max() <= bound
+    assert np.abs(logical_gate(schedule) - gate).max() <= bound
