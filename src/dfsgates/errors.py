@@ -33,6 +33,10 @@ class TooFewQubitsError(DfsGatesError):
     """Fewer physical qubits than the construction needs."""
 
 
+class ScheduleError(DfsGatesError):
+    """A gate schedule names an unknown kind or holds no segments."""
+
+
 class LogicalIndexError(DfsGatesError):
     """Logical-qubit index outside 1..(N-2)."""
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -46,6 +47,7 @@ from .errors import (
     LeakageError,
     LengthMismatchError,
     LogicalIndexError,
+    ScheduleError,
     TooFewQubitsError,
 )
 from .linalg import (
@@ -81,6 +83,45 @@ class GateSchedule:
     angle: float
     segments: tuple[ScheduleSegment, ...]
 
+    def __post_init__(self):
+        """Check the schedule's structure, however it was built: a builder,
+        schedule_from_json or direct construction. Terms that leave the
+        code space are admitted; verify_holonomy bounds the leakage they
+        cause.
+
+        Raises
+        ------
+        ScheduleError
+            An unknown kind, or no segments.
+        OddQubitCountError, TooFewQubitsError, DimensionTooLargeError
+            n_physical odd, below 4 or above MAX_QUBITS.
+        LogicalIndexError, BadIndexPairError
+            A u1/u2 target that is not one logical qubit in 1..N-2, or a u3
+            target that is not a pair 1 <= k < l <= N-2.
+        LengthMismatchError
+            A segment Hamiltonian on another number of qubits.
+        """
+        if self.kind not in ("u1", "u2", "u3"):
+            raise ScheduleError(f"unknown schedule kind {self.kind!r}")
+        _check_code_size(self.n_physical)
+        n_logical, target = self.n_physical - 2, self.target
+        whole = all(isinstance(q, numbers.Integral) and not isinstance(q, bool) for q in target)
+        if self.kind == "u3":
+            if not (whole and len(target) == 2 and 1 <= target[0] < target[1] <= n_logical):
+                raise BadIndexPairError(
+                    f"u3 target must be a pair (k, l) with 1 <= k < l <= {n_logical}, "
+                    f"got {target!r}")
+        elif not (whole and len(target) == 1 and 1 <= target[0] <= n_logical):
+            raise LogicalIndexError(
+                f"{self.kind} target must be one logical qubit in 1..{n_logical}, got {target!r}")
+        if not self.segments:
+            raise ScheduleError("schedule field 'segments' must hold at least one segment")
+        for index, segment in enumerate(self.segments):
+            if segment.hamiltonian.n_qubits != self.n_physical:
+                raise LengthMismatchError(
+                    f"segment {index} hamiltonian on {segment.hamiltonian.n_qubits} qubits, "
+                    f"schedule n_physical is {self.n_physical}")
+
 
 @dataclass(frozen=True, eq=False)
 class HolonomyReport:
@@ -93,16 +134,6 @@ class HolonomyReport:
     subspace_swap: float | None  # u3 only
 
 
-def _check_logical(n: int, j: int) -> None:
-    if not 1 <= j <= n - 2:
-        raise LogicalIndexError(f"logical target {j} outside 1..{n - 2}")
-
-
-def _check_pair(n: int, k: int, l: int) -> None:
-    if not (1 <= k < l <= n - 2):
-        raise BadIndexPairError(f"need 1 <= k < l <= {n - 2}, got k={k}, l={l}")
-
-
 def _pair(n: int, letter: str, a: int, b: int) -> PauliSum:
     return PauliSum.from_terms(n, [(1.0, PauliString.from_sites(n, {a: letter, b: letter}))])
 
@@ -113,8 +144,6 @@ def schedule_u1(n: int, j: int, theta: float) -> GateSchedule:
     Segment 1 is Z_(j+1) Z_n at area pi/2; segment 2 mixes that term with
     X_1 X_(j+1) by the gate angle, again at area pi/2.
     """
-    _check_code_size(n)
-    _check_logical(n, j)
     h1 = _pair(n, "Z", j + 1, n)
     h1p = np.cos(theta) * h1 + np.sin(theta) * _pair(n, "X", 1, j + 1)
     return GateSchedule(
@@ -129,8 +158,6 @@ def schedule_u2(n: int, j: int, theta: float) -> GateSchedule:
     Wraps the u1 pair between X_1 X_(j+1) segments of areas -pi/4 and
     +pi/4; the sign of the first area sets the rotation direction.
     """
-    _check_code_size(n)
-    _check_logical(n, j)
     h2 = _pair(n, "X", 1, j + 1)
     inner = schedule_u1(n, j, theta).segments
     return GateSchedule(
@@ -146,8 +173,6 @@ def schedule_u2(n: int, j: int, theta: float) -> GateSchedule:
 
 def schedule_u3(n: int, k: int, l: int, phi: float) -> GateSchedule:
     """Two-segment schedule for the entangling rotation exp(i phi Y_k Z_l)."""
-    _check_code_size(n)
-    _check_pair(n, k, l)
     h3p = _pair(n, "X", 1, k + 1)
     h3 = np.cos(phi) * h3p + (-np.sin(phi)) * _pair(n, "Z", k + 1, l + 1)
     return GateSchedule(
@@ -219,9 +244,7 @@ def analytic_target(schedule: GateSchedule) -> np.ndarray:
     with P = Y_j (u1), Z_j (u2) or -Y_k Z_l (u3): no matrix exponential, so
     it is an independent reference for the evolved gate.
     """
-    letters = {"u1": "Y", "u2": "Z", "u3": "YZ"}.get(schedule.kind)
-    if letters is None:
-        raise ValueError(f"unknown schedule kind {schedule.kind!r}")
+    letters = {"u1": "Y", "u2": "Z", "u3": "YZ"}[schedule.kind]
     n_logical, theta = schedule.n_physical - 2, schedule.angle
     p = PauliString.from_sites(n_logical, dict(zip(schedule.target, letters)),
                                phase=2 if schedule.kind == "u3" else 0)
@@ -250,9 +273,7 @@ def _transported_frame(schedule: GateSchedule, support: tuple) -> tuple[np.ndarr
         (paired over the first bar) are the subspaces that swap at the
         segment boundary.
     """
-    slots = {"u1": schedule.target, "u2": (), "u3": schedule.target}.get(schedule.kind)
-    if slots is None:
-        raise ValueError(f"unknown schedule kind {schedule.kind!r}")
+    slots = {"u1": schedule.target, "u2": (), "u3": schedule.target}[schedule.kind]
     slots, n = tuple(support.index(q) + 1 for q in slots), len(support)
     frame = barred_transform(n, slots).reshape(-1, *(2,) * n)
     frame = np.moveaxis(frame, slots, range(-len(slots), 0)).reshape(2**n, -1)
@@ -441,22 +462,11 @@ def schedule_from_json(text: str) -> GateSchedule:
     n = _field(data, "n_physical", (int,), "an integer")
     target = tuple(_field(data, "target", (list,), "a list of integers"))
     angle = _field(data, "angle", (int, float), "a finite number")
-    if kind not in ("u1", "u2", "u3"):
-        raise DfsGatesError(f"unknown schedule kind {kind!r}")
-    if not all(type(v) is int for v in target):
-        raise DfsGatesError(f"target must be integers, got {target!r}")
-    _check_code_size(n)
-    if kind == "u3":
-        if len(target) != 2:
-            raise BadIndexPairError(f"u3 needs a target pair (k, l), got {target}")
-        _check_pair(n, *target)
-    else:
-        if len(target) != 1:
-            raise LogicalIndexError(f"{kind} needs one logical target, got {target}")
-        _check_logical(n, *target)
     specs = _field(data, "segments", (list,), "a non-empty list of segments")
-    if not specs:
-        raise DfsGatesError("schedule field 'segments' must be a non-empty list of segments")
+    # GateSchedule checks the rest of the structure. n alone is checked
+    # first: the Hamiltonians are parsed on n qubits, and a refused n is to
+    # be named as such, not as a length mismatch with their strings.
+    _check_code_size(n)
     segments = []
     for index, seg in enumerate(specs):
         where = f"segment {index}"

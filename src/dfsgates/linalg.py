@@ -88,18 +88,36 @@ def product_fidelity(us, vs) -> float:
     DimensionMismatchError
         A factor of us and its partner in vs differ in shape.
     """
-    num, den = 1.0 + 0j, 1.0
+    return float(_product_fidelities(us, vs))
+
+
+def _entry_sum(m: np.ndarray) -> np.ndarray:
+    """The sum of the entries of each matrix of a stack, shape (..., d, d).
+    np.sum adds each matrix's d^2 entries pairwise; a flat np.vdot over them
+    drifts by ~1e-15 at d = 256, the products' own accuracy does not."""
+    return m.reshape(*m.shape[:-2], -1).sum(axis=-1)
+
+
+def _product_fidelities(us, vs) -> np.ndarray:
+    """product_fidelity for stacks: each factor of us and vs has shape
+    (..., d_f, d_f), and the leading axes of all factors broadcast together,
+    one fidelity per entry of them.
+
+    Tr(u v†) = sum_ij u_ij conj(v_ij) takes O(d^2) elementwise sums in place
+    of d x d products. The overlaps of the factors are multiplied in real
+    arithmetic, as a Python complex product is, without the fused
+    multiply-adds numpy's complex array product may use; so an entry of a
+    stack rounds as the same pair compared alone.
+    """
+    re, im, den = 1.0, 0.0, 1.0
     for u, v in zip(us, vs, strict=True):
-        if u.shape != v.shape:
+        if u.shape[-2:] != v.shape[-2:]:
             raise DimensionMismatchError(f"shape mismatch: {u.shape} vs {v.shape}")
-        # Tr(u v†) = sum_ij u_ij conj(v_ij): O(d^2) elementwise sums in place
-        # of d x d products. np.sum adds pairwise; a flat np.vdot over the
-        # d^2 terms drifts by ~1e-15 at d = 256, the products' own accuracy
-        # does not.
-        num *= np.sum(u * v.conj())
-        den *= np.sum(u * u.conj()).real * np.sum(v * v.conj()).real
+        z = _entry_sum(u * v.conj())
+        re, im = re * z.real - im * z.imag, re * z.imag + im * z.real
+        den = den * (_entry_sum(u * u.conj()).real * _entry_sum(v * v.conj()).real)
     # Cauchy-Schwarz bounds |num| <= sqrt(den); clamp the last-ulp excess.
-    return float(min(abs(num) / np.sqrt(den), 1.0))
+    return np.minimum(np.hypot(re, im) / np.sqrt(den), 1.0)
 
 
 def _orthonormal_frame(vectors) -> np.ndarray:

@@ -14,8 +14,12 @@ its own: one stack of these per-qubit factors (see
 `error_sweep` and `decoupling_order_probe` / `bare_evolution_error`.
 `error_sweep` threads c cycles through each gate segment, on the active
 factor (the system qubits the gate acts on) and on that idle stack;
-`dd_cycle` builds one cycle of idle evolution. Two pulse imperfections are
-modelled, both relative:
+`dd_cycle` builds one cycle of idle evolution. A sweep's grid of pulse
+errors is one more leading axis of every stack, with the ideal pulses as
+entry 0: the pulses, the cycles, the product over segments and the
+overlap of each entry with entry 0 take a fixed number of numpy calls per
+chunk of at most MAX_GRID_ENTRIES stacked entries, whatever the number of
+rows. Two pulse imperfections are modelled, both relative:
 
     flip-angle error eps:  rotation angle (1 + eps) * pi
     detuning error delta:  axis tilted out of the transverse plane by
@@ -36,9 +40,10 @@ qubits, s in {+1, -1}^m, the propagator is
 
 where U(s) is the propagator of the system qubits alone under the scalar
 fields s_i b_i. So every factor is a stack over sign patterns on its
-leading axis, 2^m patterns of its m system qubits for a bath-qubit model
-and the one pattern of a scalar bath, and the bath reduction is the mean
-over that axis. The doubled register is never formed.
+leading axis (after the grid axis in a sweep), 2^m patterns of its m
+system qubits for a bath-qubit model and the one pattern of a scalar bath,
+and the bath reduction is the mean over that axis. The doubled register
+is never formed.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ from .linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _product_fidelities,
     expm_hermitian,
     kron_all,
     product_fidelity,
@@ -78,6 +84,14 @@ MAX_CYCLES_PER_SEGMENT = 10_000
 # per segment: 2^18, 4 MiB, at this bound.
 MAX_SIGN_QUBITS = 6
 
+# Most complex entries one chunk of a sweep's grid stacks: a grid entry holds
+# the active factor's (patterns, segments, d, d) slice stack and the idle
+# factors' (patterns, n_idle, 2, 2), 2048 entries for u2 at N = 4 under a
+# bath-qubit model. 2^16 entries is 1 MiB; the half cycle, its powers and
+# the product over segments hold a few such stacks at a time. A grid entry
+# larger than the budget runs alone.
+MAX_GRID_ENTRIES = 2**16
+
 
 @dataclass(frozen=True)
 class DDErrorModel:
@@ -92,10 +106,6 @@ class DDErrorModel:
                 f"pulse errors must be finite, got epsilon={self.epsilon!r}, "
                 f"delta={self.delta!r}"
             )
-
-    @property
-    def is_ideal(self) -> bool:
-        return self.epsilon == 0.0 and self.delta == 0.0
 
 
 IDEAL_PULSES = DDErrorModel()
@@ -192,14 +202,21 @@ def single_qubit_pulse(axis: str, errors: DDErrorModel = IDEAL_PULSES) -> np.nda
     pi/2 (y), and the flip error rescales the rotation angle; both reduce
     to the nominal pi rotation at zero error.
     """
+    return _pulse_stack(axis, [errors])[0]
+
+
+def _pulse_stack(axis: str, errors) -> np.ndarray:
+    """single_qubit_pulse of each of a sequence of error models, as one
+    stack of shape (len(errors), 2, 2)."""
     azimuth = {"x": 0.0, "y": math.pi / 2}[axis]
-    delta = errors.delta
-    norm = math.sqrt(1 + delta**2)
+    epsilon = np.array([e.epsilon for e in errors], dtype=float)[:, None, None]
+    delta = np.array([e.delta for e in errors], dtype=float)[:, None, None]
+    norm = np.sqrt(1 + delta**2)
     direction = (
         math.cos(azimuth) * SIGMA_X + math.sin(azimuth) * SIGMA_Y + delta * SIGMA_Z
     ) / norm
-    angle = (1 + errors.epsilon) * math.pi * norm
-    return math.cos(angle / 2) * SIGMA_I - 1j * math.sin(angle / 2) * direction
+    angle = (1 + epsilon) * math.pi * norm
+    return np.cos(angle / 2) * SIGMA_I - 1j * np.sin(angle / 2) * direction
 
 
 def _pulse_times(p: np.ndarray, n_system: int, m: np.ndarray) -> np.ndarray:
@@ -208,18 +225,24 @@ def _pulse_times(p: np.ndarray, n_system: int, m: np.ndarray) -> np.ndarray:
     Each factor is one local 2x2 product on the reshaped row index of m, so
     the global pulse is never built as a dense matrix; qubits past
     n_system (a bath register) are left alone. m may be a stack of
-    matrices, shape (..., d, cols), each multiplied alike.
+    matrices, shape (..., d, cols), and p a stack of pulses, shape
+    (..., 2, 2); their leading axes broadcast, and each pulse multiplies
+    its matrix alike; the result carries the broadcast leading axes even
+    when n_system is 0.
     """
-    rest = m.shape[-2] * m.shape[-1]  # numpy infers no -1 axis of an empty stack
+    d, cols = m.shape[-2:]
+    m = np.broadcast_to(m, (*np.broadcast_shapes(p.shape[:-2], m.shape[:-2]), d, cols))
     for k in range(n_system):
-        m = (p @ m.reshape(*m.shape[:-2], 2**k, 2, rest >> (k + 1))).reshape(m.shape)
+        m = p[..., None, :, :] @ m.reshape(*m.shape[:-2], 2**k, 2, (d >> (k + 1)) * cols)
+        m = m.reshape(*m.shape[:-3], d, cols)
     return m
 
 
 def _half_cycle(f: np.ndarray, n_system: int, p_x: np.ndarray, p_y: np.ndarray) -> np.ndarray:
     """D = (P_y F)(P_x F) for the slice propagator f, or for each matrix of
     a stack of them; the XY-4 cycle P_y F P_x F P_y F P_x F is D @ D. The
-    pulses p_x and p_y act on the first n_system qubits."""
+    pulses p_x and p_y act on the first n_system qubits; they may be
+    stacks whose leading axes broadcast against those of f."""
     return _pulse_times(p_y, n_system, f) @ _pulse_times(p_x, n_system, f)
 
 
@@ -266,11 +289,11 @@ def _sign_stack(h: np.ndarray) -> np.ndarray:
     return np.einsum("pk,kij->pij", 1 - 2 * bits, np.reshape(terms, (m, 2**m, 2**m)))
 
 
-def _bath_mean(u: np.ndarray) -> np.ndarray:
+def _bath_mean(u: np.ndarray, axis: int = 0) -> np.ndarray:
     """<0...0|_bath U |0...0>_bath of factor propagators stacked over sign
-    patterns on the leading axis: their mean, 2^-m sum_s U(s). A scalar
+    patterns on the given axis: their mean, 2^-m sum_s U(s). A scalar
     bath's one-pattern stack is its only entry."""
-    return u[0] if len(u) == 1 else u.mean(axis=0)
+    return u.take(0, axis) if u.shape[axis] == 1 else u.mean(axis=axis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,28 +359,31 @@ def _factor_slices(
     )
 
 
-def _factor_propagators(
-    factors: tuple[_Factor, np.ndarray], plan: InterleavingPlan, errors: DDErrorModel
+def _grid_propagators(
+    factors: tuple[_Factor, np.ndarray], plan: InterleavingPlan, errors
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decoupled propagator of the schedule on the active factor and on
-    each idle per-qubit factor, for every sign pattern.
+    each idle per-qubit factor, for every sign pattern and for each of a
+    sequence of B pulse error models: stacks of shape (B, patterns, d, d)
+    and (B, patterns, n_idle, 2, 2).
 
     One segment runs c = cycles_per_segment XY-4 cycles, each the square
     of the half cycle D (see `_half_cycle`); so the active factor takes one
-    batched product for D over its pattern and segment stack, one stacked
-    D^(2c), and the product over segments, earliest rightmost. The idle
-    stack forms its D^(2c) once and applies it once per segment.
+    batched product for D over its grid, pattern and segment stack, one
+    stacked D^(2c), and the product over segments, earliest rightmost. The
+    idle stack forms its D^(2c) once and applies it once per segment. The
+    number of numpy calls does not depend on B.
     """
     active, idle = factors
-    p_x = single_qubit_pulse("x", errors)
-    p_y = single_qubit_pulse("y", errors)
+    p_x = _pulse_stack("x", errors)[:, None, None]
+    p_y = _pulse_stack("y", errors)[:, None, None]
     power = 2 * plan.cycles_per_segment
     segments = np.linalg.matrix_power(
         _half_cycle(active.slices, len(active.qubits), p_x, p_y), power)
     idle_segment = np.linalg.matrix_power(_half_cycle(idle, 1, p_x, p_y), power)
-    u, v = segments[:, 0], idle_segment
-    for s in range(1, segments.shape[1]):
-        u = segments[:, s] @ u
+    u, v = segments[:, :, 0], idle_segment
+    for s in range(1, segments.shape[2]):
+        u = segments[:, :, s] @ u
         v = idle_segment @ v
     return u, v
 
@@ -377,29 +403,38 @@ def error_sweep(
     (bath-reduced when a bath-qubit model is used). Both propagators are
     evaluated as tensor products of the active factor and the idle
     per-qubit factors (see `_factor_slices`); the bath reduction, the mean
-    over sign patterns, and the overlap factor the same way. The factor
-    slices and the ideal reference
-    are computed once per call and shared by every kind and value; the
-    reference is reused at zero error.
+    over sign patterns, and the overlap factor the same way.
+
+    The factor slices are built once per call. The distinct pulse error
+    models of the grid are one leading grid axis of every stack, with the
+    ideal pulses as entry 0, the reference of every row, so a zero error
+    or a repeated value is evaluated once. The grid axis is cut into
+    chunks of at most MAX_GRID_ENTRIES stacked entries; each chunk takes
+    the same few numpy calls whatever its length, and no stack grows with
+    the number of rows.
     """
     for kind in grids:
         if kind not in ("flip", "detuning"):
             raise ValueError(f"unknown error kind {kind!r}")
     factors = _factor_slices(schedule, bath, plan)
-
-    def reduced(errors: DDErrorModel) -> list[np.ndarray]:
-        active, idle = _factor_propagators(factors, plan, errors)
-        return [_bath_mean(active), *_bath_mean(idle)]
-
-    reference = reduced(IDEAL_PULSES)
-    rows = []
+    points = []
+    index = {IDEAL_PULSES: 0}
     for kind, values in grids.items():
         for value in values:
             value = float(value)
             errors = DDErrorModel(epsilon=value) if kind == "flip" else DDErrorModel(delta=value)
-            noisy = reference if errors.is_ideal else reduced(errors)
-            rows.append((kind, value, product_fidelity(reference, noisy)))
-    return rows
+            points.append((kind, value, index.setdefault(errors, len(index))))
+    models = list(index)
+    active, idle = factors
+    chunk = max(1, MAX_GRID_ENTRIES // (active.slices.size + idle.size))
+    fidelities = []
+    for start in range(0, len(models), chunk):
+        u, v = _grid_propagators(factors, plan, models[start:start + chunk])
+        noisy = [_bath_mean(u, axis=1), *np.moveaxis(_bath_mean(v, axis=1), 1, 0)]
+        if start == 0:
+            reference = [f[0] for f in noisy]
+        fidelities.extend(_product_fidelities(reference, noisy).tolist())
+    return [(kind, value, fidelities[i]) for kind, value, i in points]
 
 
 SWEEP_CSV_HEADER = "error_kind,error_value,fidelity,seed,plan_cycles,gate,theta_or_phi"

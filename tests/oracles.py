@@ -28,7 +28,8 @@ by bit:
 
 Decoupling. The library evaluates a decoupled schedule as a tensor product
 of the active factor and the idle per-qubit factors (`noise._factor_slices`,
-`noise._factor_propagators`), on system qubits only. With a bath-qubit
+`noise._grid_propagators`), on system qubits only, for a whole grid of
+pulse errors at once. With a bath-qubit
 model each factor is a stack over the tau_x sign patterns s of its bath
 partners: entry s is the factor's propagator U(s) under the scalar fields
 s_i b_i, and the factor on the doubled register is sum_s U(s) (x) Pi_s,
@@ -47,6 +48,16 @@ These oracles compute the same propagator on the whole register:
     assemble          the engine's factor matrices put back together on the
                       full register, by a Kronecker product and a
                       permutation of the tensor axes.
+
+The library evaluates a sweep's whole grid of pulse errors as one leading
+stack axis, chunk by chunk (`noise.error_sweep`). The per-point loop it
+replaced is the oracle:
+
+    factor_propagators  one error model's factor propagators, from one
+                        pulse pair;
+    per_point_sweep     every grid point's fidelity through
+                        `product_fidelity`, the reference reused at zero
+                        error.
 
 Idle evolution. The library runs the decoupling-order ladder and the bare
 evolution on a stack of per-qubit factors and their sign patterns
@@ -453,13 +464,55 @@ def sign_sum(stack: np.ndarray) -> np.ndarray:
     return out
 
 
+def factor_propagators(factors, plan, errors: DDErrorModel) -> tuple[np.ndarray, np.ndarray]:
+    """The decoupled propagators of one pulse error model on the active
+    factor, shape (patterns, d, d), and on the idle per-qubit factors,
+    (patterns, n_idle, 2, 2): the per-point evaluation the sweep ran before
+    its grid became a stack axis, a half cycle of one pulse pair, its
+    power and the product over segments."""
+    active, idle = factors
+    p_x = single_qubit_pulse("x", errors)
+    p_y = single_qubit_pulse("y", errors)
+    power = 2 * plan.cycles_per_segment
+    segments = np.linalg.matrix_power(
+        noise._half_cycle(active.slices, len(active.qubits), p_x, p_y), power)
+    idle_segment = np.linalg.matrix_power(noise._half_cycle(idle, 1, p_x, p_y), power)
+    u, v = segments[:, 0], idle_segment
+    for s in range(1, segments.shape[1]):
+        u = segments[:, s] @ u
+        v = idle_segment @ v
+    return u, v
+
+
+def per_point_sweep(schedule, plan, bath, grids) -> list[tuple[str, float, float]]:
+    """`noise.error_sweep` one grid point at a time: each point's
+    `factor_propagators`, reduced over the bath, against the ideal
+    reference through `product_fidelity`, the reference reused at zero
+    error."""
+    factors = noise._factor_slices(schedule, bath, plan)
+
+    def reduced(errors: DDErrorModel) -> list[np.ndarray]:
+        active, idle = factor_propagators(factors, plan, errors)
+        return [noise._bath_mean(active), *noise._bath_mean(idle)]
+
+    reference = reduced(IDEAL_PULSES)
+    rows = []
+    for kind, values in grids.items():
+        for value in values:
+            value = float(value)
+            errors = DDErrorModel(epsilon=value) if kind == "flip" else DDErrorModel(delta=value)
+            noisy = reference if errors == IDEAL_PULSES else reduced(errors)
+            rows.append((kind, value, product_fidelity(reference, noisy)))
+    return rows
+
+
 def engine_propagator(schedule, bath, plan, errors: DDErrorModel = IDEAL_PULSES) -> np.ndarray:
     """The full-register propagator the sweep engine evaluates, assembled
-    from its factor propagators: each factor's one entry for a scalar bath,
-    its `sign_sum` over the tau_x patterns of its bath partners for a
-    bath-qubit model."""
+    from its factor propagators, a one-entry grid of `noise._grid_propagators`:
+    each factor's one entry for a scalar bath, its `sign_sum` over the
+    tau_x patterns of its bath partners for a bath-qubit model."""
     factors = noise._factor_slices(schedule, bath, plan)
-    active, idle = noise._factor_propagators(factors, plan, errors)
+    active, idle = (u[0] for u in noise._grid_propagators(factors, plan, [errors]))
     if bath.kind == "scalar":
         matrices = [active[0], *idle[0]]
     else:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from dfsgates.errors import (
     LengthMismatchError,
     LogicalIndexError,
     OddQubitCountError,
+    ScheduleError,
     TooFewQubitsError,
 )
 from dfsgates.gates import (
@@ -157,8 +159,8 @@ class TestScheduleConstruction:
 
 
 class TestEvolution:
-    def test_empty_schedule_is_identity(self):
-        s = GateSchedule("u1", 4, (1,), 0.0, ())
+    def test_zero_area_schedule_is_identity(self):
+        s = GateSchedule("u1", 4, (1,), 0.0, (ScheduleSegment(PauliSum.zero(4), 0.0),))
         assert np.allclose(evolve_schedule(s), np.eye(16))
 
     def test_u1_exact_logical_action(self):
@@ -354,7 +356,10 @@ class TestTransportedFrame:
             for support in (tuple(range(1, n - 1)), own):
                 frame, k = _transported_frame(schedule, support)
                 renumbered = tuple(support.index(q) + 1 for q in target)
-                small = GateSchedule(kind, len(support) + 2, renumbered, 0.5, ())
+                # frame_groups reads only kind, target and n_physical. A
+                # one-qubit support is no code a GateSchedule admits (N = 3).
+                small = SimpleNamespace(kind=kind, n_physical=len(support) + 2,
+                                        target=renumbered)
                 groups = frame_groups(small, np.eye(2 ** len(support)))
                 assert {len(group) for group in groups} == {k}
                 want = np.array([vec for group in groups for vec in group]).T
@@ -362,10 +367,10 @@ class TestTransportedFrame:
                 assert np.abs(frame - want).max() <= 1e-15
 
     def test_unknown_kind_rejected(self):
+        # The schedule refuses the kind itself, so no frame is ever built for it.
         schedule = schedule_u1(4, 1, 0.5)
-        odd = GateSchedule("u4", 4, schedule.target, schedule.angle, schedule.segments)
         with pytest.raises(ValueError, match="unknown schedule kind"):
-            _transported_frame(odd, (1,))
+            GateSchedule("u4", 4, schedule.target, schedule.angle, schedule.segments)
 
 
 class TestLogicalSupport:
@@ -724,3 +729,48 @@ class TestScheduleFromJsonValidation:
         edit(data)
         with pytest.raises(DfsGatesError, match=names):
             schedule_from_json(json.dumps(data))
+
+
+class TestScheduleChecks:
+    """GateSchedule checks its own structure, so a schedule built directly
+    is refused as one from a builder or from JSON would be."""
+
+    SEGMENTS = schedule_u1(6, 1, 0.3).segments
+
+    def test_empty_segments_named(self):
+        # Reached verify_holonomy and logical_gate as a raw IndexError, and
+        # error_sweep as numpy's "need at least one array to stack".
+        with pytest.raises(ScheduleError, match="segments"):
+            GateSchedule("u3", 6, (1, 2), 0.3, ())
+
+    @pytest.mark.parametrize("kind, target, error", [
+        ("u1", (9,), LogicalIndexError),
+        ("u2", (0,), LogicalIndexError),
+        ("u1", (1, 2), LogicalIndexError),
+        ("u1", (True,), LogicalIndexError),
+        ("u1", (1.0,), LogicalIndexError),
+        ("u3", (2, 1), BadIndexPairError),
+        ("u3", (1, 5), BadIndexPairError),
+        ("u3", (1,), BadIndexPairError),
+    ])
+    def test_target_named(self, kind, target, error):
+        # (9,) at N = 6 raised IndexError: tuple index out of range.
+        with pytest.raises(error, match="target"):
+            GateSchedule(kind, 6, target, 0.3, self.SEGMENTS)
+
+    def test_kind_and_code_size(self):
+        with pytest.raises(ScheduleError, match="kind"):
+            GateSchedule("u4", 6, (1,), 0.3, self.SEGMENTS)
+        for n, error in ((5, OddQubitCountError), (2, TooFewQubitsError),
+                         (10, DimensionTooLargeError)):
+            with pytest.raises(error):
+                GateSchedule("u1", n, (1,), 0.3, self.SEGMENTS)
+
+    def test_segment_on_other_qubit_count(self):
+        with pytest.raises(LengthMismatchError, match="segment 1"):
+            GateSchedule("u1", 6, (1,), 0.3, (self.SEGMENTS[0], schedule_u1(4, 1, 0.3).segments[1]))
+
+    def test_leaking_terms_admitted(self):
+        # The leakage checks build such schedules on purpose.
+        schedule = _leak_into(schedule_u1(6, 1, 0.3), 0)
+        assert verify_holonomy(schedule).leakage > 1e-4

@@ -191,13 +191,14 @@ class TestInterleave:
         assert factor_qubits(active, bath) == [(1, 2, 4, 5, 6, 8), (3, 7)]
         # The idle factor holds bath terms only: one slice for both segments.
         assert [active.slices.shape, idle.shape] == [(8, 2, 8, 8), (2, 1, 2, 2)]
-        # Shared or stacked per segment, the idle slice gives the same bits.
+        # Shared or stacked per segment, the idle slice gives the same bits,
+        # on a grid of two error models.
         per_segment = noise._Factor((3,), np.repeat(idle, 2, axis=1))
-        for errors in (IDEAL_PULSES, DDErrorModel(epsilon=0.05)):
-            _, shared = noise._factor_propagators(factors, plan, errors)
-            stacked, _ = noise._factor_propagators((per_segment, idle), plan, errors)
-            assert np.array_equal(shared[:, 0], stacked)
-        u_active, u_idle = noise._factor_propagators(factors, plan, DDErrorModel(epsilon=0.05))
+        grid = [IDEAL_PULSES, DDErrorModel(epsilon=0.05)]
+        _, shared = noise._grid_propagators(factors, plan, grid)
+        stacked, _ = noise._grid_propagators((per_segment, idle), plan, grid)
+        assert np.array_equal(shared[:, :, 0], stacked)
+        u_active, u_idle = (u[1] for u in noise._grid_propagators(factors, plan, grid))
         assert [u_active.shape, u_idle.shape] == [(8, 8, 8), (2, 1, 2, 2)]
         u = engine_propagator(schedule, bath, plan, DDErrorModel(epsilon=0.05))
         assert u.shape == (256, 256)
@@ -230,20 +231,29 @@ class TestInterleave:
 
 
 class TestLocalPulses:
-    """The library applies a global pulse as n local 2x2 products; the dense
-    Kronecker pulse times the matrix is the oracle."""
+    """The library applies a global pulse as n local 2x2 products, for a
+    stack of pulses at once; the dense Kronecker pulse of each stack entry
+    times the matrix is the oracle."""
 
     ERRORS = (IDEAL_PULSES, DDErrorModel(epsilon=0.07), DDErrorModel(delta=-0.13),
               DDErrorModel(epsilon=-0.05, delta=0.2))
+
+    def test_stack_matches_single_pulses(self):
+        for axis in "xy":
+            stack = noise._pulse_stack(axis, self.ERRORS)
+            assert stack.shape == (len(self.ERRORS), 2, 2)
+            for p, errors in zip(stack, self.ERRORS):
+                assert np.array_equal(p, single_qubit_pulse(axis, errors))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_system_register(self, rng, n):
         dim = 2**n
         m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        for errors in self.ERRORS:
-            for axis in "xy":
-                local = noise._pulse_times(single_qubit_pulse(axis, errors), n, m)
-                assert np.abs(local - pulse(axis, n, errors) @ m).max() <= 1e-14
+        for axis in "xy":
+            local = noise._pulse_times(noise._pulse_stack(axis, self.ERRORS), n, m)
+            assert local.shape == (len(self.ERRORS), dim, dim)
+            for got, errors in zip(local, self.ERRORS):
+                assert np.abs(got - pulse(axis, n, errors) @ m).max() <= 1e-14
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_bath_register(self, rng, n):
@@ -255,14 +265,26 @@ class TestLocalPulses:
         dim = 2 ** (2 * n)
         cols = dim if dim <= 256 else 3
         m = rng.normal(size=(dim, cols)) + 1j * rng.normal(size=(dim, cols))
-        for errors in self.ERRORS:
-            for axis in "xy":
-                local = noise._pulse_times(single_qubit_pulse(axis, errors), n, m)
+        for axis in "xy":
+            local = noise._pulse_times(noise._pulse_stack(axis, self.ERRORS), n, m)
+            for got, errors in zip(local, self.ERRORS):
                 if dim <= 256:
                     dense = pulse(axis, n, errors, total_dim=dim) @ m
                 else:
                     dense = (pulse(axis, n, errors) @ m.reshape(2**n, -1)).reshape(m.shape)
-                assert np.abs(local - dense).max() <= 1e-14
+                assert np.abs(got - dense).max() <= 1e-14
+
+    def test_stack_axes_broadcast(self, rng):
+        # The sweep multiplies a (B, 1, 1) stack of pulses into a
+        # (patterns, segments) stack of slices; with no pulsed qubit the
+        # slices still come out on the grid axis.
+        m = rng.normal(size=(3, 2, 8, 8)) + 1j * rng.normal(size=(3, 2, 8, 8))
+        p = noise._pulse_stack("x", self.ERRORS)[:, None, None]
+        local = noise._pulse_times(p, 3, m)
+        assert local.shape == (len(self.ERRORS), 3, 2, 8, 8)
+        for got, errors in zip(local, self.ERRORS):
+            assert np.abs(got - pulse("x", 3, errors) @ m).max() <= 1e-14
+        assert noise._pulse_times(p, 0, m[..., :1, :1]).shape == (len(self.ERRORS), 3, 2, 1, 1)
 
 
 def _oracle_cases():
