@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionTooLargeError, OddQubitCountError, TooFewQubitsError
-from .pauli import MAX_QUBITS, DecouplingGroup, PauliString, PauliSum, commutant_split
+from .pauli import (_PHASE_VALUES, MAX_QUBITS, DecouplingGroup, PauliString, PauliSum, _letters,
+                    _mask_matrix, _masks)
 
 _FLIP = str.maketrans("01", "10")
 
@@ -103,26 +104,43 @@ def dfs_decomposition(group: DecouplingGroup) -> list[tuple[tuple[int, int, int,
     return sorted(out, key=lambda item: item[0], reverse=True)
 
 
-def logical_image(h: PauliSum) -> PauliSum:
-    """B† h B on the N-2 logical qubits, B the basis of build_logical_basis(N).
-
-    A term that anticommutes with X...X or Z...Z maps the code space into
-    another sector: its image is 0. A commutant string is multiplied by
-    X...X if it has X or Y on qubit N, then by Z...Z if it has Y or Z on
-    qubit 1 (both act as +1 on the code space). The product is
-    i**k X_1**a (x) m (x) Z_N**b, the logical Paulis of the middle letters
-    m, which acts on the code space as i**k m. Refuses h on qubit counts
-    that build_logical_basis refuses.
-    """
+def _compress(h: PauliSum) -> tuple[dict[tuple[int, int], complex], float, int]:
+    """One pass over the terms of h on (x, z) bit masks: the images on the
+    code space of its commutant terms, keyed by the masks of their logical
+    strings, and the sum eps of |c| and the count of the terms that
+    anticommute with X...X or Z...Z, whose image is 0. A commutant string
+    times X...X if it has X or Y on qubit N, then times Z...Z if it has Y
+    or Z on qubit 1 (both +1 on the code space; the masks flip at no sign,
+    as the string has an even number of Z or Y letters) is
+    i**#Y X_1**a (x) m (x) Z_N**b, which acts there as i**#Y m, the logical
+    Paulis of its middle letters m. Refuses h on the qubit counts that
+    build_logical_basis refuses."""
     n = h.n_qubits
     _check_code_size(n)
-    x, z = PauliString.uniform(n, "X"), PauliString.uniform(n, "Z")
-    terms = []
-    for coef, string in commutant_split(h)[0].terms:
-        if string.letters[-1] in (1, 2):
-            string = string * x
-        if string.letters[0] in (2, 3):
-            string = string * z
-        terms.append((coef, PauliString(n - 2, string.letters[1:-1], string.phase)))
-    return PauliSum.from_terms(n - 2, terms)
+    ones, images, leaks = (1 << n) - 1, {}, []
+    for coef, string in h.terms:
+        x, z = _masks(string.letters)
+        if (x.bit_count() | z.bit_count()) & 1:
+            leaks.append(abs(coef))
+            continue
+        k = (x & z).bit_count()
+        x, z = x ^ ones * (x & 1), z ^ ones * (z >> (n - 1))
+        key = (x >> 1 & ones >> 2, z >> 1 & ones >> 2)
+        phase = _PHASE_VALUES[(k - (key[0] & key[1]).bit_count()) % 4]
+        images[key] = images.get(key, 0) + complex(coef) * phase
+    return {key: c for key, c in images.items() if c != 0}, sum(leaks), len(leaks)
 
+
+def logical_image(h: PauliSum) -> PauliSum:
+    """B† h B on the N-2 logical qubits (B of build_logical_basis(N)) as a Pauli sum."""
+    n = h.n_qubits - 2
+    return PauliSum.from_terms(
+        n, ((c, PauliString(n, _letters(x, z, n))) for (x, z), c in _compress(h)[0].items()))
+
+
+def _support_matrix(images, support: tuple[int, ...], n_logical: int) -> np.ndarray:
+    """logical_image(h).restricted(support).to_matrix() from the images of
+    _compress, on ascending logical qubits that hold all their letters."""
+    terms = sorted((tuple(_letters(x, z, n_logical)[q - 1] for q in support), c)
+                   for (x, z), c in images.items())
+    return _mask_matrix(((c, *_masks(letters), 0) for letters, c in terms), len(support))

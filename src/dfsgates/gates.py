@@ -12,13 +12,13 @@ rotations
 
 Commutant Hamiltonians commute with X...X and Z...Z, so they never leave
 the all-(+1) sector that holds the code space. The gate layer builds no
-basis: logical_image compresses each segment to H_L by a stabilizer rule,
-and H_L is exponentiated once on the logical support, the target qubits
-and those H_L acts on (one for u1/u2, two for u3, at any N). The weight of
-each segment's terms outside the commutant bounds how far it moves the
-code space, so a schedule that does leave it is still caught (see
-verify_holonomy). The full-register propagator, the dense code basis and
-the whole-block certifier are test oracles, in tests/oracles.py.
+basis: one pass over each segment's terms on Pauli bit masks compresses
+it to H_L by a stabilizer rule, exponentiated once on the logical support,
+the target qubits and those H_L acts on (one for u1/u2, two for u3, at any
+N). The weight of the terms the pass finds outside the commutant bounds how
+far a segment moves the code space, so a schedule that does leave it is
+still caught (see verify_holonomy). The full-register propagator, the dense
+code basis and the whole-block certifier are test oracles, in tests/oracles.py.
 
 The holonomy checker certifies the two defining properties of a
 non-adiabatic holonomy directly from the simulated trajectory: the moving
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dfs import _check_code_size, logical_image
+from .dfs import _check_code_size, _compress, _support_matrix
 from .errors import (
     BadIndexPairError,
     DfsGatesError,
@@ -125,13 +125,22 @@ class GateSchedule:
 
 @dataclass(frozen=True, eq=False)
 class HolonomyReport:
-    """What verify_holonomy measured; gate is the logical gate M."""
+    """What verify_holonomy measured: the gate M on the support, M (x) I on all
+    n_logical qubits as gate, and each segment's eps_s and leaking-term count."""
 
     cyclic_defect: float
     max_parallel_transport_violation: float
     leakage: float
-    gate: np.ndarray = field(repr=False)
     subspace_swap: float | None  # u3 only
+    support: tuple[int, ...]
+    support_gate: np.ndarray = field(repr=False)
+    leak_weights: tuple[float, ...]
+    leaking_terms: tuple[int, ...]
+    n_logical: int
+
+    @property
+    def gate(self) -> np.ndarray:
+        return _embed(self.support_gate, self.support, self.n_logical)
 
 
 def _pair(n: int, letter: str, a: int, b: int) -> PauliSum:
@@ -181,31 +190,22 @@ def schedule_u3(n: int, k: int, l: int, phi: float) -> GateSchedule:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class _BlockSegment:
-    """One segment on the logical support: H_L, its area, and the bound
-    eps_s on ||(I - P) H P||."""
-
-    h: np.ndarray
-    area: float
-    leak_weight: float
-
-
-def _boundary_chain(schedule: GateSchedule) -> tuple[list, list, tuple[int, ...]]:
-    """(segments, chain, Q): every segment compressed onto the code space
-    by logical_image, restricted to the logical support Q (the ascending
-    target qubits and every qubit an image acts on) and exponentiated once,
-    and the propagators to the boundaries, M_0 = I, M_s = U_s M_(s-1)."""
-    images = [logical_image(segment.hamiltonian) for segment in schedule.segments]
-    support = tuple(sorted(set(schedule.target).union(*(h.support() for h in images))))
-    segments = []
+def _boundary_chain(schedule: GateSchedule) -> tuple[list, list, tuple[int, ...], list]:
+    """(hs, chain, Q, leaks): each segment as H_L,s on the logical support Q
+    (the ascending target qubits and every qubit an image acts on), from one
+    pass over its terms (dfs._compress); the propagators to the boundaries,
+    M_0 = I, M_s = exp(-i a_s H_L,s) M_(s-1); and each segment's eps_s and
+    number of terms outside the commutant."""
+    n_logical = schedule.n_physical - 2
+    compressed = [_compress(segment.hamiltonian) for segment in schedule.segments]
+    acts = [x | z for images, _, _ in compressed for x, z in images]
+    support = tuple(q for q in range(1, n_logical + 1)
+                    if q in schedule.target or any(m >> (n_logical - q) & 1 for m in acts))
+    hs = [_support_matrix(images, support, n_logical) for images, _, _ in compressed]
     chain = [np.eye(2 ** len(support), dtype=np.complex128)]
-    for segment, image in zip(schedule.segments, images):
-        h = image.restricted(support).to_matrix()
+    for segment, h in zip(schedule.segments, hs):
         chain.append(expm_hermitian(h, segment.area) @ chain[-1])
-        leak_weight = sum(abs(c) for c, _ in commutant_split(segment.hamiltonian)[1].terms)
-        segments.append(_BlockSegment(h, segment.area, leak_weight))
-    return segments, chain, support
+    return hs, chain, support, [leaks for _, *leaks in compressed]
 
 
 def _embed(m: np.ndarray, support: tuple[int, ...], n_logical: int) -> np.ndarray:
@@ -237,19 +237,21 @@ def leakage_of(block: np.ndarray) -> float:
     return spectral_norm(block.conj().T @ block - np.eye(block.shape[0]))
 
 
-def analytic_target(schedule: GateSchedule) -> np.ndarray:
+def analytic_target(schedule: GateSchedule, support: tuple[int, ...] | None = None) -> np.ndarray:
     """Closed-form logical gate the schedule should match up to global phase.
 
     cos(theta) I - i sin(theta) P as a Pauli sum on the N-2 logical qubits,
-    with P = Y_j (u1), Z_j (u2) or -Y_k Z_l (u3): no matrix exponential, so
-    it is an independent reference for the evolved gate.
+    or on the ascending `support` that holds the target, with P = Y_j (u1),
+    Z_j (u2) or -Y_k Z_l (u3): no matrix exponential, so it is an
+    independent reference for the evolved gate.
     """
     letters = {"u1": "Y", "u2": "Z", "u3": "YZ"}[schedule.kind]
-    n_logical, theta = schedule.n_physical - 2, schedule.angle
-    p = PauliString.from_sites(n_logical, dict(zip(schedule.target, letters)),
-                               phase=2 if schedule.kind == "u3" else 0)
+    support = support or tuple(range(1, schedule.n_physical - 1))
+    n, theta = len(support), schedule.angle
+    sites = {support.index(q) + 1: c for q, c in zip(schedule.target, letters)}
+    p = PauliString.from_sites(n, sites, phase=2 if schedule.kind == "u3" else 0)
     return PauliSum.from_terms(
-        n_logical, [(np.cos(theta), PauliString.identity(n_logical)), (-1j * np.sin(theta), p)]
+        n, [(np.cos(theta), PauliString.identity(n)), (-1j * np.sin(theta), p)]
     ).to_matrix()
 
 
@@ -302,9 +304,9 @@ def verify_holonomy(schedule: GateSchedule) -> HolonomyReport:
     the support Q (dimension 2 for u1/u2, 4 for u3, at any N), which is
     exponentiated once to U_s = exp(-i a_s H_L,s); B is never built. The
     chain M_0 = I, M_s = U_s M_(s-1) gives the logical gate M = M_S,
-    reported as M (x) I on all N-2 logical qubits, and the frame M_s F at
-    each segment boundary. The block's frame is F (x) I, so the checks
-    below, made on Q, are exact for M (x) I.
+    reported on Q and as M (x) I on all N-2 logical qubits, and the frame
+    M_s F at each segment boundary. The block's frame is F (x) I, so the
+    checks below, made on Q, are exact for M (x) I.
 
     Frames. The frame F of _transported_frame, the barred states on the
     target slots in code-space coordinates, is moved as G = u(t) F.
@@ -344,12 +346,12 @@ def verify_holonomy(schedule: GateSchedule) -> HolonomyReport:
     exactly. A schedule that leaves the code space therefore still reports
     its leakage, and M is the exact logical gate of one that does not.
     """
-    segments, chain, support = _boundary_chain(schedule)
+    hs, chain, support, leaks = _boundary_chain(schedule)
     frame, k = _transported_frame(schedule, support)
     frames = [m @ frame for m in chain]
 
-    blocks = [_by_group(g, k).conj().swapaxes(1, 2) @ _by_group(segment.h @ g, k)
-              for s, segment in enumerate(segments) for g in frames[s : s + 2]]
+    blocks = [_by_group(g, k).conj().swapaxes(1, 2) @ _by_group(h @ g, k)
+              for s, h in enumerate(hs) for g in frames[s : s + 2]]
     worst = max((float(np.abs(b).max()) for b in blocks), default=0.0)
 
     start = _by_group(frame, k)
@@ -359,13 +361,18 @@ def verify_holonomy(schedule: GateSchedule) -> HolonomyReport:
         half = _by_group(frames[1], k)
         swap = float(max(_principal_sines(half[0::2], start[1::2]).max(),
                          _principal_sines(half[1::2], start[0::2]).max()))
-    drift = sum(abs(segment.area) * segment.leak_weight for segment in segments)
+    leak_weights, leaking_terms = zip(*leaks)
+    drift = sum(abs(segment.area) * eps for segment, eps in zip(schedule.segments, leak_weights))
     return HolonomyReport(
         cyclic_defect=float(_principal_sines(_by_group(frames[-1], k), start).max()),
         max_parallel_transport_violation=worst,
         leakage=max(leakage_of(chain[-1]), drift**2),
-        gate=_embed(chain[-1], support, schedule.n_physical - 2),
         subspace_swap=swap,
+        support=support,
+        support_gate=chain[-1],
+        leak_weights=leak_weights,
+        leaking_terms=leaking_terms,
+        n_logical=schedule.n_physical - 2,
     )
 
 

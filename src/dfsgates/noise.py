@@ -63,7 +63,6 @@ from .linalg import (
     SIGMA_Z,
     _product_fidelities,
     expm_hermitian,
-    kron_all,
     product_fidelity,
 )
 from .pauli import PauliString, PauliSum, build_decoupling_group, group_average
@@ -277,16 +276,20 @@ def _qubit_patterns(h: np.ndarray, kind: str) -> np.ndarray:
     return np.stack([h, -h]) if kind == "qubit" else h[None]
 
 
-def _sign_stack(h: np.ndarray) -> np.ndarray:
-    """sum_k s_k h[k], with h[k] on qubit k + 1 of m, for every sign pattern
-    s in {+1, -1}^m: a stack of shape (2^m, 2^m, 2^m). Pattern p has
-    s_k = -1 where bit k of p, counted from the most significant of m
-    bits, is set; so the patterns come in the order of
-    itertools.product((1, -1), repeat=m)."""
+def _sign_stack(h: np.ndarray, patterns: int) -> np.ndarray:
+    """sum_k s_k h[k], with h[k] on qubit k + 1 of m, for the first
+    `patterns` of the sign patterns s in {+1, -1}^m, in the order of
+    itertools.product((1, -1), repeat=m): shape (patterns, 2^m, 2^m). Each
+    h[k] is scattered in place, the last qubit first, as
+    PauliSum.to_matrix adds the per-qubit terms of a sum."""
     m = len(h)
-    bits = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
-    terms = [kron_all([SIGMA_I] * k + [h[k]] + [SIGMA_I] * (m - 1 - k)) for k in range(m)]
-    return np.einsum("pk,kij->pij", 1 - 2 * bits, np.reshape(terms, (m, 2**m, 2**m)))
+    cols = np.arange(2**m)
+    signs = 1 - 2 * ((np.arange(patterns)[:, None] >> np.arange(m - 1, -1, -1)) & 1)
+    out = np.zeros((patterns, 2**m, 2**m), dtype=np.complex128)
+    for k in range(m - 1, -1, -1):
+        bit, flip = (cols >> (m - 1 - k)) & 1, np.array([[0], [1]])
+        out[:, cols ^ flip << (m - 1 - k), cols] += signs[:, k, None, None] * h[k][bit ^ flip, bit]
+    return out
 
 
 def _bath_mean(u: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -316,9 +319,10 @@ def _factor_slices(
     s, as the active factor and the stack of idle per-qubit factors.
 
     The active factor holds every system qubit a segment term acts on, and
-    the identity term of the segments, if any. Its bath term is the scalar
-    coupling of those qubits, and for a bath-qubit model that coupling with
-    each sign pattern of `_sign_stack`. Every other system qubit is a
+    the identity term of the segments, if any. Its bath term is the
+    `_sign_stack` of their `BathModel.factor_hamiltonians`, every sign
+    pattern for a bath-qubit model and the all-plus one for a scalar bath;
+    one stacked exponential gives all slices. Every other system qubit is a
     factor of `BathModel.factor_hamiltonians`: no segment term acts on it,
     so its one slice, of the bath term alone, serves every segment. The
     idle slices come as one stack of `_qubit_patterns`, shape
@@ -337,21 +341,17 @@ def _factor_slices(
         )
     supports = (segment.hamiltonian.support() for segment in schedule.segments)
     system = tuple(sorted(frozenset().union(*supports)))
-    couplings = bath.factor_hamiltonians()
-    if bath.kind == "scalar":
-        bath_h = bath.hamiltonian_sum().restricted(system).to_matrix()[None]
-    elif len(system) > MAX_SIGN_QUBITS:
+    if bath.kind == "qubit" and len(system) > MAX_SIGN_QUBITS:
         raise DimensionTooLargeError(
             f"a bath-qubit model on {len(system)} active system qubits exceeds "
             f"{MAX_SIGN_QUBITS}: 8^{len(system)} entries per segment"
         )
-    else:
-        bath_h = _sign_stack(couplings[[q - 1 for q in system]])
+    couplings = bath.factor_hamiltonians()
+    patterns = 2 ** len(system) if bath.kind == "qubit" else 1
+    bath_h = _sign_stack(couplings[[q - 1 for q in system]], patterns)
+    gate_h = [s.area * s.hamiltonian.restricted(system).to_matrix() for s in schedule.segments]
     scale = 1.0 / (4 * plan.cycles_per_segment)
-    slices = np.stack([
-        expm_hermitian(seg.area * seg.hamiltonian.restricted(system).to_matrix() + bath_h, scale)
-        for seg in schedule.segments
-    ], axis=1)
+    slices = expm_hermitian(np.stack(gate_h) + bath_h[:, None], scale)
     idle = [q for q in range(bath.n_system) if q + 1 not in system]
     return (
         _Factor(system, slices),
@@ -480,7 +480,7 @@ def decoupling_order_probe(
             raise BadPartitionError(f"dt={dt} does not divide total_time={total_time}")
         if not 1 <= cycles <= MAX_CYCLES_PER_SEGMENT:
             raise BadPartitionError(
-                f"dt={dt} gives {cycles} cycles over total_time={total_time}, "
+                f"dt={dt} gives {ratio:.6g} cycles over total_time={total_time}, "
                 f"outside 1..{MAX_CYCLES_PER_SEGMENT}"
             )
         u = np.linalg.matrix_power(dd_cycle(h, dt), cycles)

@@ -147,22 +147,33 @@ def commutes(a: PauliString, b: PauliString) -> bool:
     return clashes % 2 == 0
 
 
-def _signed_permutation(p: PauliString) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and entries of the one nonzero per column of p's matrix.
-
-    With x and z the bit masks of the X-or-Y and Z-or-Y positions (qubit 1
-    the most significant bit), each Y = i X Z gives
-    p|b> = phase * i**#Y * (-1)**popcount(b & z) |b XOR x>.
-    """
-    if p.n_qubits > MAX_QUBITS:
-        raise DimensionTooLargeError(f"{p.n_qubits} qubits exceeds {MAX_QUBITS}")
+def _masks(letters) -> tuple[int, int]:
+    """(x, z): the bit masks of the X-or-Y and Z-or-Y positions, qubit 1 the
+    most significant bit. With Y = i X Z the phase-free string is
+    i**popcount(x & z) X^x Z^z, and X^x Z^z |b> = (-1)**popcount(b & z)
+    |b XOR x> (Aaronson & Gottesman, PRA 70, 052328 (2004))."""
     x = z = 0
-    for c in p.letters:
+    for c in letters:
         x = (x << 1) | (c in (1, 2))
         z = (z << 1) | (c in (2, 3))
-    cols = np.arange(2**p.n_qubits)
-    unit = _PHASE_VALUES[(p.phase + p.letters.count(2)) % 4]
-    return cols ^ x, cols, unit * _SIGNS[cols & z]
+    return x, z
+
+
+def _letters(x: int, z: int, n: int) -> tuple[int, ...]:
+    """The letters of the masks x, z on n qubits; _masks inverted."""
+    return tuple(2 * (z >> b & 1) + ((x ^ z) >> b & 1) for b in range(n - 1, -1, -1))
+
+
+def _mask_matrix(terms, n: int) -> np.ndarray:
+    """Dense matrix of sum c i**k X^x Z^z i**popcount(x & z) over terms
+    (c, x, z, k) on n qubits, each added into its one entry per column."""
+    if n > MAX_QUBITS:
+        raise DimensionTooLargeError(f"{n} qubits exceeds {MAX_QUBITS}")
+    cols, out = np.arange(2**n), np.zeros((2**n,) * 2, dtype=np.complex128)
+    for coef, x, z, k in terms:
+        unit = _PHASE_VALUES[(k + (x & z).bit_count()) % 4]
+        out[cols ^ x, cols] += coef * (unit * _SIGNS[cols & z])
+    return out
 
 
 @dataclass(frozen=True)
@@ -218,13 +229,8 @@ class PauliSum:
 
     def to_matrix(self) -> np.ndarray:
         """Dense matrix, each term scattered into its one entry per column."""
-        if self.n_qubits > MAX_QUBITS:
-            raise DimensionTooLargeError(f"{self.n_qubits} qubits exceeds {MAX_QUBITS}")
-        out = np.zeros((2**self.n_qubits,) * 2, dtype=np.complex128)
-        for coef, string in self.terms:
-            rows, cols, entries = _signed_permutation(string)
-            out[rows, cols] += coef * entries
-        return out
+        return _mask_matrix(((c, *_masks(s.letters), s.phase) for c, s in self.terms),
+                            self.n_qubits)
 
     def embedded(self, n_total: int) -> "PauliSum":
         return PauliSum.from_terms(
@@ -371,11 +377,11 @@ def commutant_split(h: PauliSum) -> tuple[PauliSum, PauliSum]:
     Z...Z, which preserve every decoherence-free sector; h_leak holds the
     terms that anticommute with at least one of them and move states
     between sectors."""
-    stabilizers = (PauliString.uniform(h.n_qubits, "X"), PauliString.uniform(h.n_qubits, "Z"))
     kept, leaking = [], []
     for coef, string in h.terms:
-        preserves = all(commutes(string, g) for g in stabilizers)
-        (kept if preserves else leaking).append((coef, string))
+        x, z = _masks(string.letters)
+        # X...X anticommutes with each Z or Y letter, Z...Z with each X or Y.
+        (leaking if (x.bit_count() | z.bit_count()) & 1 else kept).append((coef, string))
     return PauliSum.from_terms(h.n_qubits, kept), PauliSum.from_terms(h.n_qubits, leaking)
 
 

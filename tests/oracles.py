@@ -20,6 +20,8 @@ by bit:
                          projector differences and interior time samples;
     kron, is_unitary     the dense two-factor product and unitarity check;
     pauli_to_matrix      one Pauli string as a dense matrix;
+    string_logical_image the logical-image rule by exact products of Pauli
+                         strings, which the library applies on bit masks;
     sums_isclose         Pauli sums compared coefficient by coefficient;
     subspace_projector   the projector onto the span of orthonormal vectors;
     u3_block_decomposition
@@ -103,17 +105,34 @@ from dfsgates.pauli import (
     DecouplingGroup,
     PauliString,
     PauliSum,
-    _signed_permutation,
+    _mask_matrix,
+    _masks,
     commutant_split,
+    commutes,
 )
 
 
 def pauli_to_matrix(p: PauliString) -> np.ndarray:
     """Dense 2**n matrix phase * (x) letter_i, qubit 1 leftmost."""
-    rows, cols, entries = _signed_permutation(p)
-    out = np.zeros((cols.size,) * 2, dtype=np.complex128)
-    out[rows, cols] = entries
-    return out
+    return _mask_matrix([(1, *_masks(p.letters), p.phase)], p.n_qubits)
+
+
+def string_logical_image(h: PauliSum) -> PauliSum:
+    """logical_image by string products: each commutant string times X...X
+    if it has X or Y on qubit N, then times Z...Z if it has Y or Z on qubit
+    1, its middle letters kept with the product's phase."""
+    n = h.n_qubits
+    x, z = PauliString.uniform(n, "X"), PauliString.uniform(n, "Z")
+    terms = []
+    for coef, string in h.terms:
+        if not (commutes(string, x) and commutes(string, z)):
+            continue
+        if string.letters[-1] in (1, 2):
+            string = string * x
+        if string.letters[0] in (2, 3):
+            string = string * z
+        terms.append((coef, PauliString(n - 2, string.letters[1:-1], string.phase)))
+    return PauliSum.from_terms(n - 2, terms)
 
 
 def sums_isclose(h: PauliSum, other: PauliSum) -> bool:

@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dfsgates.cli as cli
+from dfsgates import dfs, gates, pauli
 from dfsgates.cli import MAX_BATH_WIDTH, MAX_GRID_STEPS, _grid_steps, main
 from dfsgates.noise import MAX_CYCLES_PER_SEGMENT
+from dfsgates.pauli import PauliSum
 
 
 def run_cli(capsys, *argv):
@@ -64,6 +66,28 @@ class TestVerify:
         assert len(rows) == (6 if gate == "u3" else 5)
         assert all(row.endswith("PASS") for row in rows)
         assert out.strip().endswith("result: PASS")
+
+    @pytest.mark.parametrize("gate, target, segments", [
+        ("u1", ["--j", "6"], 2), ("u2", ["--j", "3"], 4), ("u3", ["--k", "2", "--l", "5"], 2),
+    ])
+    def test_n8_splits_each_segment_once_and_forms_no_full_size_gate(
+            self, capsys, monkeypatch, gate, target, segments):
+        # The rows come off the report on the gate's logical support: one mask
+        # pass per segment, no Pauli-sum round trip, no 64 x 64 gate.
+        def refuse(*args, **kwargs):
+            raise AssertionError("full-size work on the verify path")
+
+        for owner, name in ((gates, "_embed"), (dfs, "logical_image"), (PauliSum, "restricted"),
+                            (pauli, "commutant_split"), (gates, "commutant_split")):
+            monkeypatch.setattr(owner, name, refuse)
+        passes = []
+        compress = gates._compress
+        monkeypatch.setattr(gates, "_compress", lambda h: passes.append(h) or compress(h))
+        code, out, _ = run_cli(capsys, "verify", "--gate", gate, "--n", "8", *target,
+                               "--angle", "0.9")
+        assert code == 0
+        assert out.strip().endswith("result: PASS")
+        assert len(passes) == segments
 
 
 class TestSweep:
@@ -405,6 +429,17 @@ class TestInputValidation:
         code, err = run_quiet("decouple", "--bath", "scalar", "--total-time", total_time)
         assert code == 2
         assert err.startswith("error: dt=") and "Traceback" not in err
+
+    @pytest.mark.parametrize("flags, cycles", [
+        (["--total-time", "1e300"], "2.5e+300"),
+        (["--dt-ladder", "1e-300,2e-300"], "5e+299"),
+    ])
+    def test_decouple_huge_cycle_count_is_printed_short(self, flags, cycles):
+        # The count was printed as an integer of ~300 digits.
+        code, err = run_quiet("decouple", "--bath", "scalar", *flags)
+        assert code == 2
+        assert f" gives {cycles} cycles over total_time=" in err
+        assert len(err) < 160
 
     def test_decouple_rung_too_fine_for_a_finite_cycle_count(self):
         code, err = run_quiet("decouple", "--dt-ladder", "1e-320,0.1")

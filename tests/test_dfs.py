@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from dfsgates.dfs import (
+    _compress,
+    _support_matrix,
     build_logical_basis,
     dfs_decomposition,
     logical_image,
@@ -22,7 +24,13 @@ from dfsgates.pauli import (
     commutant_split,
 )
 from conftest import two_body_strings
-from oracles import pauli_to_matrix, project_to_logical, sector_projector, subspace_projector
+from oracles import (
+    pauli_to_matrix,
+    project_to_logical,
+    sector_projector,
+    string_logical_image,
+    subspace_projector,
+)
 
 RSQRT2 = 1 / np.sqrt(2)
 
@@ -169,6 +177,39 @@ class TestLogicalImage:
                          (10, DimensionTooLargeError)):
             with pytest.raises(error):
                 logical_image(PauliSum.zero(n))
+
+
+class TestMaskPass:
+    """_compress, the one pass over a sum's terms on (x, z) bit masks,
+    against the same rule by exact string products, commutant_split and
+    PauliSum.restricted(...).to_matrix()."""
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_random_sums_match_string_rule_split_and_restriction(self, n, rng):
+        stabilizers = [PauliString.uniform(n, letter) for letter in "XYZ"]
+        for _ in range(40):
+            strings = [PauliString(n, tuple(int(c) for c in rng.integers(0, 4, n)))
+                       for _ in range(int(rng.integers(1, 8)))]
+            # A string times a stabilizer has the same image: the two merge.
+            strings += [s * stabilizers[int(rng.integers(3))] for s in strings[:2]]
+            h = PauliSum.from_terms(n, [(complex(*rng.normal(size=2)), s) for s in strings])
+            images, weight, count = _compress(h)
+            image = logical_image(h)
+            assert image == string_logical_image(h)
+            leaking = commutant_split(h)[1]
+            assert count == leaking.n_terms
+            assert weight == sum(abs(c) for c, _ in leaking.terms)
+            extra = {int(q) for q in rng.integers(1, n - 1, 2)}
+            support = tuple(sorted(image.support() | extra))
+            assert np.array_equal(_support_matrix(images, support, n - 2),
+                                  image.restricted(support).to_matrix())
+
+    def test_image_of_a_string_and_its_stabilizer_multiple_cancels(self):
+        # X_1 X_2 and -(X_1 X_2)(X...X) = -X_3 X_4 act alike on the code space.
+        h = PauliSum.from_text(4, "1.0*+XXII + -1.0*+IIXX")
+        images, weight, count = _compress(h)
+        assert images == {} and weight == 0 and count == 0
+        assert logical_image(h).is_zero()
 
 
 class TestProjectToLogical:

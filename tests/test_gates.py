@@ -467,8 +467,8 @@ class TestLeakageBound:
         for kind, target in _every_target(n):
             built = _schedule(kind, n, target, 0.5)
             for schedule in (built, schedule_from_json(schedule_to_json(built))):
-                blocks = gates._boundary_chain(schedule)[0]
-                assert [block.leak_weight for block in blocks] == [0] * len(blocks)
+                report = verify_holonomy(schedule)
+                assert report.leak_weights == report.leaking_terms == (0,) * len(schedule.segments)
                 for segment in schedule.segments:
                     assert invariance_residual(segment.hamiltonian, basis) <= 1e-15
 
@@ -480,7 +480,7 @@ class TestLeakageBound:
     ])
     def test_bound_equals_residual_into_one_sector(self, n, kicks, want):
         schedule = _leak_into(_schedule("u3", n, (1, n - 2), 0.6), 0, kicks)
-        bound = gates._boundary_chain(schedule)[0][0].leak_weight
+        bound = verify_holonomy(schedule).leak_weights[0]
         residual = invariance_residual(schedule.segments[0].hamiltonian, build_logical_basis(n))
         assert abs(bound - want) <= 1e-15
         assert abs(residual - bound) <= 1e-14
@@ -491,7 +491,7 @@ class TestLeakageBound:
         # that of the X terms and the norms add in quadrature.
         kicks = ((0.2, {2: "X"}), (0.1, {3: "X"}), (0.05, {2: "Z"}))
         schedule = _leak_into(_schedule("u3", n, (1, n - 2), 0.6), 0, kicks)
-        bound = gates._boundary_chain(schedule)[0][0].leak_weight
+        bound = verify_holonomy(schedule).leak_weights[0]
         residual = invariance_residual(schedule.segments[0].hamiltonian, build_logical_basis(n))
         assert abs(bound - 0.35) <= 1e-15
         assert abs(residual - np.hypot(0.3, 0.05)) <= 1e-14

@@ -488,20 +488,23 @@ class TestGateFidelity:
         calls = []
 
         def counting_expm(h, scale):
-            calls.append(scale)
+            calls.append((np.shape(h), scale))
             return expm_hermitian(h, scale)
 
         monkeypatch.setattr(noise, "expm_hermitian", counting_expm)
-        # u2 on logical qubit 1 acts on qubits 1, 2, 4: one slice per segment
-        # on that factor, and one stack of slices, for every segment, on the
-        # idle per-qubit factors (here qubit 3), whatever the grid size.
+        # u2 on logical qubit 1 acts on qubits 1, 2, 4: one stack of slices,
+        # (patterns, segments, 8, 8), on that factor, and one stack, for every
+        # segment, on the idle per-qubit factors (here qubit 3), whatever the
+        # grid size.
         schedule = schedule_u2(4, 1, 0.3)
-        bath = BathModel.random(4, 0.1, seed=1)
-        for size in (1, 3, 7):
-            calls.clear()
-            grid = list(np.linspace(-0.1, 0.1, size))
-            error_sweep(schedule, InterleavingPlan(2), bath, {"flip": grid, "detuning": grid})
-            assert calls == [1.0 / 8] * (len(schedule.segments) + 1)
+        for kind, patterns, idle in (("scalar", 1, 1), ("qubit", 8, 2)):
+            bath = BathModel.random(4, 0.1, seed=1, kind=kind)
+            for size in (1, 3, 7):
+                calls.clear()
+                grid = list(np.linspace(-0.1, 0.1, size))
+                error_sweep(schedule, InterleavingPlan(2), bath, {"flip": grid, "detuning": grid})
+                assert calls == [((patterns, len(schedule.segments), 8, 8), 1.0 / 8),
+                                 ((idle, 1, 2, 2), 1.0 / 8)]
 
     def test_unknown_kind_rejected(self, monkeypatch):
         def no_slices(*args):

@@ -98,7 +98,17 @@ def test_leaking_term_reported_at_least_the_oracle_leakage(schedule):
     # The oracle's leakage of B† U B carries its own rounding, ~1e-15, which
     # a vanishing area leaves as the whole value.
     oracle_leakage = holonomy_oracle(schedule, BASES[schedule.n_physical])[2]
-    assert verify_holonomy(schedule).leakage >= oracle_leakage - 1e-14
+    report = verify_holonomy(schedule)
+    assert report.leakage >= oracle_leakage - 1e-14
+    # The one mask pass per segment reports what commutant_split finds there;
+    # verify prints the counts as its commutant_membership row.
+    assert len(report.leaking_terms) == len(report.leak_weights) == len(schedule.segments)
+    for segment, count, weight in zip(schedule.segments, report.leaking_terms,
+                                      report.leak_weights):
+        leaking = commutant_split(segment.hamiltonian)[1]
+        assert count == leaking.n_terms
+        assert weight == sum(abs(c) for c, _ in leaking.terms)
+    assert sum(report.leaking_terms) >= 1
 
 
 @settings(max_examples=60, deadline=None)
