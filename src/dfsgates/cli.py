@@ -19,6 +19,7 @@ import argparse
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,23 +43,43 @@ from .noise import (
 )
 from .pauli import MAX_QUBITS
 
-DEFAULTS = {
-    "n": 4,
-    "gate": "u3",
-    "j": 1,
-    "k": 1,
-    "l": 2,
-    "angle": float(np.pi / 4),
-    "cycles": 4,
-    "eps_range": "-0.1:0.1",
-    "delta_range": "-0.1:0.1",
-    "step": 0.005,
-    "bath": "none",
-    "bath_width": 0.1,
-    "seed": 0,
-    "out": "sweep.csv",
-    "dt_ladder": "0.1,0.05,0.025",
-    "total_time": 2.0,
+
+class _Option(NamedTuple):
+    """One option: its default (whose type parses flag and config values),
+    the commands that read it, its help text and its allowed values."""
+
+    default: object
+    commands: tuple[str, ...]
+    help: str
+    choices: tuple[str, ...] | None = None
+
+
+_GATE = ("verify", "sweep")
+_BATH = ("sweep", "decouple")
+# Every option, once, in the order of each command's flags. A flag is the
+# key with "-" for "_"; a config key may use either.
+OPTIONS = {
+    "n": _Option(4, ("verify", "sweep", "decouple"), "physical qubits (even, 4..8)"),
+    "gate": _Option("u3", _GATE, "gate family", ("u1", "u2", "u3")),
+    "j": _Option(1, _GATE, "logical target for u1/u2"),
+    "k": _Option(1, _GATE, "first logical target for u3"),
+    "l": _Option(2, _GATE, "second logical target for u3"),
+    "angle": _Option(float(np.pi / 4), _GATE, "gate angle theta or phi"),
+    "bath": _Option("none", _BATH, "bath model", ("none", "scalar", "qubit")),
+    "bath_width": _Option(0.1, _BATH, "half-width of the uniform coupling draw"),
+    "seed": _Option(0, _BATH, "seed for bath draws"),
+    "cycles": _Option(4, ("sweep",), "XY-4 cycles per segment"),
+    "out": _Option("sweep.csv", ("sweep",), "output CSV path"),
+    "eps_range": _Option("-0.1:0.1", ("sweep",), "flip-angle range lo:hi"),
+    "delta_range": _Option("-0.1:0.1", ("sweep",), "detuning range lo:hi"),
+    "step": _Option(0.005, ("sweep",), "grid step"),
+    "dt_ladder": _Option("0.1,0.05,0.025", ("decouple",), "comma-separated pulse spacings"),
+    "total_time": _Option(2.0, ("decouple",), "total idle evolution time"),
+}
+COMMANDS = {
+    "verify": "check one gate end to end",
+    "sweep": "fidelity vs pulse error, CSV out",
+    "decouple": "decoupling-order probe over a dt ladder",
 }
 
 # Largest number of steps one sweep range may have; finer grids exit 2.
@@ -68,61 +89,23 @@ MAX_GRID_STEPS = 10_000
 # at widths near 1e15 times the evolution time a double keeps no digit of
 # the phases, so the printed fidelities would carry no information.
 MAX_BATH_WIDTH = 1e3
-# Values of --gate and --bath; config-file values are checked against the same.
-_GATES = ("u1", "u2", "u3")
-_BATHS = ("none", "scalar", "qubit")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, taking --config and the options it reads."""
     parser = argparse.ArgumentParser(
         prog="dfsgates",
         description="Holonomic gates in decoupling-protected subspaces: "
         "verification, pulse-error sweeps, decoupling-order probes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # Each command takes only the options it reads: the code size, plus
-    # the gate options (verify, sweep) and the bath options (sweep, decouple).
-    def code_options(p):
+    for command, summary in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", type=str, help="key=value config file; flags win")
-        p.add_argument("--n", type=int, help="physical qubits (even, 4..8)")
-
-    def gate_options(p):
-        p.add_argument("--gate", choices=_GATES, help="gate family")
-        p.add_argument("--j", type=int, help="logical target for u1/u2")
-        p.add_argument("--k", type=int, help="first logical target for u3")
-        p.add_argument("--l", type=int, help="second logical target for u3")
-        p.add_argument("--angle", type=float, help="gate angle theta or phi")
-
-    def bath_options(p):
-        p.add_argument("--bath", choices=_BATHS, help="bath model")
-        p.add_argument("--bath-width", dest="bath_width", type=float,
-                       help="half-width of the uniform coupling draw")
-        p.add_argument("--seed", type=int, help="seed for bath draws")
-
-    p_verify = sub.add_parser("verify", help="check one gate end to end")
-    code_options(p_verify)
-    gate_options(p_verify)
-
-    p_sweep = sub.add_parser("sweep", help="fidelity vs pulse error, CSV out")
-    code_options(p_sweep)
-    gate_options(p_sweep)
-    bath_options(p_sweep)
-    p_sweep.add_argument("--cycles", type=int, help="XY-4 cycles per segment")
-    p_sweep.add_argument("--out", type=str, help="output CSV path")
-    p_sweep.add_argument("--eps-range", dest="eps_range", type=str,
-                         help="flip-angle range lo:hi")
-    p_sweep.add_argument("--delta-range", dest="delta_range", type=str,
-                         help="detuning range lo:hi")
-    p_sweep.add_argument("--step", type=float, help="grid step")
-
-    p_dec = sub.add_parser("decouple", help="decoupling-order probe over a dt ladder")
-    code_options(p_dec)
-    bath_options(p_dec)
-    p_dec.add_argument("--dt-ladder", dest="dt_ladder", type=str,
-                       help="comma-separated pulse spacings")
-    p_dec.add_argument("--total-time", dest="total_time", type=float,
-                       help="total idle evolution time")
+        for key, option in OPTIONS.items():
+            if command in option.commands:
+                p.add_argument("--" + key.replace("_", "-"), type=type(option.default),
+                               choices=option.choices, help=option.help)
     return parser
 
 
@@ -145,13 +128,12 @@ def _resolve(args: argparse.Namespace) -> dict:
     A config key must name one of the command's own options; the others
     keep their defaults, which the command never reads.
     """
-    merged = dict(DEFAULTS)
+    merged = {key: option.default for key, option in OPTIONS.items()}
     if args.config:
-        options = vars(args)
         for key, val in _read_config(args.config).items():
-            if key not in DEFAULTS or key not in options:
+            if key not in OPTIONS or args.command not in OPTIONS[key].commands:
                 raise ValueError(f"unknown config key {key!r} for {args.command}")
-            merged[key] = type(DEFAULTS[key])(val)
+            merged[key] = type(OPTIONS[key].default)(val)
     for key in merged:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -160,11 +142,12 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 
 def _check_values(cfg: dict) -> None:
-    """Reject non-finite or out-of-range numeric options, and gate or bath
-    names outside the parser's choices (a config file bypasses those)."""
-    for key, allowed in (("gate", _GATES), ("bath", _BATHS)):
-        if cfg[key] not in allowed:
-            raise ValueError(f"{key} must be one of {', '.join(allowed)}, got {cfg[key]!r}")
+    """Reject non-finite or out-of-range numeric options, and values outside
+    an option's choices (a config file bypasses the parser's check)."""
+    for key, option in OPTIONS.items():
+        if option.choices and cfg[key] not in option.choices:
+            raise ValueError(
+                f"{key} must be one of {', '.join(option.choices)}, got {cfg[key]!r}")
     if not (4 <= cfg["n"] <= MAX_QUBITS and cfg["n"] % 2 == 0):
         raise ValueError(f"n must be even and in 4..{MAX_QUBITS}, got {cfg['n']!r}")
     for key in ("angle", "bath_width", "step", "total_time"):

@@ -143,8 +143,11 @@ class HolonomyReport:
         return _embed(self.support_gate, self.support, self.n_logical)
 
 
-def _pair(n: int, letter: str, a: int, b: int) -> PauliSum:
-    return PauliSum.from_terms(n, [(1.0, PauliString.from_sites(n, {a: letter, b: letter}))])
+def _segment(n: int, area: float, *terms: tuple[float, str, int, int]) -> ScheduleSegment:
+    """A segment of area `area` whose Hamiltonian sums coef * P_a P_b over
+    terms (coef, P, a, b), one two-site string each."""
+    strings = ((c, PauliString.from_sites(n, {a: p, b: p})) for c, p, a, b in terms)
+    return ScheduleSegment(PauliSum.from_terms(n, strings), area)
 
 
 def schedule_u1(n: int, j: int, theta: float) -> GateSchedule:
@@ -153,12 +156,10 @@ def schedule_u1(n: int, j: int, theta: float) -> GateSchedule:
     Segment 1 is Z_(j+1) Z_n at area pi/2; segment 2 mixes that term with
     X_1 X_(j+1) by the gate angle, again at area pi/2.
     """
-    h1 = _pair(n, "Z", j + 1, n)
-    h1p = np.cos(theta) * h1 + np.sin(theta) * _pair(n, "X", 1, j + 1)
-    return GateSchedule(
-        "u1", n, (j,), theta,
-        (ScheduleSegment(h1, np.pi / 2), ScheduleSegment(h1p, np.pi / 2)),
-    )
+    return GateSchedule("u1", n, (j,), theta, (
+        _segment(n, np.pi / 2, (1.0, "Z", j + 1, n)),
+        _segment(n, np.pi / 2, (np.cos(theta), "Z", j + 1, n), (np.sin(theta), "X", 1, j + 1)),
+    ))
 
 
 def schedule_u2(n: int, j: int, theta: float) -> GateSchedule:
@@ -167,27 +168,19 @@ def schedule_u2(n: int, j: int, theta: float) -> GateSchedule:
     Wraps the u1 pair between X_1 X_(j+1) segments of areas -pi/4 and
     +pi/4; the sign of the first area sets the rotation direction.
     """
-    h2 = _pair(n, "X", 1, j + 1)
-    inner = schedule_u1(n, j, theta).segments
-    return GateSchedule(
-        "u2", n, (j,), theta,
-        (
-            ScheduleSegment(h2, -np.pi / 4),
-            inner[0],
-            inner[1],
-            ScheduleSegment(h2, np.pi / 4),
-        ),
-    )
+    return GateSchedule("u2", n, (j,), theta, (
+        _segment(n, -np.pi / 4, (1.0, "X", 1, j + 1)),
+        *schedule_u1(n, j, theta).segments,
+        _segment(n, np.pi / 4, (1.0, "X", 1, j + 1)),
+    ))
 
 
 def schedule_u3(n: int, k: int, l: int, phi: float) -> GateSchedule:
     """Two-segment schedule for the entangling rotation exp(i phi Y_k Z_l)."""
-    h3p = _pair(n, "X", 1, k + 1)
-    h3 = np.cos(phi) * h3p + (-np.sin(phi)) * _pair(n, "Z", k + 1, l + 1)
-    return GateSchedule(
-        "u3", n, (k, l), phi,
-        (ScheduleSegment(h3, np.pi / 2), ScheduleSegment(h3p, np.pi / 2)),
-    )
+    return GateSchedule("u3", n, (k, l), phi, (
+        _segment(n, np.pi / 2, (np.cos(phi), "X", 1, k + 1), (-np.sin(phi), "Z", k + 1, l + 1)),
+        _segment(n, np.pi / 2, (1.0, "X", 1, k + 1)),
+    ))
 
 
 def _boundary_chain(schedule: GateSchedule) -> tuple[list, list, tuple[int, ...], list]:

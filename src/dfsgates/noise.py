@@ -150,8 +150,8 @@ class BathModel:
             raise ValueError("bath couplings must be finite")
 
     @classmethod
-    def zero(cls, n: int, kind: str = "scalar") -> "BathModel":
-        return cls(kind, n, np.zeros((n, 3)))
+    def zero(cls, n: int) -> "BathModel":
+        return cls("scalar", n, np.zeros((n, 3)))
 
     @classmethod
     def random(cls, n: int, width: float, seed: int, kind: str = "scalar") -> "BathModel":
@@ -189,9 +189,6 @@ class BathModel:
         qubits, so its propagator is the tensor product of theirs."""
         return np.einsum("ia,ajk->ijk", self.couplings, np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z]))
 
-    def is_zero(self) -> bool:
-        return not self.couplings.any()
-
 
 def single_qubit_pulse(axis: str, errors: DDErrorModel = IDEAL_PULSES) -> np.ndarray:
     """One imperfect rotation about the x or y axis.
@@ -218,52 +215,43 @@ def _pulse_stack(axis: str, errors) -> np.ndarray:
     return np.cos(angle / 2) * SIGMA_I - 1j * np.sin(angle / 2) * direction
 
 
-def _pulse_times(p: np.ndarray, n_system: int, m: np.ndarray) -> np.ndarray:
-    """(p (x) ... (x) p (x) I) @ m, with p on each of the first n_system qubits.
+def _pulse_times(p: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(p (x) ... (x) p) @ m, with p on every qubit of m's d = 2^n rows.
 
     Each factor is one local 2x2 product on the reshaped row index of m, so
-    the global pulse is never built as a dense matrix; qubits past
-    n_system (a bath register) are left alone. m may be a stack of
+    the global pulse is never built as a dense matrix. m may be a stack of
     matrices, shape (..., d, cols), and p a stack of pulses, shape
     (..., 2, 2); their leading axes broadcast, and each pulse multiplies
     its matrix alike; the result carries the broadcast leading axes even
-    when n_system is 0.
+    when d is 1 (no qubit).
     """
     d, cols = m.shape[-2:]
     m = np.broadcast_to(m, (*np.broadcast_shapes(p.shape[:-2], m.shape[:-2]), d, cols))
-    for k in range(n_system):
+    for k in range(d.bit_length() - 1):
         m = p[..., None, :, :] @ m.reshape(*m.shape[:-2], 2**k, 2, (d >> (k + 1)) * cols)
         m = m.reshape(*m.shape[:-3], d, cols)
     return m
 
 
-def _half_cycle(f: np.ndarray, n_system: int, p_x: np.ndarray, p_y: np.ndarray) -> np.ndarray:
+def _half_cycle(f: np.ndarray, p_x: np.ndarray, p_y: np.ndarray) -> np.ndarray:
     """D = (P_y F)(P_x F) for the slice propagator f, or for each matrix of
     a stack of them; the XY-4 cycle P_y F P_x F P_y F P_x F is D @ D. The
-    pulses p_x and p_y act on the first n_system qubits; they may be
-    stacks whose leading axes broadcast against those of f."""
-    return _pulse_times(p_y, n_system, f) @ _pulse_times(p_x, n_system, f)
+    pulses p_x and p_y act on every qubit of f; they may be stacks whose
+    leading axes broadcast against those of f."""
+    return _pulse_times(p_y, f) @ _pulse_times(p_x, f)
 
 
-def dd_cycle(
-    free_h: np.ndarray,
-    dt: float,
-    errors: DDErrorModel = IDEAL_PULSES,
-    n_system: int | None = None,
-) -> np.ndarray:
-    """One XY-4 cycle: P_y F P_x F P_y F P_x F with F = exp(-i free_h dt).
+def dd_cycle(free_h: np.ndarray, dt: float) -> np.ndarray:
+    """One ideally pulsed XY-4 cycle: P_y F P_x F P_y F P_x F with
+    F = exp(-i free_h dt) and the pulses on every qubit of free_h.
 
-    With ideal pulses this equals the decoupling-group conjugation product
-    up to a global phase, so the first-order average Hamiltonian over the
-    cycle is the commutant projection of free_h. Pulses act on the first
-    n_system qubits (default: the whole register). free_h may be a stack
-    of Hamiltonians, shape (..., d, d), one cycle each.
+    This equals the decoupling-group conjugation product up to a global
+    phase, so the first-order average Hamiltonian over the cycle is the
+    commutant projection of free_h. free_h may be a stack of Hamiltonians,
+    shape (..., d, d), one cycle each.
     """
     free_h = np.asarray(free_h, dtype=np.complex128)
-    if n_system is None:
-        n_system = free_h.shape[-1].bit_length() - 1
-    d = _half_cycle(expm_hermitian(free_h, dt), n_system,
-                    single_qubit_pulse("x", errors), single_qubit_pulse("y", errors))
+    d = _half_cycle(expm_hermitian(free_h, dt), single_qubit_pulse("x"), single_qubit_pulse("y"))
     return d @ d
 
 
@@ -290,13 +278,6 @@ def _sign_stack(h: np.ndarray, patterns: int) -> np.ndarray:
         bit, flip = (cols >> (m - 1 - k)) & 1, np.array([[0], [1]])
         out[:, cols ^ flip << (m - 1 - k), cols] += signs[:, k, None, None] * h[k][bit ^ flip, bit]
     return out
-
-
-def _bath_mean(u: np.ndarray, axis: int = 0) -> np.ndarray:
-    """<0...0|_bath U |0...0>_bath of factor propagators stacked over sign
-    patterns on the given axis: their mean, 2^-m sum_s U(s). A scalar
-    bath's one-pattern stack is its only entry."""
-    return u.take(0, axis) if u.shape[axis] == 1 else u.mean(axis=axis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,9 +359,8 @@ def _grid_propagators(
     p_x = _pulse_stack("x", errors)[:, None, None]
     p_y = _pulse_stack("y", errors)[:, None, None]
     power = 2 * plan.cycles_per_segment
-    segments = np.linalg.matrix_power(
-        _half_cycle(active.slices, len(active.qubits), p_x, p_y), power)
-    idle_segment = np.linalg.matrix_power(_half_cycle(idle, 1, p_x, p_y), power)
+    segments = np.linalg.matrix_power(_half_cycle(active.slices, p_x, p_y), power)
+    idle_segment = np.linalg.matrix_power(_half_cycle(idle, p_x, p_y), power)
     u, v = segments[:, :, 0], idle_segment
     for s in range(1, segments.shape[2]):
         u = segments[:, :, s] @ u
@@ -430,7 +410,7 @@ def error_sweep(
     fidelities = []
     for start in range(0, len(models), chunk):
         u, v = _grid_propagators(factors, plan, models[start:start + chunk])
-        noisy = [_bath_mean(u, axis=1), *np.moveaxis(_bath_mean(v, axis=1), 1, 0)]
+        noisy = [u.mean(axis=1), *np.moveaxis(v.mean(axis=1), 1, 0)]
         if start == 0:
             reference = [f[0] for f in noisy]
         fidelities.extend(_product_fidelities(reference, noisy).tolist())
@@ -499,7 +479,7 @@ def _identity_infidelity(u: np.ndarray) -> float:
     """1 - fidelity to the identity of the tensor product of the per-qubit
     factor propagators u, stacked over sign patterns on the leading axis,
     each reduced to the mean over its patterns."""
-    reduced = _bath_mean(u)
+    reduced = u.mean(axis=0)
     return 1 - product_fidelity(reduced, np.broadcast_to(np.eye(2), reduced.shape))
 
 

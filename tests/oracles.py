@@ -68,7 +68,8 @@ replaced, on the whole register:
 
     hamiltonian_matrix            the bath coupling as one dense matrix;
     reduced_system_propagator     <0...0|_bath U |0...0>_bath;
-    dense_decoupling_order_probe  one full-register `dd_cycle` per rung;
+    dense_decoupling_order_probe  one XY-4 cycle of dense pulses on the
+                                  system qubits per rung;
     dense_bare_evolution_error    one full-register exponential.
 """
 
@@ -98,7 +99,6 @@ from dfsgates.noise import (
     MAX_CYCLES_PER_SEGMENT,
     BathModel,
     DDErrorModel,
-    dd_cycle,
     single_qubit_pulse,
 )
 from dfsgates.pauli import (
@@ -493,9 +493,8 @@ def factor_propagators(factors, plan, errors: DDErrorModel) -> tuple[np.ndarray,
     p_x = single_qubit_pulse("x", errors)
     p_y = single_qubit_pulse("y", errors)
     power = 2 * plan.cycles_per_segment
-    segments = np.linalg.matrix_power(
-        noise._half_cycle(active.slices, len(active.qubits), p_x, p_y), power)
-    idle_segment = np.linalg.matrix_power(noise._half_cycle(idle, 1, p_x, p_y), power)
+    segments = np.linalg.matrix_power(noise._half_cycle(active.slices, p_x, p_y), power)
+    idle_segment = np.linalg.matrix_power(noise._half_cycle(idle, p_x, p_y), power)
     u, v = segments[:, 0], idle_segment
     for s in range(1, segments.shape[1]):
         u = segments[:, s] @ u
@@ -512,7 +511,7 @@ def per_point_sweep(schedule, plan, bath, grids) -> list[tuple[str, float, float
 
     def reduced(errors: DDErrorModel) -> list[np.ndarray]:
         active, idle = factor_propagators(factors, plan, errors)
-        return [noise._bath_mean(active), *noise._bath_mean(idle)]
+        return [active.mean(axis=0), *idle.mean(axis=0)]
 
     reference = reduced(IDEAL_PULSES)
     rows = []
@@ -558,8 +557,11 @@ def dense_decoupling_order_probe(
     bath: BathModel, dt_values, total_time: float
 ) -> list[tuple[float, float]]:
     """`noise.decoupling_order_probe` on the full register: one dense XY-4
-    cycle of the whole bath coupling per rung."""
+    cycle of the whole bath coupling per rung, its pulses on the system
+    qubits only."""
     h = hamiltonian_matrix(bath)
+    dim = 2**bath.total_qubits
+    p_x, p_y = (pulse(axis, bath.n_system, total_dim=dim) for axis in "xy")
     eye = np.eye(2**bath.n_system)
     out = []
     for dt in dt_values:
@@ -572,7 +574,8 @@ def dense_decoupling_order_probe(
                 f"dt={dt} gives {cycles} cycles over total_time={total_time}, "
                 f"outside 1..{MAX_CYCLES_PER_SEGMENT}"
             )
-        u = np.linalg.matrix_power(dd_cycle(h, dt, n_system=bath.n_system), cycles)
+        f = expm_hermitian(h, dt)
+        u = np.linalg.matrix_power(p_y @ f @ p_x @ f @ p_y @ f @ p_x @ f, cycles)
         err = 1 - product_fidelity([reduced_system_propagator(u, bath)], [eye])
         out.append((float(dt), float(err)))
     return out

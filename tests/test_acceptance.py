@@ -25,7 +25,7 @@ from dfsgates.gates import (
     schedule_u3,
     verify_holonomy,
 )
-from dfsgates.linalg import expm_hermitian, product_fidelity
+from dfsgates.linalg import expm_hermitian, kron_all, product_fidelity
 from dfsgates.noise import (
     BathModel,
     DDErrorModel,
@@ -248,3 +248,45 @@ def test_criterion_8_property_suites():
     ok &= int(np.sum(np.linalg.svd(reshaped, compute_uv=False) > 1e-10)) == 2
 
     _report(8, "property suites", ok, time.perf_counter() - start, 30.0)
+
+
+def _on_sites(n: int, ops: dict[int, np.ndarray]) -> np.ndarray:
+    """The 2x2 operators ops[q] on the 1-indexed qubits q of n, identity elsewhere."""
+    return kron_all([ops.get(q, np.eye(2)) for q in range(1, n + 1)])
+
+
+def test_criterion_9_universal_set():
+    # The abstract's claim that the two single-qubit holonomies and the
+    # entangling one compose a universal set: Hadamard and CNOT as products
+    # of certified holonomic gates, rightmost first, up to a global phase.
+    start = time.perf_counter()
+    hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    p0, p1, x = np.diag([1, 0]), np.diag([0, 1]), np.array([[0, 1], [1, 0]])
+    q = np.pi / 4
+    ok = True
+    for n in (4, 6, 8):
+        m = n - 2
+        pairs = {(1, 2), (1, m), (m - 1, m)}
+        circuits = []
+        for j in sorted({1, m}):
+            # H_j = u1(j, pi/4) u2(j, pi/2)
+            circuits.append(([schedule_u1(n, j, q), schedule_u2(n, j, np.pi / 2)],
+                             _on_sites(m, {j: hadamard})))
+        for k, l in sorted(pairs):
+            # CNOT with control l and target k:
+            # u2(k, -pi/4) u2(l, pi/4) u1(k, pi/4) u3(k, l, pi/4) u2(k, pi/4)
+            factors = [schedule_u2(n, k, -q), schedule_u2(n, l, q), schedule_u1(n, k, q),
+                       schedule_u3(n, k, l, q), schedule_u2(n, k, q)]
+            cnot = _on_sites(m, {l: p0}) + _on_sites(m, {l: p1, k: x})
+            circuits.append((factors, cnot))
+        for factors, exact in circuits:
+            product = np.eye(2**m)
+            for schedule in factors:
+                report = verify_holonomy(schedule)
+                ok &= report.leakage <= 1e-10
+                ok &= report.cyclic_defect <= 1e-9
+                ok &= report.max_parallel_transport_violation <= 1e-9
+                ok &= report.subspace_swap is None or report.subspace_swap <= 1e-9
+                product = product @ logical_gate(schedule)
+            ok &= product_fidelity([product], [exact]) >= 1 - 1e-9
+    _report(9, "universal set", ok, time.perf_counter() - start, 10.0)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -483,6 +484,16 @@ class TestOptionsPerCommand:
             flags = {flag for action in commands[command]._actions
                      for flag in action.option_strings}
             assert flags == {f"--{option}" for option in reads | {"config"}} | {"-h", "--help"}
+
+    def test_readme_table_repeats_the_option_table(self):
+        # README's command-line table lists cli.OPTIONS row for row, in order.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = [line.split(" | ") for line in readme.splitlines() if line.startswith("| `--")]
+        want = [[f"| `--{key.replace('_', '-')}"
+                 + (f" {{{','.join(option.choices)}}}`" if option.choices else "`"),
+                 f"`{option.default}`", ", ".join(option.commands), f"{option.help} |"]
+                for key, option in cli.OPTIONS.items()]
+        assert rows == want
 
     @pytest.mark.parametrize("command, option", UNREAD)
     def test_unread_flag_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys,

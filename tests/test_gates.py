@@ -117,6 +117,30 @@ class TestScheduleConstruction:
             PauliSum.from_terms(4, [(1.0, PauliString.from_label("+XXII"))])
         )
 
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_builders_equal_sums_of_pair_terms(self, n):
+        # Each segment, term for term, is the sum of its two-site strings
+        # scaled by cos and sin of the angle, as PauliSum arithmetic forms it.
+        def pair(letter, a, b):
+            string = PauliString.from_sites(n, {a: letter, b: letter})
+            return PauliSum.from_terms(n, [(1.0, string)])
+
+        for angle in (*ANGLES, -0.4, np.pi):
+            c, s = np.cos(angle), np.sin(angle)
+            for j in range(1, n - 1):
+                zz, xx = pair("Z", j + 1, n), pair("X", 1, j + 1)
+                u1 = [(zz, np.pi / 2), (c * zz + s * xx, np.pi / 2)]
+                u2 = [(xx, -np.pi / 4), *u1, (xx, np.pi / 4)]
+                for build, want in ((schedule_u1, u1), (schedule_u2, u2)):
+                    got = [(seg.hamiltonian, seg.area) for seg in build(n, j, angle).segments]
+                    assert got == want
+            for k in range(1, n - 1):
+                for l in range(k + 1, n - 1):
+                    xx, zz = pair("X", 1, k + 1), pair("Z", k + 1, l + 1)
+                    segments = schedule_u3(n, k, l, angle).segments
+                    got = [(seg.hamiltonian, seg.area) for seg in segments]
+                    assert got == [(c * xx + (-s) * zz, np.pi / 2), (xx, np.pi / 2)]
+
     def test_u3_symbolic_square_is_identity(self):
         h3 = schedule_u3(4, 1, 2, 0.77).segments[0].hamiltonian
         square = PauliSum.from_terms(
