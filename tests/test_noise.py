@@ -256,6 +256,19 @@ class TestLocalPulses:
             for got, errors in zip(local, self.ERRORS):
                 assert np.abs(got - pulse(axis, n, errors) @ m).max() <= 1e-14
 
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_half_cycle_pulses_every_qubit_of_the_factor(self, rng, n):
+        # D = (P_y F)(P_x F) for a stack of slices and a stack of imperfect
+        # pulses; the pulses act on all n qubits of F, as the dense pulse does.
+        f = np.stack([expm_hermitian(random_hermitian(2**n, rng), 0.21) for _ in range(3)])
+        p_x = noise._pulse_stack("x", self.ERRORS)[:, None]
+        p_y = noise._pulse_stack("y", self.ERRORS)[:, None]
+        got = noise._half_cycle(f, p_x, p_y)
+        assert got.shape == (len(self.ERRORS), 3, 2**n, 2**n)
+        for half, errors in zip(got, self.ERRORS):
+            dense = pulse("y", n, errors) @ f @ pulse("x", n, errors) @ f
+            assert np.abs(half - dense).max() <= 1e-13
+
     def test_stack_axes_broadcast(self, rng):
         # The sweep multiplies a (B, 1, 1) stack of pulses into a
         # (patterns, segments) stack of slices; with no pulsed qubit the
