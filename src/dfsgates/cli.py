@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import operator
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -35,6 +36,7 @@ from .linalg import product_fidelity
 from .noise import (
     BathModel,
     InterleavingPlan,
+    _csv_value,
     bare_evolution_error,
     decoupling_order_probe,
     error_sweep,
@@ -89,6 +91,7 @@ MAX_GRID_STEPS = 10_000
 # at widths near 1e15 times the evolution time a double keeps no digit of
 # the phases, so the printed fidelities would carry no information.
 MAX_BATH_WIDTH = 1e3
+_RELATIONS = {">=": operator.ge, "<=": operator.le, "==": operator.eq}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,12 +185,11 @@ def _grid_steps(lo: float, hi: float, step: float) -> int:
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
-    """The grid points lo + i * step up to hi, rounded to 12 decimals;
-    refused if the rounding repeats a point."""
+    """Points lo + i * step up to hi, rounded to 12 decimals; refused if two share a _csv_value."""
     points = [round(lo + i * step, 12) for i in range(_grid_steps(lo, hi, step) + 1)]
-    if not all(a < b for a, b in zip(points, points[1:])):
+    if len(set(map(_csv_value, points))) < len(points):
         raise ValueError(
-            f"grid {lo:g}:{hi:g} at step {step:g} repeats points after rounding to 12 decimals"
+            f"grid {lo:g}:{hi:g} at step {step:g} repeats points at 12 significant digits"
         )
     return points
 
@@ -218,33 +220,27 @@ def _bath(cfg: dict) -> BathModel:
 def cmd_verify(cfg: dict) -> int:
     schedule = _schedule(cfg)
     report = verify_holonomy(schedule)
-    checks: list[tuple[str, float, str, float, bool]] = []
     # M on the support has the fidelity of M (x) I on all logical qubits.
     fid = product_fidelity([report.support_gate], [analytic_target(schedule, report.support)])
-    checks.append(("gate_fidelity", fid, ">=", 1 - 1e-9, fid >= 1 - 1e-9))
-    checks.append(("leakage", report.leakage, "<=", 1e-10, report.leakage <= 1e-10))
-
-    bad_terms = sum(report.leaking_terms)
-    checks.append(("commutant_membership", bad_terms, "==", 0, bad_terms == 0))
-
-    checks.append(("cyclic_defect", report.cyclic_defect, "<=", 1e-9,
-                   report.cyclic_defect <= 1e-9))
-    checks.append(("parallel_transport", report.max_parallel_transport_violation,
-                   "<=", 1e-9, report.max_parallel_transport_violation <= 1e-9))
+    checks = [
+        ("gate_fidelity", fid, ">=", 1 - 1e-9),
+        ("leakage", report.leakage, "<=", 1e-10),
+        ("commutant_membership", sum(report.leaking_terms), "==", 0),
+        ("cyclic_defect", report.cyclic_defect, "<=", 1e-9),
+        ("parallel_transport", report.max_parallel_transport_violation, "<=", 1e-9),
+    ]
     if report.subspace_swap is not None:
-        checks.append(("subspace_swap", report.subspace_swap, "<=", 1e-9,
-                       report.subspace_swap <= 1e-9))
+        checks.append(("subspace_swap", report.subspace_swap, "<=", 1e-9))
 
     target = (f"j={cfg['j']}" if cfg["gate"] in ("u1", "u2")
               else f"k={cfg['k']} l={cfg['l']}")
     print(f"verify {cfg['gate']} n={cfg['n']} {target} angle={cfg['angle']:.6g}")
-    all_ok = True
-    for name, value, rel, bound, ok in checks:
-        all_ok &= ok
+    passed = [_RELATIONS[rel](value, bound) for _, value, rel, bound in checks]
+    for (name, value, rel, bound), ok in zip(checks, passed):
         print(f"  {name:22s} {value:<12.3e} {rel} {bound:<8.0e} "
               f"{'PASS' if ok else 'FAIL'}")
-    print("result: " + ("PASS" if all_ok else "FAIL"))
-    return 0 if all_ok else 1
+    print("result: " + ("PASS" if all(passed) else "FAIL"))
+    return 0 if all(passed) else 1
 
 
 def cmd_sweep(cfg: dict) -> int:
@@ -275,10 +271,10 @@ def cmd_decouple(cfg: dict) -> int:
     if all(err <= 1e-10 for _, err in points):
         print("result: exact (errors at numerical floor)")
         return 0
-    order = fit_error_order(points)
+    order, min_order = fit_error_order(points), 1.5
     dd_beats_bare = all(err < bare for _, err in points)
-    ok = order >= 1.5 and dd_beats_bare
-    print(f"fitted order: {order:.3f} (want >= 1.5); DD beats bare: {dd_beats_bare}")
+    ok = order >= min_order and dd_beats_bare
+    print(f"fitted order: {order:.3f} (want >= {min_order}); DD beats bare: {dd_beats_bare}")
     print("result: " + ("PASS" if ok else "FAIL"))
     return 0 if ok else 1
 

@@ -125,8 +125,8 @@ class GateSchedule:
 
 @dataclass(frozen=True, eq=False)
 class HolonomyReport:
-    """What verify_holonomy measured: the gate M on the support, M (x) I on all
-    n_logical qubits as gate, and each segment's eps_s and leaking-term count."""
+    """What verify_holonomy measured: the defects, the leakage bound, the gate M
+    on the logical support, and each segment's eps_s and leaking-term count."""
 
     cyclic_defect: float
     max_parallel_transport_violation: float
@@ -136,11 +136,6 @@ class HolonomyReport:
     support_gate: np.ndarray = field(repr=False)
     leak_weights: tuple[float, ...]
     leaking_terms: tuple[int, ...]
-    n_logical: int
-
-    @property
-    def gate(self) -> np.ndarray:
-        return _embed(self.support_gate, self.support, self.n_logical)
 
 
 def _segment(n: int, area: float, *terms: tuple[float, str, int, int]) -> ScheduleSegment:
@@ -211,7 +206,7 @@ def _embed(m: np.ndarray, support: tuple[int, ...], n_logical: int) -> np.ndarra
 
 
 def logical_gate(schedule: GateSchedule) -> np.ndarray:
-    """The gate of verify_holonomy, in logical coordinates.
+    """The gate M of verify_holonomy as M (x) I on all N-2 logical qubits.
 
     Raises
     ------
@@ -222,7 +217,7 @@ def logical_gate(schedule: GateSchedule) -> np.ndarray:
     report = verify_holonomy(schedule)
     if report.leakage > ATOL_STRUCT:
         raise LeakageError(f"code-space leakage {report.leakage:.3e} exceeds {ATOL_STRUCT:.1e}")
-    return report.gate
+    return _embed(report.support_gate, report.support, schedule.n_physical - 2)
 
 
 def leakage_of(block: np.ndarray) -> float:
@@ -296,10 +291,10 @@ def verify_holonomy(schedule: GateSchedule) -> HolonomyReport:
     only as its block B† H_s B = logical_image(H_s) = H_L,s (x) I, H_L,s on
     the support Q (dimension 2 for u1/u2, 4 for u3, at any N), which is
     exponentiated once to U_s = exp(-i a_s H_L,s); B is never built. The
-    chain M_0 = I, M_s = U_s M_(s-1) gives the logical gate M = M_S,
-    reported on Q and as M (x) I on all N-2 logical qubits, and the frame
-    M_s F at each segment boundary. The block's frame is F (x) I, so the
-    checks below, made on Q, are exact for M (x) I.
+    chain M_0 = I, M_s = U_s M_(s-1) gives the logical gate M = M_S on Q
+    (logical_gate embeds it as M (x) I on all N-2 logical qubits) and the
+    frame M_s F at each segment boundary. The block's frame is F (x) I, so
+    the checks below, made on Q, are exact for M (x) I.
 
     Frames. The frame F of _transported_frame, the barred states on the
     target slots in code-space coordinates, is moved as G = u(t) F.
@@ -365,7 +360,6 @@ def verify_holonomy(schedule: GateSchedule) -> HolonomyReport:
         support_gate=chain[-1],
         leak_weights=leak_weights,
         leaking_terms=leaking_terms,
-        n_logical=schedule.n_physical - 2,
     )
 
 

@@ -94,16 +94,18 @@ MAX_GRID_ENTRIES = 2**16
 
 @dataclass(frozen=True)
 class DDErrorModel:
-    """Per-pulse imperfection parameters; zero errors reproduce ideal pulses."""
+    """Per-pulse imperfection parameters; zero errors reproduce ideal pulses.
+    The rotation angle (1 + epsilon) * pi * sqrt(1 + delta**2) must be finite."""
 
     epsilon: float = 0.0
     delta: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and math.isfinite(self.delta)):
+        # delta * delta, not delta**2, which raises OverflowError on a float.
+        if not math.isfinite((1 + self.epsilon) * math.pi * math.sqrt(1 + self.delta * self.delta)):
             raise ValueError(
-                f"pulse errors must be finite, got epsilon={self.epsilon!r}, "
-                f"delta={self.delta!r}"
+                f"pulse errors must be finite and give a finite rotation angle, "
+                f"got epsilon={self.epsilon!r}, delta={self.delta!r}"
             )
 
 
@@ -280,36 +282,23 @@ def _sign_stack(h: np.ndarray, patterns: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class _Factor:
-    """The active tensor factor of the register and its segment slices.
-
-    qubits are the 1-indexed system qubits some segment term acts on, in
-    ascending order; slices stacks the factor's slice propagator of every
-    sign pattern and segment, shape (patterns, segments, d, d).
-    """
-
-    qubits: tuple[int, ...]
-    slices: np.ndarray
-
-
 def _factor_slices(
     schedule: GateSchedule, bath: BathModel, plan: InterleavingPlan
-) -> tuple[_Factor, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Slice propagators exp(-i (area_s H_s + H_bath) / (4c)) of each segment
-    s, as the active factor and the stack of idle per-qubit factors.
+    s, as (slices, idle): the active factor's and the idle per-qubit factors'.
 
-    The active factor holds every system qubit a segment term acts on, and
-    the identity term of the segments, if any. Its bath term is the
-    `_sign_stack` of their `BathModel.factor_hamiltonians`, every sign
-    pattern for a bath-qubit model and the all-plus one for a scalar bath;
-    one stacked exponential gives all slices. Every other system qubit is a
-    factor of `BathModel.factor_hamiltonians`: no segment term acts on it,
-    so its one slice, of the bath term alone, serves every segment. The
-    idle slices come as one stack of `_qubit_patterns`, shape
-    (patterns, n_idle, 2, 2), empty when the schedule acts on every system
-    qubit. The slices do not depend on the pulse errors, so a sweep builds
-    them once.
+    The active factor holds every system qubit a segment term acts on, in
+    ascending order, and the identity term of the segments, if any. Its bath
+    term is the `_sign_stack` of their `BathModel.factor_hamiltonians`, every
+    sign pattern for a bath-qubit model and the all-plus one for a scalar
+    bath; one stacked exponential gives all slices, shape
+    (patterns, segments, d, d). Every other system qubit is a factor of
+    `BathModel.factor_hamiltonians`: no segment term acts on it, so its one
+    slice, of the bath term alone, serves every segment. The idle slices
+    come as one stack of `_qubit_patterns`, shape (patterns, n_idle, 2, 2),
+    empty when the schedule acts on every system qubit. The slices do not
+    depend on the pulse errors, so a sweep builds them once.
 
     Raises
     ------
@@ -334,19 +323,16 @@ def _factor_slices(
     scale = 1.0 / (4 * plan.cycles_per_segment)
     slices = expm_hermitian(np.stack(gate_h) + bath_h[:, None], scale)
     idle = [q for q in range(bath.n_system) if q + 1 not in system]
-    return (
-        _Factor(system, slices),
-        expm_hermitian(_qubit_patterns(couplings[idle], bath.kind), scale),
-    )
+    return slices, expm_hermitian(_qubit_patterns(couplings[idle], bath.kind), scale)
 
 
 def _grid_propagators(
-    factors: tuple[_Factor, np.ndarray], plan: InterleavingPlan, errors
+    factors: tuple[np.ndarray, np.ndarray], plan: InterleavingPlan, errors
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decoupled propagator of the schedule on the active factor and on
-    each idle per-qubit factor, for every sign pattern and for each of a
-    sequence of B pulse error models: stacks of shape (B, patterns, d, d)
-    and (B, patterns, n_idle, 2, 2).
+    each idle per-qubit factor, from the (slices, idle) of `_factor_slices`,
+    for every sign pattern and for each of a sequence of B pulse error
+    models: stacks of shape (B, patterns, d, d) and (B, patterns, n_idle, 2, 2).
 
     One segment runs c = cycles_per_segment XY-4 cycles, each the square
     of the half cycle D (see `_half_cycle`); so the active factor takes one
@@ -355,11 +341,11 @@ def _grid_propagators(
     idle stack forms its D^(2c) once and applies it once per segment. The
     number of numpy calls does not depend on B.
     """
-    active, idle = factors
+    slices, idle = factors
     p_x = _pulse_stack("x", errors)[:, None, None]
     p_y = _pulse_stack("y", errors)[:, None, None]
     power = 2 * plan.cycles_per_segment
-    segments = np.linalg.matrix_power(_half_cycle(active.slices, p_x, p_y), power)
+    segments = np.linalg.matrix_power(_half_cycle(slices, p_x, p_y), power)
     idle_segment = np.linalg.matrix_power(_half_cycle(idle, p_x, p_y), power)
     u, v = segments[:, :, 0], idle_segment
     for s in range(1, segments.shape[2]):
@@ -396,7 +382,6 @@ def error_sweep(
     for kind in grids:
         if kind not in ("flip", "detuning"):
             raise ValueError(f"unknown error kind {kind!r}")
-    factors = _factor_slices(schedule, bath, plan)
     points = []
     index = {IDEAL_PULSES: 0}
     for kind, values in grids.items():
@@ -405,8 +390,8 @@ def error_sweep(
             errors = DDErrorModel(epsilon=value) if kind == "flip" else DDErrorModel(delta=value)
             points.append((kind, value, index.setdefault(errors, len(index))))
     models = list(index)
-    active, idle = factors
-    chunk = max(1, MAX_GRID_ENTRIES // (active.slices.size + idle.size))
+    factors = _factor_slices(schedule, bath, plan)
+    chunk = max(1, MAX_GRID_ENTRIES // sum(f.size for f in factors))
     fidelities = []
     for start in range(0, len(models), chunk):
         u, v = _grid_propagators(factors, plan, models[start:start + chunk])
@@ -420,12 +405,17 @@ def error_sweep(
 SWEEP_CSV_HEADER = "error_kind,error_value,fidelity,seed,plan_cycles,gate,theta_or_phi"
 
 
+def _csv_value(value: float) -> str:
+    """An error value as the CSV prints it: 12 significant digits, -0 as 0."""
+    return f"{value + 0.0:.12g}"
+
+
 def sweep_csv_lines(rows, seed: int, plan: InterleavingPlan, schedule: GateSchedule) -> list[str]:
     """CSV lines for sweep rows, sorted by (error_kind, error_value)."""
     lines = [SWEEP_CSV_HEADER]
     for kind, value, fid in sorted(rows, key=lambda r: (r[0], r[1])):
         lines.append(
-            f"{kind},{value:.6g},{fid:.12f},{seed},{plan.cycles_per_segment},"
+            f"{kind},{_csv_value(value)},{fid:.12f},{seed},{plan.cycles_per_segment},"
             f"{schedule.kind},{schedule.angle:.12g}"
         )
     return lines

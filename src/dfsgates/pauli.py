@@ -224,9 +224,6 @@ class PauliSum:
     def n_terms(self) -> int:
         return len(self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def to_matrix(self) -> np.ndarray:
         """Dense matrix, each term scattered into its one entry per column."""
         return _mask_matrix(((c, *_masks(s.letters), s.phase) for c, s in self.terms),

@@ -44,7 +44,8 @@ These oracles compute the same propagator on the whole register:
                       per segment;
     interleave_oracle the pulses threaded one at a time, slice by slice;
     factor_qubits     the register qubits of each of the engine's factors,
-                      system qubits then their bath partners;
+                      system qubits then their bath partners, read off the
+                      schedule's term labels;
     sign_sum          sum_s U(s) (x) Pi_s of one factor's pattern stack,
                       with Pi_s built densely;
     assemble          the engine's factor matrices put back together on the
@@ -457,17 +458,20 @@ def assemble(qubit_sets, matrices, n_total: int) -> np.ndarray:
     return full.reshape((2,) * (2 * n_total)).transpose(axes).reshape(dim, dim)
 
 
-def factor_qubits(active, bath: BathModel) -> list[tuple[int, ...]]:
+def factor_qubits(schedule, bath: BathModel) -> list[tuple[int, ...]]:
     """The 1-indexed register qubits of the engine's factors: the active
-    factor's system qubits, with a bath qubit followed by their partners
-    in the same order, then (q,) or, with a bath qubit, (q, n + q) for
-    each idle system qubit q in ascending order, as the idle stack holds
-    them."""
+    factor's system qubits, those on which the label of some segment term
+    has a letter other than I, in ascending order, with a bath qubit
+    followed by their partners in the same order; then (q,) or, with a
+    bath qubit, (q, n + q) for each idle system qubit q in ascending
+    order, as the idle stack holds them."""
     n = bath.n_system
-    idle = [q for q in range(1, n + 1) if q not in active.qubits]
+    labels = [s.label[-n:] for seg in schedule.segments for _, s in seg.hamiltonian.terms]
+    active = tuple(q for q in range(1, n + 1) if any(label[q - 1] != "I" for label in labels))
+    idle = [q for q in range(1, n + 1) if q not in active]
     if bath.kind == "scalar":
-        return [active.qubits, *((q,) for q in idle)]
-    return [(*active.qubits, *(n + q for q in active.qubits)), *((q, n + q) for q in idle)]
+        return [active, *((q,) for q in idle)]
+    return [(*active, *(n + q for q in active)), *((q, n + q) for q in idle)]
 
 
 def sign_sum(stack: np.ndarray) -> np.ndarray:
@@ -489,11 +493,11 @@ def factor_propagators(factors, plan, errors: DDErrorModel) -> tuple[np.ndarray,
     (patterns, n_idle, 2, 2): the per-point evaluation the sweep ran before
     its grid became a stack axis, a half cycle of one pulse pair, its
     power and the product over segments."""
-    active, idle = factors
+    slices, idle = factors
     p_x = single_qubit_pulse("x", errors)
     p_y = single_qubit_pulse("y", errors)
     power = 2 * plan.cycles_per_segment
-    segments = np.linalg.matrix_power(noise._half_cycle(active.slices, p_x, p_y), power)
+    segments = np.linalg.matrix_power(noise._half_cycle(slices, p_x, p_y), power)
     idle_segment = np.linalg.matrix_power(noise._half_cycle(idle, p_x, p_y), power)
     u, v = segments[:, 0], idle_segment
     for s in range(1, segments.shape[1]):
@@ -535,7 +539,7 @@ def engine_propagator(schedule, bath, plan, errors: DDErrorModel = IDEAL_PULSES)
         matrices = [active[0], *idle[0]]
     else:
         matrices = [sign_sum(active), *(sign_sum(idle[:, i]) for i in range(idle.shape[1]))]
-    return assemble(factor_qubits(factors[0], bath), matrices, bath.total_qubits)
+    return assemble(factor_qubits(schedule, bath), matrices, bath.total_qubits)
 
 
 def hamiltonian_matrix(bath: BathModel) -> np.ndarray:

@@ -215,6 +215,42 @@ class TestSweep:
         assert err.startswith("error: grid 0:5e-12 at step 1e-13 repeats points")
         assert not out_path.exists()
 
+    def test_grid_that_prints_repeated_values_refused(self, capsys, tmp_path):
+        # Distinct at 12 decimals, but all print as 100 at 12 significant
+        # digits, so the CSV could not tell the rows apart.
+        out_path = tmp_path / "sweep.csv"
+        code, _, err = run_cli(
+            capsys, "sweep", "--eps-range=100:100.000000000005", "--delta-range=0:0",
+            "--step", "1e-12", "--out", str(out_path),
+        )
+        assert code == 2
+        assert err.startswith("error: grid 100:100 at step 1e-12 repeats points")
+        assert not out_path.exists()
+
+    def test_close_points_name_their_own_rows(self, capsys, tmp_path):
+        # Printed to 6 digits these four rows all read flip,0.1, each with
+        # its own fidelity.
+        out_path = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--eps-range=0.1:0.1000003", "--delta-range=0:0",
+            "--step", "1e-7", "--out", str(out_path),
+        )
+        assert code == 0
+        rows = [row.split(",") for row in out_path.read_text().splitlines()[1:]]
+        flip = [row for row in rows if row[0] == "flip"]
+        assert [row[1] for row in flip] == ["0.1", "0.1000001", "0.1000002", "0.1000003"]
+        assert len({row[2] for row in flip}) == 4
+
+    def test_zero_reached_from_below_prints_as_zero(self, capsys, tmp_path):
+        # -0.9 + 3 * 0.3 rounds to -0.0, which was written as flip,-0.
+        out_path = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--eps-range=-0.9:0.3", "--step", "0.3", "--out", str(out_path),
+        )
+        assert code == 0
+        values = [line.split(",")[1] for line in out_path.read_text().splitlines()[1:]]
+        assert values == ["-0.1", "-0.9", "-0.6", "-0.3", "0", "0.3"]
+
     def test_bad_step_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "sweep", "--step", "-0.1", "--out", str(tmp_path / "x.csv"),
@@ -375,6 +411,25 @@ class TestInputValidation:
                               *out_flag(command, out_csv))
         assert code == 2
         assert err.startswith("error: bath_width must be in") and "Traceback" not in err
+        assert not out_csv.exists()
+
+    @settings(max_examples=30, deadline=None)
+    @given(error=st.one_of(
+        st.tuples(st.just("eps"), st.floats(min_value=6e307, allow_infinity=False)),
+        st.tuples(st.just("eps"), st.floats(max_value=-6e307, allow_infinity=False)),
+        st.tuples(st.just("delta"), st.floats(min_value=1.4e154, allow_infinity=False)),
+        st.tuples(st.just("delta"), st.floats(max_value=-1.4e154, allow_infinity=False)),
+    ))
+    def test_pulse_error_with_overflowing_angle_refused(self, out_csv, error):
+        # sweep --eps-range 1e308:1e308 overflowed the rotation angle
+        # (1 + eps) * pi * sqrt(1 + delta**2), warned, wrote fidelity nan
+        # and exited 0.
+        kind, value = error
+        ranges = {"eps": "0:0", "delta": "0:0", kind: f"{value!r}:{value!r}"}
+        code, err = run_quiet("sweep", f"--eps-range={ranges['eps']}",
+                              f"--delta-range={ranges['delta']}", "--out", str(out_csv))
+        assert code == 2
+        assert err.startswith("error: pulse errors must") and "Traceback" not in err
         assert not out_csv.exists()
 
     def test_bath_width_at_bound_accepted(self, capsys):

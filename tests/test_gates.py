@@ -412,7 +412,6 @@ class TestLogicalSupport:
                 for value, reference in zip(got, want):
                     if reference is not None:
                         assert abs(value - reference) <= 1e-12 * reference + 1e-14
-                assert np.abs(verify_holonomy(schedule).gate - gate).max() <= 1e-14
                 assert np.abs(logical_gate(schedule) - gate).max() <= 1e-14
 
     @pytest.mark.parametrize("kind, target", [("u1", (1,)), ("u2", (1,)), ("u3", (1, 2))])
@@ -445,7 +444,6 @@ class TestCertifierOracle:
                 assert want <= 1e-10
                 assert abs(got - want) <= 1e-14
         full = full_register_gate(schedule, basis)
-        assert np.abs(verify_holonomy(schedule).gate - full).max() <= 1e-14
         assert np.abs(logical_gate(schedule) - full).max() <= 1e-14
 
     @pytest.mark.parametrize("kind", ["u1", "u2", "u3"])
@@ -464,7 +462,7 @@ class TestCertifierOracle:
         if kind == "u3" and breaker is _scale_first_area:
             assert new[3] > 1e-3
         full = full_register_gate(schedule, basis)
-        assert np.abs(verify_holonomy(schedule).gate - full).max() <= 1e-14
+        assert np.abs(logical_gate(schedule) - full).max() <= 1e-14
 
     @pytest.mark.parametrize("kind", ["u1", "u2", "u3"])
     @pytest.mark.parametrize("n", [4, 6])
@@ -618,7 +616,7 @@ class TestHeisenbergReduction:
         assert sums_isclose(h, schedule_u2(4, 1, 0.0).segments[0].hamiltonian)
 
     def test_all_zero_is_zero_operator(self):
-        assert heisenberg_reduction(0.0, 0.0, 0.0, 0.0, 5).is_zero()
+        assert not heisenberg_reduction(0.0, 0.0, 0.0, 0.0, 5).terms
 
     def test_full_chain_term_count(self):
         h = heisenberg_reduction(0.5, 1.0, 1.0, 1.0, 4)

@@ -187,14 +187,13 @@ class TestInterleave:
         bath = BathModel.random(4, 0.05, seed=2, kind="qubit")
         plan = InterleavingPlan(1)
         factors = noise._factor_slices(schedule, bath, plan)
-        active, idle = factors
-        assert active.qubits == (1, 2, 4)
-        assert factor_qubits(active, bath) == [(1, 2, 4, 5, 6, 8), (3, 7)]
+        slices, idle = factors
+        assert factor_qubits(schedule, bath) == [(1, 2, 4, 5, 6, 8), (3, 7)]
         # The idle factor holds bath terms only: one slice for both segments.
-        assert [active.slices.shape, idle.shape] == [(8, 2, 8, 8), (2, 1, 2, 2)]
+        assert [slices.shape, idle.shape] == [(8, 2, 8, 8), (2, 1, 2, 2)]
         # Shared or stacked per segment, the idle slice gives the same bits,
         # on a grid of two error models.
-        per_segment = noise._Factor((3,), np.repeat(idle, 2, axis=1))
+        per_segment = np.repeat(idle, 2, axis=1)
         grid = [IDEAL_PULSES, DDErrorModel(epsilon=0.05)]
         _, shared = noise._grid_propagators(factors, plan, grid)
         stacked, _ = noise._grid_propagators((per_segment, idle), plan, grid)
@@ -356,8 +355,9 @@ class TestFactoring:
         bath, plan = make_bath(), InterleavingPlan(2)
         eye = PauliSum.from_terms(4, [(0.3, PauliString.identity(4))])
         schedule = _add_term(schedule_u1(4, 1, 0.7), 0, eye)
-        active, idle = noise._factor_slices(schedule, bath, plan)
-        assert factor_qubits(active, bath)[1:] == ([(3,)] if bath.kind == "scalar" else [(3, 7)])
+        slices, idle = noise._factor_slices(schedule, bath, plan)
+        assert [slices.shape[-1], idle.shape[1]] == [8, 1]
+        assert factor_qubits(schedule, bath)[1:] == ([(3,)] if bath.kind == "scalar" else [(3, 7)])
         for errors in (IDEAL_PULSES, DDErrorModel(epsilon=0.1)):
             ref = interleave_oracle(schedule, bath, plan, errors)
             assert np.abs(engine_propagator(schedule, bath, plan, errors) - ref).max() <= 1e-13
@@ -369,9 +369,8 @@ class TestFactoring:
         bath, plan = make_bath(), InterleavingPlan(3)
         zz = PauliSum.from_terms(4, [(0.2, PauliString.from_sites(4, {3: "Z", 4: "Z"}))])
         schedule = _add_term(schedule_u1(4, 1, 0.7), 1, zz)
-        active, idle = noise._factor_slices(schedule, bath, plan)
-        assert active.qubits == (1, 2, 3, 4)
-        assert idle.shape[1] == 0
+        slices, idle = noise._factor_slices(schedule, bath, plan)
+        assert [slices.shape[-1], idle.shape[1]] == [16, 0]
         values = [-0.1, 0.0, 0.05]
         rows = error_sweep(schedule, plan, bath, {"flip": values, "detuning": values})
         reference = reduced_system_propagator(interleave(schedule, bath, plan), bath)
@@ -400,8 +399,8 @@ class TestSignPatternReach:
         bath, plan = BathModel.random(6, 0.1, seed=6, kind="qubit"), InterleavingPlan(1)
         grids = {"flip": [0.0, 0.05], "detuning": [-0.1]}
         whole = _pair_schedule(6, "1.0*+XIIIIX + 1.0*+IZIIZI + 1.0*+IIZZII")
-        active, idle = noise._factor_slices(whole, bath, plan)
-        assert [active.slices.shape, idle.shape] == [(64, 1, 64, 64), (2, 0, 2, 2)]
+        slices, idle = noise._factor_slices(whole, bath, plan)
+        assert [slices.shape, idle.shape] == [(64, 1, 64, 64), (2, 0, 2, 2)]
         rows = error_sweep(whole, plan, bath, grids)
         assert rows[0] == ("flip", 0.0, 1.0)
 
@@ -599,6 +598,29 @@ class TestDDErrorModel:
     def test_non_finite_detuning_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             DDErrorModel(delta=bad)
+
+    @pytest.mark.parametrize("epsilon, delta", [
+        (1e308, 0.0), (-1e308, 0.0), (0.0, 1e200), (0.0, -1.4e154), (1e300, 1e10),
+    ])
+    def test_overflowing_rotation_angle_rejected(self, epsilon, delta):
+        # Finite errors whose angle (1 + eps) * pi * sqrt(1 + delta**2) is
+        # not; delta**2 on a float would raise OverflowError instead.
+        with pytest.raises(ValueError, match="finite rotation angle"):
+            DDErrorModel(epsilon, delta)
+
+    def test_sweep_refuses_overflowing_angle_before_any_slice(self, monkeypatch):
+        # A sweep at flip error 1e308 warned and wrote fidelity nan.
+        def no_slices(*args):
+            raise AssertionError("slices built")
+
+        monkeypatch.setattr(noise, "_factor_slices", no_slices)
+        for grids in ({"flip": [0.0, 1e308]}, {"detuning": [1e200]}):
+            with pytest.raises(ValueError, match="finite rotation angle"):
+                error_sweep(schedule_u1(4, 1, 0.1), InterleavingPlan(1), BathModel.zero(4), grids)
+
+    def test_largest_finite_angle_gives_a_finite_pulse(self):
+        for errors in (DDErrorModel(delta=1.3e154), DDErrorModel(epsilon=5e307)):
+            assert np.isfinite(single_qubit_pulse("x", errors)).all()
 
 
 class TestDecouplingProbe:

@@ -205,7 +205,7 @@ class TestGroupAverage:
     def test_single_qubit_term_killed(self):
         group = build_decoupling_group(4)
         h = PauliSum.from_terms(4, [(0.7, PauliString.from_sites(4, {1: "X"}))])
-        assert group_average(h, group).is_zero()
+        assert not group_average(h, group).terms
 
     def test_commutant_term_unchanged(self):
         group = build_decoupling_group(4)
@@ -214,7 +214,7 @@ class TestGroupAverage:
 
     def test_zero_in_zero_out(self):
         group = build_decoupling_group(4)
-        assert group_average(PauliSum.zero(4), group).is_zero()
+        assert not group_average(PauliSum.zero(4), group).terms
 
     def test_idempotent_and_commutes_with_group(self, rng):
         group = build_decoupling_group(4)
@@ -287,7 +287,7 @@ class TestPauliSum:
             ],
         )
         assert sums_isclose(PauliSum.from_text(4, h.text()), h)
-        assert PauliSum.from_text(4, PauliSum.zero(4).text()).is_zero()
+        assert not PauliSum.from_text(4, PauliSum.zero(4).text()).terms
 
     def test_phase_folded_into_coefficient(self):
         h = PauliSum.from_terms(2, [(2.0, PauliString.from_label("-iXY"))])
@@ -359,7 +359,7 @@ class TestCommutantSplit:
     def test_gate_hamiltonians_do_not_leak(self, schedule):
         for segment in schedule.segments:
             kept, leaking = commutant_split(segment.hamiltonian)
-            assert kept == segment.hamiltonian and leaking.is_zero()
+            assert kept == segment.hamiltonian and not leaking.terms
 
     def test_leaking_terms_split_off(self):
         # X_2 anticommutes with Z...Z, Z_1 with X...X, Y_1 with both; X_1 X_2

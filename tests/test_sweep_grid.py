@@ -87,8 +87,8 @@ def test_chunks_give_the_rows_of_one_chunk(monkeypatch, kind):
     values = [-0.1, -0.05, -0.02, 0.0, 0.02, 0.05, 0.1, 0.0, 0.05]
     grids = {"flip": values, "detuning": values[::-1]}
     whole = error_sweep(schedule, plan, bath, grids)
-    active, idle = noise._factor_slices(schedule, bath, plan)
-    per_entry = active.slices.size + idle.size
+    slices, idle = noise._factor_slices(schedule, bath, plan)
+    per_entry = slices.size + idle.size
     assert noise.MAX_GRID_ENTRIES >= 13 * per_entry
     calls = []
     grid_propagators = noise._grid_propagators
