@@ -173,23 +173,27 @@ def _parse_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _grid_steps(lo: float, hi: float, step: float) -> int:
-    """Whole steps from lo that stay within hi, refused above MAX_GRID_STEPS."""
+def _grid_steps(lo: float, hi: float, step: float, text: str) -> int:
+    """Whole steps from lo that stay within hi, refused above MAX_GRID_STEPS;
+    the refusal names the range as the user wrote it, text."""
     steps = (hi - lo) / step
     if not steps <= MAX_GRID_STEPS:
         raise ValueError(
-            f"grid {lo:g}:{hi:g} at step {step:g} has {steps:.3g} steps, "
+            f"grid {text} at step {step:g} has {steps:.3g} steps, "
             f"more than {MAX_GRID_STEPS}"
         )
     return math.floor(steps + 1e-9)
 
 
-def _grid(lo: float, hi: float, step: float) -> list[float]:
-    """Points lo + i * step up to hi, rounded to 12 decimals; refused if two share a _csv_value."""
-    points = [round(lo + i * step, 12) for i in range(_grid_steps(lo, hi, step) + 1)]
+def _grid(text: str, step: float) -> list[float]:
+    """Points lo + i * step of the range text lo:hi up to hi, rounded to 12
+    decimals; refused if two share a _csv_value. A refusal names the range
+    as written: bounds that print alike are what it is about."""
+    lo, hi = _parse_range(text)
+    points = [round(lo + i * step, 12) for i in range(_grid_steps(lo, hi, step, text) + 1)]
     if len(set(map(_csv_value, points))) < len(points):
         raise ValueError(
-            f"grid {lo:g}:{hi:g} at step {step:g} repeats points at 12 significant digits"
+            f"grid {text} at step {step:g} repeats points at 12 significant digits"
         )
     return points
 
@@ -248,7 +252,7 @@ def cmd_sweep(cfg: dict) -> int:
     plan = InterleavingPlan(cycles_per_segment=cfg["cycles"])
     bath = _bath(cfg)
     grids = {
-        kind: _grid(*_parse_range(cfg[range_key]), cfg["step"])
+        kind: _grid(cfg[range_key], cfg["step"])
         for kind, range_key in (("detuning", "delta_range"), ("flip", "eps_range"))
     }
     rows = error_sweep(schedule, plan, bath, grids)

@@ -32,6 +32,7 @@ its two ends.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -53,8 +54,8 @@ from .errors import (
 from .linalg import (
     ATOL_STRUCT,
     SIGMA_I,
+    _expm_hermitian,
     _orthonormal_frame,
-    expm_hermitian,
     kron_all,
     spectral_norm,
 )
@@ -178,22 +179,26 @@ def schedule_u3(n: int, k: int, l: int, phi: float) -> GateSchedule:
     ))
 
 
-def _boundary_chain(schedule: GateSchedule) -> tuple[list, list, tuple[int, ...], list]:
-    """(hs, chain, Q, leaks): each segment as H_L,s on the logical support Q
-    (the ascending target qubits and every qubit an image acts on), from one
-    pass over its terms (dfs._compress); the propagators to the boundaries,
-    M_0 = I, M_s = exp(-i a_s H_L,s) M_(s-1); and each segment's eps_s and
-    number of terms outside the commutant."""
+def _boundary_chain(schedule: GateSchedule) -> tuple[np.ndarray, np.ndarray, tuple[int, ...], list]:
+    """(hs, chain, Q, leaks): the (S, d, d) stack of segments as H_L,s on the
+    logical support Q (the ascending target qubits and every qubit an image
+    acts on), from one pass over each segment's terms (dfs._compress); the
+    (S + 1, d, d) stack of propagators to the boundaries, M_0 = I,
+    M_s = exp(-i a_s H_L,s) M_(s-1), from one stacked exponential; and each
+    segment's eps_s and number of terms outside the commutant."""
     n_logical = schedule.n_physical - 2
     compressed = [_compress(segment.hamiltonian) for segment in schedule.segments]
     acts = [x | z for images, _, _ in compressed for x, z in images]
     support = tuple(q for q in range(1, n_logical + 1)
                     if q in schedule.target or any(m >> (n_logical - q) & 1 for m in acts))
-    hs = [_support_matrix(images, support, n_logical) for images, _, _ in compressed]
+    hs = np.stack([_support_matrix(images, support, n_logical) for images, _, _ in compressed])
+    # One area per matrix, as the scale of the stack: scaling h instead
+    # would round the eigenvalues differently.
+    areas = np.array([[segment.area] for segment in schedule.segments], dtype=float)
     chain = [np.eye(2 ** len(support), dtype=np.complex128)]
-    for segment, h in zip(schedule.segments, hs):
-        chain.append(expm_hermitian(h, segment.area) @ chain[-1])
-    return hs, chain, support, [leaks for _, *leaks in compressed]
+    for u in _expm_hermitian(hs, areas):
+        chain.append(u @ chain[-1])
+    return hs, np.stack(chain), support, [leaks for _, *leaks in compressed]
 
 
 def _embed(m: np.ndarray, support: tuple[int, ...], n_logical: int) -> np.ndarray:
@@ -262,24 +267,41 @@ def _transported_frame(schedule: GateSchedule, support: tuple) -> tuple[np.ndarr
         target's bar form one two-dimensional group. Consecutive groups
         (paired over the first bar) are the subspaces that swap at the
         segment boundary.
+
+    F depends only on the slots and the support size, so it is built once
+    per pair of them and shared, read-only.
     """
     slots = {"u1": schedule.target, "u2": (), "u3": schedule.target}[schedule.kind]
-    slots, n = tuple(support.index(q) + 1 for q in slots), len(support)
+    slots = tuple(support.index(q) + 1 for q in slots)
+    return _slot_frame(slots, len(support)), 2 if schedule.kind == "u3" else 1
+
+
+@functools.cache
+def _slot_frame(slots: tuple[int, ...], n: int) -> np.ndarray:
+    """F of _transported_frame on n support qubits with barred target slots,
+    read-only. A support holds at most MAX_QUBITS - 2 qubits, so the keys
+    are few."""
     frame = barred_transform(n, slots).reshape(-1, *(2,) * n)
     frame = np.moveaxis(frame, slots, range(-len(slots), 0)).reshape(2**n, -1)
-    return _orthonormal_frame(frame.T), 2 if schedule.kind == "u3" else 1
+    frame = _orthonormal_frame(frame.T)
+    frame.setflags(write=False)
+    return frame
 
 
 def _by_group(x: np.ndarray, k: int) -> np.ndarray:
-    """A d x r frame as the stack of its r/k consecutive d x k group frames."""
-    return x.reshape(x.shape[0], -1, k).transpose(1, 0, 2)
+    """A d x r frame, or a stack of them (..., d, r), as the stack of its
+    r/k consecutive d x k group frames, shape (..., r/k, d, k)."""
+    return x.reshape(*x.shape[:-1], -1, k).swapaxes(-3, -2)
 
 
 def _principal_sines(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Sine of the largest principal angle between the spans of q[i] and
     v[i], stacks of orthonormal d x k frames: ||q - v (v† q)||_2, which
-    equals the projector distance ||q q† - v v†||_2 for equal ranks."""
-    return np.linalg.norm(q - v @ (v.conj().swapaxes(1, 2) @ q), 2, axis=(1, 2))
+    equals the projector distance ||q q† - v v†||_2 for equal ranks. The
+    largest singular value is the first of svd's descending ones, what
+    np.linalg.norm(x, 2) computes."""
+    x = q - v @ (v.conj().swapaxes(-1, -2) @ q)
+    return np.linalg.svd(x, compute_uv=False)[..., 0]
 
 
 def verify_holonomy(schedule: GateSchedule) -> HolonomyReport:
@@ -289,15 +311,16 @@ def verify_holonomy(schedule: GateSchedule) -> HolonomyReport:
     Logical support. With B the logical basis of schedule.n_physical
     qubits as columns and P = B B†, each segment Hamiltonian H_s enters
     only as its block B† H_s B = logical_image(H_s) = H_L,s (x) I, H_L,s on
-    the support Q (dimension 2 for u1/u2, 4 for u3, at any N), which is
-    exponentiated once to U_s = exp(-i a_s H_L,s); B is never built. The
-    chain M_0 = I, M_s = U_s M_(s-1) gives the logical gate M = M_S on Q
+    the support Q (dimension 2 for u1/u2, 4 for u3, at any N). The S
+    blocks are exponentiated together, U_s = exp(-i a_s H_L,s), in one
+    stacked eigendecomposition; B is never built. The chain M_0 = I, M_s = U_s M_(s-1) gives the logical gate M = M_S on Q
     (logical_gate embeds it as M (x) I on all N-2 logical qubits) and the
     frame M_s F at each segment boundary. The block's frame is F (x) I, so
     the checks below, made on Q, are exact for M (x) I.
 
     Frames. The frame F of _transported_frame, the barred states on the
-    target slots in code-space coordinates, is moved as G = u(t) F.
+    target slots in code-space coordinates, is moved as G = u(t) F. F is
+    built once per target slots within Q and size of Q, and shared.
     cyclic_defect is the largest sine of the principal angle between each
     transported subspace after the full period and its initial span,
     from the residual ||G - F (F† G)||_2 (Bjorck & Golub,
@@ -309,14 +332,15 @@ def verify_holonomy(schedule: GateSchedule) -> HolonomyReport:
 
     The transport violation is the largest Hamiltonian matrix element
     inside any transported subspace: the group-diagonal k x k blocks of
-    G†(H_L,s G), batched over the groups, with G the boundary frame
-    M_(s-1) F or M_s F at either end of segment s. Within the segment
+    G†(H_L,s G), batched over the groups, segments and ends, with G the
+    boundary frame M_(s-1) F or M_s F at either end of segment s. Within the segment
     G(t) = exp(-i t H_L,s) G(0), and that propagator commutes with H_L,s,
     so G(t)† H_L,s G(t) = G(0)† H_L,s G(0) at every time of the segment
     and its two ends stand for all of it. For u3, subspace_swap is the
     largest principal-angle sine between each barred pair subspace after
     the first segment, M_1 F, and its partner's initial span, in both
-    directions; it is None for the other kinds.
+    directions; it is None for the other kinds. One stacked SVD gives the
+    sines of the cyclic and the swap pairs.
 
     Leakage. The reported leakage is max(||M†M - I||, (sum_s |a_s| eps_s)**2),
     with eps_s the sum of |c| over the terms of h_leak,s in the split
@@ -336,23 +360,27 @@ def verify_holonomy(schedule: GateSchedule) -> HolonomyReport:
     """
     hs, chain, support, leaks = _boundary_chain(schedule)
     frame, k = _transported_frame(schedule, support)
-    frames = [m @ frame for m in chain]
+    frames = chain @ frame
 
-    blocks = [_by_group(g, k).conj().swapaxes(1, 2) @ _by_group(h @ g, k)
-              for s, h in enumerate(hs) for g in frames[s : s + 2]]
-    worst = max((float(np.abs(b).max()) for b in blocks), default=0.0)
+    # Each segment's frames at its two ends, (2, S, d, r), and their
+    # group-diagonal blocks of H_L,s in one product.
+    ends = np.stack([frames[:-1], frames[1:]])
+    blocks = _by_group(ends, k).conj().swapaxes(-1, -2) @ _by_group(hs @ ends, k)
+    worst = float(np.abs(blocks).max())
 
+    # The cyclic pairs (M_S F, F), and for u3 the swap pairs (M_1 F, F with
+    # consecutive groups exchanged): those trade places mid-sequence.
     start = _by_group(frame, k)
-    swap = None
+    q, v = _by_group(frames[-1], k), start
     if schedule.kind == "u3":
-        # Consecutive groups are the pairs that trade places mid-sequence.
-        half = _by_group(frames[1], k)
-        swap = float(max(_principal_sines(half[0::2], start[1::2]).max(),
-                         _principal_sines(half[1::2], start[0::2]).max()))
+        partner = np.arange(len(start)) ^ 1
+        q, v = np.concatenate([q, _by_group(frames[1], k)]), np.concatenate([v, start[partner]])
+    sines = _principal_sines(q, v)
+    swap = float(sines[len(start):].max()) if schedule.kind == "u3" else None
     leak_weights, leaking_terms = zip(*leaks)
     drift = sum(abs(segment.area) * eps for segment, eps in zip(schedule.segments, leak_weights))
     return HolonomyReport(
-        cyclic_defect=float(_principal_sines(_by_group(frames[-1], k), start).max()),
+        cyclic_defect=float(sines[: len(start)].max()),
         max_parallel_transport_violation=worst,
         leakage=max(leakage_of(chain[-1]), drift**2),
         subspace_swap=swap,

@@ -90,6 +90,23 @@ class TestVerify:
         assert out.strip().endswith("result: PASS")
         assert len(passes) == segments
 
+    def test_stdout_matches_golden_bytes(self, capsys):
+        # u1, u2 and u3 at N = 4, 6, 8 on the targets next to qubits 1 and N,
+        # at three angles; the file holds their outputs in this order, each
+        # headed by its own "verify ..." line.
+        golden = (Path(__file__).parent / "golden" / "verify_stdout.txt").read_bytes()
+        out = []
+        for n in (4, 6, 8):
+            for angle in ([], ["--angle=-1.3"], ["--angle=2.5"]):
+                targets = [(gate, "--j", str(j)) for gate in ("u1", "u2") for j in (1, n - 2)]
+                targets.append(("u3", "--k", "1", "--l", str(n - 2)))
+                for gate, *target in targets:
+                    code, text, _ = run_cli(capsys, "verify", "--n", str(n), "--gate", gate,
+                                            *target, *angle)
+                    assert code == 0
+                    out.append(text)
+        assert "".join(out).encode() == golden
+
 
 class TestSweep:
     def test_default_grid_and_golden_rows(self, capsys, tmp_path):
@@ -224,7 +241,17 @@ class TestSweep:
             "--step", "1e-12", "--out", str(out_path),
         )
         assert code == 2
-        assert err.startswith("error: grid 100:100 at step 1e-12 repeats points")
+        assert err.startswith("error: grid 100:100.000000000005 at step 1e-12 repeats points")
+        assert not out_path.exists()
+
+    def test_grid_with_too_many_steps_named_as_written(self, capsys, tmp_path):
+        # Printed with :g the bound read 1e+09, which the user did not write.
+        out_path = tmp_path / "sweep.csv"
+        code, _, err = run_cli(
+            capsys, "sweep", "--eps-range=0:1e9", "--step", "1e-3", "--out", str(out_path),
+        )
+        assert code == 2
+        assert err.startswith("error: grid 0:1e9 at step 0.001 has 1e+12 steps, more than")
         assert not out_path.exists()
 
     def test_close_points_name_their_own_rows(self, capsys, tmp_path):
@@ -364,7 +391,7 @@ class TestInputValidation:
     def test_grid_step_count_is_capped(self, lo, span, step):
         hi = lo + span
         try:
-            steps = _grid_steps(lo, hi, step)
+            steps = _grid_steps(lo, hi, step, f"{lo!r}:{hi!r}")
         except ValueError:
             assert (hi - lo) / step > MAX_GRID_STEPS
         else:
@@ -379,9 +406,9 @@ class TestInputValidation:
     def test_fine_step_refused_before_the_grid_exists(self):
         # ~2e11 points: the count is refused without building the list.
         with pytest.raises(ValueError, match="more than"):
-            _grid_steps(-0.1, 0.1, 1e-12)
-        assert _grid_steps(-0.1, 0.1, 0.005) == 40
-        assert _grid_steps(0.0, 1.0, 1.0 / MAX_GRID_STEPS) == MAX_GRID_STEPS
+            _grid_steps(-0.1, 0.1, 1e-12, "-0.1:0.1")
+        assert _grid_steps(-0.1, 0.1, 0.005, "-0.1:0.1") == 40
+        assert _grid_steps(0.0, 1.0, 1.0 / MAX_GRID_STEPS, "0:1") == MAX_GRID_STEPS
 
     @settings(max_examples=30, deadline=None)
     @given(rungs=st.lists(good_rung, max_size=4), bad=not_positive_finite, at=st.integers(0, 4))

@@ -390,6 +390,26 @@ class TestTransportedFrame:
                 assert frame.shape == want.shape
                 assert np.abs(frame - want).max() <= 1e-15
 
+    def test_built_once_per_slots_and_support_size(self, monkeypatch):
+        gates._slot_frame.cache_clear()
+        built = []
+        real = gates.barred_transform
+        monkeypatch.setattr(gates, "barred_transform",
+                            lambda n, slots: built.append((n, slots)) or real(n, slots))
+        for angle in (0.3, -1.2):
+            for schedule in (schedule_u3(8, 2, 5, angle), schedule_u1(6, 2, angle)):
+                verify_holonomy(schedule)
+        schedule = schedule_u3(8, 2, 5, 0.7)
+        support = gates._boundary_chain(schedule)[2]
+        first, k = _transported_frame(schedule, support)
+        second, _ = _transported_frame(schedule_u3(6, 2, 3, 0.1), (2, 3))
+        # The same slots (1, 2) of a two-qubit support: one frame, shared.
+        assert second is first and k == 2
+        assert built == [(2, (1, 2)), (1, (1,))]
+        assert not first.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 1.0
+
     def test_unknown_kind_rejected(self):
         # The schedule refuses the kind itself, so no frame is ever built for it.
         schedule = schedule_u1(4, 1, 0.5)
@@ -525,8 +545,7 @@ class TestBlockEigendecompositions:
     @pytest.mark.parametrize("gate, target", [
         ("u1", ["--j", "1"]), ("u2", ["--j", "2"]), ("u3", ["--k", "1", "--l", "2"]),
     ])
-    def test_verify_takes_one_block_eigh_per_segment(self, capsys, monkeypatch, n, gate,
-                                                      target):
+    def test_verify_takes_one_stacked_block_eigh(self, capsys, monkeypatch, n, gate, target):
         shapes = []
         real = np.linalg.eigh
 
@@ -540,7 +559,7 @@ class TestBlockEigendecompositions:
         segments = {"u1": 2, "u2": 4, "u3": 2}[gate]
         # The logical support: the target qubit for u1/u2, the pair for u3.
         dim = 4 if gate == "u3" else 2
-        assert shapes == [(dim, dim)] * segments
+        assert shapes == [(segments, dim, dim)]
 
 
 class TestU3Blocks:

@@ -72,6 +72,17 @@ class TestExpmHermitian:
             assert np.abs(stacked[index] - expm_hermitian(h[index], 0.7)).max() <= 1e-15
             assert np.allclose(stacked[index], expm_oracle(-0.7j * h[index]), atol=1e-12)
 
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_scale_per_matrix_equals_single_calls(self, rng, d):
+        # An (S, 1) scale gives each matrix of the stack its own, in one
+        # eigendecomposition call, bit for bit as the single calls.
+        for size in (1, 2, 5):
+            h = np.stack([random_hermitian(d, rng) for _ in range(size)])
+            scales = rng.uniform(-3, 3, size=size)
+            stacked = expm_hermitian(h, scales[:, None])
+            for matrix, scale, u in zip(h, scales, stacked):
+                assert np.array_equal(u, expm_hermitian(matrix, float(scale)))
+
     @pytest.mark.parametrize("d", [2, 4])
     def test_empty_stack(self, d):
         # A schedule on every system qubit leaves no idle per-qubit factor:
