@@ -199,11 +199,19 @@ def _grid(text: str, step: float) -> list[float]:
 
 
 def _parse_ladder(text: str) -> list[float]:
+    """Positive, finite spacings, at least 2, no two of which print alike at
+    the .6g the ladder prints them with. Refused here, before any rung
+    runs; `decoupling_order_probe` then refuses a ladder whose spacings do
+    not give distinct whole cycle counts in 1..MAX_CYCLES_PER_SEGMENT, so
+    a ladder that runs holds at most that many rungs."""
     dts = [float(part) for part in text.split(",")]
     if not all(math.isfinite(dt) and dt > 0 for dt in dts):
         raise ValueError(f"dt ladder {text!r} must hold positive, finite spacings")
-    if len(set(dts)) < 2:
+    printed = {f"{dt:.6g}" for dt in dts}
+    if len(printed) < 2:
         raise ValueError(f"dt ladder {text!r} needs at least 2 distinct spacings")
+    if len(printed) < len(dts):
+        raise ValueError(f"dt ladder {text!r} repeats spacings at 6 significant digits")
     return dts
 
 

@@ -220,19 +220,19 @@ def _pulse_stack(axis: str, errors) -> np.ndarray:
 def _pulse_times(p: np.ndarray, m: np.ndarray) -> np.ndarray:
     """(p (x) ... (x) p) @ m, with p on every qubit of m's d = 2^n rows.
 
-    Each factor is one local 2x2 product on the reshaped row index of m, so
-    the global pulse is never built as a dense matrix. m may be a stack of
-    matrices, shape (..., d, cols), and p a stack of pulses, shape
-    (..., 2, 2); their leading axes broadcast, and each pulse multiplies
-    its matrix alike; the result carries the broadcast leading axes even
-    when d is 1 (no qubit).
+    The Kronecker power P = p^(x)n is built once, by gathering: entry
+    (i, j) is the product over qubits k of p[i_k, j_k], with i_k and j_k
+    the bits of qubit k in i and j, so for one qubit P equals p. Then
+    P @ m is one matrix product per stacked matrix. P is built per register factor, never on the register:
+    at most 8 x 8 for u1/u2/u3 and 64 x 64 under MAX_SIGN_QUBITS. m may be
+    a stack of matrices, shape (..., d, cols), and p a stack of pulses,
+    shape (..., 2, 2); their leading axes broadcast, and each pulse
+    multiplies its matrix alike; the result carries the broadcast leading
+    axes even when d is 1 (no qubit, P = 1).
     """
-    d, cols = m.shape[-2:]
-    m = np.broadcast_to(m, (*np.broadcast_shapes(p.shape[:-2], m.shape[:-2]), d, cols))
-    for k in range(d.bit_length() - 1):
-        m = p[..., None, :, :] @ m.reshape(*m.shape[:-2], 2**k, 2, (d >> (k + 1)) * cols)
-        m = m.reshape(*m.shape[:-3], d, cols)
-    return m
+    d = m.shape[-2]
+    bits = (np.arange(d) >> np.arange(d.bit_length() - 2, -1, -1)[:, None]) & 1
+    return p[..., bits[:, :, None], bits[:, None, :]].prod(axis=-3) @ m
 
 
 def _half_cycle(f: np.ndarray, p_x: np.ndarray, p_y: np.ndarray) -> np.ndarray:
@@ -439,10 +439,11 @@ def decoupling_order_probe(
     BadPartitionError
         If some dt does not divide total_time into whole cycles, or into a
         number of them outside 1..MAX_CYCLES_PER_SEGMENT (a negative power
-        would invert the cycle).
+        would invert the cycle), or into as many as an earlier dt; so a
+        ladder holds at most MAX_CYCLES_PER_SEGMENT rungs. Every dt is
+        checked before the first rung runs.
     """
-    h = _qubit_patterns(bath.factor_hamiltonians(), bath.kind)
-    out = []
+    counts = {}
     for dt in dt_values:
         ratio = total_time / (4 * dt)
         cycles = round(ratio) if math.isfinite(ratio) else 0
@@ -453,6 +454,15 @@ def decoupling_order_probe(
                 f"dt={dt} gives {ratio:.6g} cycles over total_time={total_time}, "
                 f"outside 1..{MAX_CYCLES_PER_SEGMENT}"
             )
+        if cycles in counts:
+            raise BadPartitionError(
+                f"dt={dt} gives {cycles} cycles over total_time={total_time}, "
+                f"as dt={counts[cycles]} does"
+            )
+        counts[cycles] = dt
+    h = _qubit_patterns(bath.factor_hamiltonians(), bath.kind)
+    out = []
+    for cycles, dt in counts.items():
         u = np.linalg.matrix_power(dd_cycle(h, dt), cycles)
         out.append((float(dt), _identity_infidelity(u)))
     return out

@@ -156,7 +156,18 @@ class TestSweep:
             "flip,0.05,0.989860862780,3,2,u1,0.6",
             "flip,0.1,0.899390358499,3,2,u1,0.6",
         ]),
-    ], ids=["n8-scalar-u3", "n4-qubit-u1"])
+        # 8 sign patterns x 4 segments of 4-dim slices, each pulsed on both
+        # qubits; recorded with the pulses applied one qubit at a time.
+        (["--n", "4", "--bath", "qubit", "--gate", "u2", "--j", "2",
+          "--angle", "0.6", "--seed", "3"], [
+            "detuning,-0.1,0.951627251776,3,2,u2,0.6",
+            "detuning,-0.05,0.995504724525,3,2,u2,0.6",
+            "detuning,0,1.000000000000,3,2,u2,0.6",
+            "flip,0,1.000000000000,3,2,u2,0.6",
+            "flip,0.05,0.978643181218,3,2,u2,0.6",
+            "flip,0.1,0.755769303268,3,2,u2,0.6",
+        ]),
+    ], ids=["n8-scalar-u3", "n4-qubit-u1", "n4-qubit-u2"])
     def test_golden_rows_256_dims(self, capsys, tmp_path, argv, golden):
         out_path = tmp_path / "sweep.csv"
         code, _, _ = run_cli(
@@ -165,6 +176,15 @@ class TestSweep:
         )
         assert code == 0
         assert out_path.read_text().splitlines()[1:] == golden
+
+    def test_readme_sweep_matches_golden_bytes(self, capsys, tmp_path):
+        # The README's `dfsgates sweep`: u3 at N = 4, no bath, the default
+        # grid, 82 rows; recorded with the pulses applied one qubit at a time.
+        out_path = tmp_path / "sweep.csv"
+        code, out, _ = run_cli(capsys, "sweep", "--out", str(out_path))
+        assert code == 0 and out == f"wrote 82 rows to {out_path}\n"
+        golden = Path(__file__).parent / "golden" / "sweep_default.csv"
+        assert out_path.read_bytes() == golden.read_bytes()
 
     @pytest.mark.parametrize("gate", ["u1", "u2", "u3"])
     def test_qubit_bath_runs_at_n8(self, capsys, tmp_path, gate):
@@ -420,6 +440,29 @@ class TestInputValidation:
     @given(rung=good_rung, repeats=st.integers(1, 4))
     def test_ladder_needs_two_distinct_rungs(self, rung, repeats):
         assert_config_error("decouple", "--dt-ladder=" + ",".join([repr(rung)] * repeats))
+
+    @settings(max_examples=30, deadline=None)
+    @given(rungs=st.lists(good_rung, min_size=2, max_size=5, unique_by=lambda dt: f"{dt:.6g}"),
+           data=st.data())
+    def test_ladder_refuses_a_repeat_among_distinct_rungs(self, rungs, data):
+        # The refusal comes from the parser, before any rung runs.
+        repeat = data.draw(st.sampled_from(rungs))
+        rungs.insert(data.draw(st.integers(0, len(rungs))), repeat)
+        text = ",".join(map(repr, rungs))
+        with pytest.raises(ValueError, match="repeats spacings at 6 significant digits"):
+            cli._parse_ladder(text)
+        assert_config_error("decouple", "--dt-ladder=" + text)
+
+    def test_long_ladder_from_config_refused_before_any_rung(self, tmp_path, monkeypatch):
+        # Every whole cycle count 1..10 000 over total_time 2, twice: 20 000
+        # rungs ran for seconds and printed 20 000 lines.
+        rungs = [repr(2.0 / (4 * c)) for c in range(1, MAX_CYCLES_PER_SEGMENT + 1)] * 2
+        cfg = tmp_path / "ladder.cfg"
+        cfg.write_text("bath = scalar\ndt_ladder = " + ",".join(rungs) + "\n")
+        ran = []
+        monkeypatch.setattr(cli, "decoupling_order_probe", lambda *args: ran.append(args))
+        code, err = run_quiet("decouple", "--config", str(cfg))
+        assert code == 2 and "repeats spacings" in err and ran == []
 
     @settings(max_examples=30, deadline=None)
     @given(width=st.one_of(not_finite, st.floats(max_value=0.0, exclude_max=True)),

@@ -231,9 +231,10 @@ class TestInterleave:
 
 
 class TestLocalPulses:
-    """The library applies a global pulse as n local 2x2 products, for a
-    stack of pulses at once; the dense Kronecker pulse of each stack entry
-    times the matrix is the oracle."""
+    """The library applies a pulse on every qubit of a register factor as
+    one product with the pulse's Kronecker power, for a stack of pulses at
+    once; the dense pulse of `oracles.pulse` (repeated np.kron) of each
+    stack entry times the matrix is the oracle."""
 
     ERRORS = (IDEAL_PULSES, DDErrorModel(epsilon=0.07), DDErrorModel(delta=-0.13),
               DDErrorModel(epsilon=-0.05, delta=0.2))
@@ -255,10 +256,11 @@ class TestLocalPulses:
             for got, errors in zip(local, self.ERRORS):
                 assert np.abs(got - pulse(axis, n, errors) @ m).max() <= 1e-14
 
-    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_half_cycle_pulses_every_qubit_of_the_factor(self, rng, n):
         # D = (P_y F)(P_x F) for a stack of slices and a stack of imperfect
-        # pulses; the pulses act on all n qubits of F, as the dense pulse does.
+        # pulses; the pulses act on all n qubits of F, as the dense pulse
+        # does, up to the 64-dim factor of MAX_SIGN_QUBITS.
         f = np.stack([expm_hermitian(random_hermitian(2**n, rng), 0.21) for _ in range(3)])
         p_x = noise._pulse_stack("x", self.ERRORS)[:, None]
         p_y = noise._pulse_stack("y", self.ERRORS)[:, None]
@@ -267,6 +269,14 @@ class TestLocalPulses:
         for half, errors in zip(got, self.ERRORS):
             dense = pulse("y", n, errors) @ f @ pulse("x", n, errors) @ f
             assert np.abs(half - dense).max() <= 1e-13
+
+    def test_one_qubit_factor_is_the_plain_product(self, rng):
+        # For one qubit the Kronecker power is the pulse itself, so the idle
+        # per-qubit factors see the same 2x2 products as p @ m, bit for bit.
+        m = rng.normal(size=(5, 3, 2, 2)) + 1j * rng.normal(size=(5, 3, 2, 2))
+        for axis in "xy":
+            p = noise._pulse_stack(axis, self.ERRORS)[:, None, None]
+            assert noise._pulse_times(p, m).tobytes() == (p @ m).tobytes()
 
     def test_stack_axes_broadcast(self, rng):
         # The sweep multiplies a (B, 1, 1) stack of pulses into a
@@ -709,6 +719,18 @@ class TestDecouplingProbe:
     def test_bad_partition(self):
         with pytest.raises(BadPartitionError):
             decoupling_order_probe(BathModel.zero(4), [0.3], 2.0)
+
+    def test_every_rung_checked_before_the_first_runs(self, monkeypatch):
+        # A bad last rung, or two rungs of one whole cycle count (a ladder
+        # of distinct counts holds at most MAX_CYCLES_PER_SEGMENT rungs).
+        ran = []
+        monkeypatch.setattr(noise, "dd_cycle", lambda *args: ran.append(args))
+        for ladder, match in (([0.1, 0.05, 0.3], "does not divide"),
+                              ([0.1, 0.05, 0.1], "gives 5 cycles .* as dt=0.1 does"),
+                              ([0.1, 0.1 * (1 + 1e-12)], "as dt=0.1 does")):
+            with pytest.raises(BadPartitionError, match=match):
+                decoupling_order_probe(BathModel.zero(4), ladder, 2.0)
+        assert ran == []
 
     @pytest.mark.parametrize("total_time", [-2.0, 0.0, -0.4])
     def test_non_positive_cycle_count_rejected(self, total_time):
