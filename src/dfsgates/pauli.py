@@ -3,7 +3,10 @@
 Strings carry their phase in the exact four-element group {+1, +i, -1, -i}
 (stored as an integer exponent of i), never as a float: the pulse
 convention Y = ZX = i * sigma_y makes phase bookkeeping the main source of
-sign bugs, so products are integer arithmetic all the way down.
+sign bugs, so products are integer arithmetic all the way down. There is
+one encoding for that arithmetic: the (x, z) bit masks of _masks, with Y
+carried as i**popcount(x & z). Products, commutation, dense matrices and
+the code-space image of dfs all read the masks.
 
 Text form is sign-then-letters with qubit 1 first, e.g. "+XIZY" or "-iYY".
 """
@@ -31,13 +34,6 @@ _PHASE_VALUES = (1, 1j, -1, -1j)
 # floats: a sign table cannot wrap the way 1 - 2*parity does in an unsigned
 # dtype, and needs no numpy >= 2.0 bit count.
 _SIGNS = np.array([-1.0 if bin(b).count("1") % 2 else 1.0 for b in range(2**MAX_QUBITS)])
-
-# Single-qubit products sigma_a sigma_b = i**k sigma_c, keyed by (a, b).
-_MUL = {
-    (1, 2): (1, 3), (2, 1): (3, 3),  # XY = iZ, YX = -iZ
-    (2, 3): (1, 1), (3, 2): (3, 1),  # YZ = iX, ZY = -iX
-    (3, 1): (1, 2), (1, 3): (3, 2),  # ZX = iY, XZ = -iY
-}
 
 
 @dataclass(frozen=True)
@@ -109,21 +105,16 @@ class PauliString:
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         """Exact symbolic product: the matrix of a * b is the matrix of a
-        times the matrix of b."""
+        times the matrix of b. On the masks, (X^a Z^b)(X^c Z^d) =
+        (-1)**popcount(b & c) X^(a^c) Z^(b^d); the operands' Y factors
+        i**popcount(x & z) are added and the product's subtracted."""
         if self.n_qubits != other.n_qubits:
             raise LengthMismatchError(f"{self.n_qubits} vs {other.n_qubits} qubits")
-        phase = self.phase + other.phase
-        letters = []
-        for la, lb in zip(self.letters, other.letters):
-            if la == 0 or lb == 0:
-                letters.append(la or lb)
-            elif la == lb:
-                letters.append(0)
-            else:
-                k, lc = _MUL[(la, lb)]
-                phase += k
-                letters.append(lc)
-        return PauliString(self.n_qubits, tuple(letters), phase)
+        (ax, az), (bx, bz) = _masks(self.letters), _masks(other.letters)
+        x, z = ax ^ bx, az ^ bz
+        phase = (self.phase + other.phase + (ax & az).bit_count() + (bx & bz).bit_count()
+                 + 2 * (az & bx).bit_count() - (x & z).bit_count())
+        return PauliString(self.n_qubits, _letters(x, z, self.n_qubits), phase)
 
     def embedded(self, n_total: int) -> "PauliString":
         """The same string padded with identities up to n_total qubits."""
@@ -138,20 +129,20 @@ class PauliString:
 
 
 def commutes(a: PauliString, b: PauliString) -> bool:
-    """True iff ab = ba, i.e. an even number of anticommuting positions."""
+    """True iff ab = ba: popcount(a_x & b_z) + popcount(a_z & b_x) is even."""
     if a.n_qubits != b.n_qubits:
         raise LengthMismatchError(f"{a.n_qubits} vs {b.n_qubits} qubits")
-    clashes = sum(
-        1 for la, lb in zip(a.letters, b.letters) if la and lb and la != lb
-    )
-    return clashes % 2 == 0
+    (ax, az), (bx, bz) = _masks(a.letters), _masks(b.letters)
+    return ((ax & bz).bit_count() + (az & bx).bit_count()) % 2 == 0
 
 
 def _masks(letters) -> tuple[int, int]:
     """(x, z): the bit masks of the X-or-Y and Z-or-Y positions, qubit 1 the
     most significant bit. With Y = i X Z the phase-free string is
     i**popcount(x & z) X^x Z^z, and X^x Z^z |b> = (-1)**popcount(b & z)
-    |b XOR x> (Aaronson & Gottesman, PRA 70, 052328 (2004))."""
+    |b XOR x> (Aaronson & Gottesman, PRA 70, 052328 (2004)). This is the
+    layer's one encoding: PauliString.__mul__, commutes, _mask_matrix,
+    commutant_split and the code-space rule dfs._compress all use it."""
     x = z = 0
     for c in letters:
         x = (x << 1) | (c in (1, 2))

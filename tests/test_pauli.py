@@ -36,6 +36,29 @@ def numeric_group_average(h: PauliSum, group) -> np.ndarray:
     return out / 4
 
 
+def kron_matrix(p: PauliString) -> np.ndarray:
+    """The N-factor Kronecker product, the oracle for the signed permutation."""
+    letters = (SIGMA_I, SIGMA_X, SIGMA_Y, SIGMA_Z)
+    return p.phase_value * kron_all(letters[c] for c in p.letters)
+
+
+def kron_sum(h: PauliSum) -> np.ndarray:
+    out = np.zeros((2**h.n_qubits,) * 2, dtype=np.complex128)
+    for coef, string in h.terms:
+        out += coef * kron_matrix(string)
+    return out
+
+
+def phased_strings(n: int) -> list[PauliString]:
+    """Every string on n qubits under each of the four phases."""
+    return [PauliString(n, letters, phase)
+            for letters in itertools.product(range(4), repeat=n) for phase in range(4)]
+
+
+def random_string(n: int, rng) -> PauliString:
+    return PauliString(n, tuple(rng.integers(0, 4, n)), int(rng.integers(0, 4)))
+
+
 class TestProducts:
     def test_z_times_x_is_plus_i_y(self):
         z = PauliString.from_label("+Z")
@@ -60,56 +83,33 @@ class TestProducts:
         with pytest.raises(LengthMismatchError):
             PauliString.uniform(2, "X") * PauliString.uniform(3, "X")
 
-    def test_homomorphism_exhaustive_two_qubits(self):
-        strings = [
-            PauliString(2, letters, phase)
-            for letters in itertools.product(range(4), repeat=2)
-            for phase in range(4)
-        ]
-        for a in strings[::4]:
-            for b in strings[::4]:
-                assert np.allclose(
-                    pauli_to_matrix(a * b),
-                    pauli_to_matrix(a) @ pauli_to_matrix(b),
-                    atol=1e-12,
-                )
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_homomorphism_exhaustive_phased(self, n):
+        # all 16 x 16 (n = 1) and 64 x 64 (n = 2) ordered pairs, every phase,
+        # exactly against the Kronecker products of SIGMA
+        strings = phased_strings(n)
+        mats = [kron_matrix(p) for p in strings]
+        for a, am in zip(strings, mats):
+            for b, bm in zip(strings, mats):
+                assert (kron_matrix(a * b) == am @ bm).all(), (a.label, b.label)
 
     def test_homomorphism_randomized(self, rng):
         for _ in range(300):
-            n = int(rng.integers(1, 7))
-            a = PauliString(n, tuple(rng.integers(0, 4, n)), int(rng.integers(0, 4)))
-            b = PauliString(n, tuple(rng.integers(0, 4, n)), int(rng.integers(0, 4)))
-            assert np.allclose(
-                pauli_to_matrix(a * b),
-                pauli_to_matrix(a) @ pauli_to_matrix(b),
-                atol=1e-12,
-            )
-
-
-def kron_matrix(p: PauliString) -> np.ndarray:
-    """The N-factor Kronecker product, the oracle for the signed permutation."""
-    letters = (SIGMA_I, SIGMA_X, SIGMA_Y, SIGMA_Z)
-    return p.phase_value * kron_all(letters[c] for c in p.letters)
-
-
-def kron_sum(h: PauliSum) -> np.ndarray:
-    out = np.zeros((2**h.n_qubits,) * 2, dtype=np.complex128)
-    for coef, string in h.terms:
-        out += coef * kron_matrix(string)
-    return out
+            n = int(rng.integers(1, 9))
+            a, b = random_string(n, rng), random_string(n, rng)
+            assert (kron_matrix(a * b) == kron_matrix(a) @ kron_matrix(b)).all(), (
+                a.label, b.label)
 
 
 class TestSignedPermutation:
     def test_every_string_up_to_three_qubits(self):
         for n in (1, 2, 3):
-            for letters in itertools.product(range(4), repeat=n):
-                for phase in range(4):
-                    p = PauliString(n, letters, phase)
-                    assert (pauli_to_matrix(p) == kron_matrix(p)).all(), p.label
+            for p in phased_strings(n):
+                assert (pauli_to_matrix(p) == kron_matrix(p)).all(), p.label
 
     def test_sampled_eight_qubit_strings(self, rng):
         for _ in range(64):
-            p = PauliString(8, tuple(rng.integers(0, 4, 8)), int(rng.integers(0, 4)))
+            p = random_string(8, rng)
             assert (pauli_to_matrix(p) == kron_matrix(p)).all(), p.label
 
     def test_all_y_signs(self):
@@ -171,13 +171,20 @@ class TestCommutes:
         a = PauliString.from_sites(4, {1: "X"})
         assert not commutes(a, PauliString.uniform(4, "Z"))
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_matrix_commutator_exhaustive(self, n):
+        strings = phased_strings(n)
+        mats = [kron_matrix(p) for p in strings]
+        for a, am in zip(strings, mats):
+            for b, bm in zip(strings, mats):
+                assert commutes(a, b) == (am @ bm == bm @ am).all(), (a.label, b.label)
+
     def test_matches_matrix_commutator(self, rng):
         for _ in range(100):
-            n = int(rng.integers(1, 6))
-            a = PauliString(n, tuple(rng.integers(0, 4, n)))
-            b = PauliString(n, tuple(rng.integers(0, 4, n)))
-            am, bm = pauli_to_matrix(a), pauli_to_matrix(b)
-            assert commutes(a, b) == np.allclose(am @ bm, bm @ am, atol=1e-12)
+            n = int(rng.integers(1, 7))
+            a, b = random_string(n, rng), random_string(n, rng)
+            am, bm = kron_matrix(a), kron_matrix(b)
+            assert commutes(a, b) == (am @ bm == bm @ am).all(), (a.label, b.label)
 
 
 class TestDecouplingGroup:
@@ -371,3 +378,15 @@ class TestCommutantSplit:
         assert sums_isclose(kept + leaking, h)
         group = build_decoupling_group(4)
         assert sums_isclose(group_average(h, group), kept)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_matches_group_average(self, n, rng):
+        # the commutant by the masks' parities against the commutant by the
+        # group's character sums, on random phased sums
+        group = build_decoupling_group(n)
+        for _ in range(100):
+            h = PauliSum.from_terms(n, [
+                (complex(*rng.normal(size=2)), random_string(n, rng))
+                for _ in range(int(rng.integers(1, 9)))
+            ])
+            assert group_average(h, group) == commutant_split(h)[0]
