@@ -16,6 +16,7 @@ among them).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import operator
 import sys
@@ -94,8 +95,14 @@ MAX_BATH_WIDTH = 1e3
 _RELATIONS = {">=": operator.ge, "<=": operator.le, "==": operator.eq}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """One subparser per command, taking --config and the options it reads."""
+    """One subparser per command, taking --config and the options it reads.
+
+    Built once per process from the fixed OPTIONS and COMMANDS tables and
+    shared read-only by every call of `main`: each parse makes a fresh
+    Namespace, and usage and help are formatted when they are printed.
+    """
     parser = argparse.ArgumentParser(
         prog="dfsgates",
         description="Holonomic gates in decoupling-protected subspaces: "
@@ -113,6 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config(path: str) -> dict:
+    """Raw string values of a key=value file by key ("-" read as "_"); a key
+    given twice is refused, not silently overwritten by its last line."""
     values = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -121,7 +130,10 @@ def _read_config(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"bad config line: {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        values[key.replace("-", "_")] = val
+        key = key.replace("-", "_")
+        if key in values:
+            raise ValueError(f"config key {key!r} given twice")
+        values[key] = val
     return values
 
 
@@ -136,7 +148,12 @@ def _resolve(args: argparse.Namespace) -> dict:
         for key, val in _read_config(args.config).items():
             if key not in OPTIONS or args.command not in OPTIONS[key].commands:
                 raise ValueError(f"unknown config key {key!r} for {args.command}")
-            merged[key] = type(OPTIONS[key].default)(val)
+            kind = type(OPTIONS[key].default)
+            try:
+                merged[key] = kind(val)
+            except ValueError:
+                raise ValueError(
+                    f"config key {key!r}: invalid {kind.__name__} value {val!r}") from None
     for key in merged:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -156,6 +173,8 @@ def _check_values(cfg: dict) -> None:
     for key in ("angle", "bath_width", "step", "total_time"):
         if not math.isfinite(cfg[key]):
             raise ValueError(f"{key} must be finite, got {cfg[key]!r}")
+    if cfg["seed"] < 0:
+        raise ValueError(f"seed must be non-negative, got {cfg['seed']!r}")
     if not 0 <= cfg["bath_width"] <= MAX_BATH_WIDTH:
         raise ValueError(
             f"bath_width must be in 0..{MAX_BATH_WIDTH:g}, got {cfg['bath_width']!r}"

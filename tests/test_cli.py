@@ -359,6 +359,80 @@ class TestConfigFile:
         assert code == 2
         assert "unknown config key" in err
 
+    @pytest.mark.parametrize("line, message", [
+        ("n = four", "config key 'n': invalid int value 'four'"),
+        ("n = 4.0", "config key 'n': invalid int value '4.0'"),
+        ("angle =", "config key 'angle': invalid float value ''"),
+        ("bath_width = wide", "config key 'bath_width': invalid float value 'wide'"),
+    ])
+    def test_bad_value_names_its_key(self, tmp_path, line, message):
+        # int()'s and float()'s own messages named neither the key nor the file.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        command = "decouple" if line.startswith("bath") else "verify"
+        assert run_quiet(command, "--config", str(cfg)) == (2, f"error: {message}\n")
+
+    @pytest.mark.parametrize("lines, key", [
+        ("n = 4\nn = 6\n", "n"),
+        ("n = 4\nn = 4\n", "n"),
+        ("dt-ladder = 0.1,0.05\n# again\ndt_ladder = 0.2,0.1\n", "dt_ladder"),
+    ])
+    def test_repeated_key_refused(self, tmp_path, lines, key):
+        # n = 4 then n = 6 silently ran at N = 6.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(lines)
+        command = "decouple" if "ladder" in lines else "verify"
+        assert run_quiet(command, "--config", str(cfg)) == (
+            2, f"error: config key {key!r} given twice\n")
+
+
+class TestSharedParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_match_a_fresh_parser(self, tmp_path, monkeypatch):
+        # Run one sequence on the shared parser, then each call again right
+        # after a rebuild: a parse that left state on the parser would make
+        # a later call differ from its fresh-parser twin.
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gate = u1\nj = 2\nangle = 0.5\n")
+        calls = [
+            ["verify", "--n", "8", "--gate", "u1", "--j", "3"],
+            ["verify"],
+            ["verify", "--bath", "qubit"],
+            ["sweep", "--help"],
+            ["verify", "--config", str(cfg)],
+            ["decouple", "--bath", "scalar"],
+        ]
+
+        def outcome(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:
+                    code = exc.code
+            return code, out.getvalue(), err.getvalue()
+
+        parser = cli.build_parser()
+        shared = [outcome(argv) for argv in calls]
+        assert cli.build_parser() is parser
+        fresh = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert shared == fresh
+
+        codes = [code for code, _, _ in shared]
+        assert codes == [0, 0, 2, 0, 0, 0]
+        assert shared[0][1].startswith("verify u1 n=8 j=3 ")
+        assert shared[1][1].startswith("verify u3 n=4 k=1 l=2 angle=0.785398\n")
+        assert shared[2][2].startswith("usage: dfsgates verify ")
+        assert shared[3][1].startswith("usage: dfsgates sweep ")
+        assert shared[4][1].startswith("verify u1 n=4 j=2 angle=0.5\n")
+        assert shared[5][1].startswith("decouple n=4 bath=scalar seed=0 ")
+
 
 def run_quiet(*argv):
     """Exit code and stderr of one CLI call, without pytest fixtures."""
@@ -571,6 +645,26 @@ class TestInputValidation:
         code, err = run_quiet("decouple", "--dt-ladder", "1e-320,0.1")
         assert code == 2
         assert err.startswith("error: dt=") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--step", "0.1"],
+        ["sweep", "--step", "0.1", "--bath", "qubit"],
+        ["decouple", "--bath", "scalar"],
+    ])
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_negative_seed_refused_by_name(self, tmp_path, monkeypatch, argv, from_config):
+        # Without a bath, sweep wrote -1 into the seed column and exited 0;
+        # with one, numpy's "expected non-negative integer" named no option.
+        monkeypatch.chdir(tmp_path)
+        if from_config:
+            cfg = tmp_path / "seed.cfg"
+            cfg.write_text("seed = -1\n")
+            extra = ["--config", str(cfg)]
+        else:
+            extra = ["--seed", "-1"]
+        code, err = run_quiet(*argv, *extra)
+        assert (code, err) == (2, "error: seed must be non-negative, got -1\n")
+        assert not (tmp_path / "sweep.csv").exists()
 
     @settings(max_examples=20, deadline=None)
     @given(value=not_finite, call=st.sampled_from(
