@@ -35,6 +35,7 @@ from .gates import (
 )
 from .linalg import product_fidelity
 from .noise import (
+    FIT_FLOOR,
     BathModel,
     InterleavingPlan,
     _csv_value,
@@ -305,7 +306,14 @@ def cmd_decouple(cfg: dict) -> int:
     order, min_order = fit_error_order(points), 1.5
     dd_beats_bare = all(err < bare for _, err in points)
     ok = order >= min_order and dd_beats_bare
-    print(f"fitted order: {order:.3f} (want >= {min_order}); DD beats bare: {dd_beats_bare}")
+    fitted = sum(err > FIT_FLOOR for _, err in points)
+    if fitted < 2:
+        # A rung above the "exact" bound but at or below FIT_FLOOR leaves
+        # too few rungs to fit, and the order is nan: say why, and fail.
+        order_text = f"none ({fitted} of {len(points)} rungs above the {FIT_FLOOR:g} floor)"
+    else:
+        order_text = f"{order:.3f} (want >= {min_order})"
+    print(f"fitted order: {order_text}; DD beats bare: {dd_beats_bare}")
     print("result: " + ("PASS" if ok else "FAIL"))
     return 0 if ok else 1
 

@@ -95,41 +95,53 @@ def product_fidelity(us, vs) -> float:
 
     The trace overlap and the Frobenius norms of a tensor product are the
     products of the factors' own, and a permutation of the tensor factors
-    changes none of them.
+    changes none of them. Each factor is a stack of one factor of
+    `_product_fidelities`, so the result equals that of any grouping of
+    equal-sized factors into stacks bit for bit.
 
     Raises
     ------
     DimensionMismatchError
         A factor of us and its partner in vs differ in shape.
     """
-    return float(_product_fidelities(us, vs))
+    return float(_product_fidelities([u[None] for u in us], [v[None] for v in vs]))
 
 
 def _entry_sum(m: np.ndarray) -> np.ndarray:
-    """The sum of the entries of each matrix of a stack, shape (..., d, d).
-    np.sum adds each matrix's d^2 entries pairwise; a flat np.vdot over them
+    """The sum of the entries of each matrix of a stack, shape (..., d, d),
+    the stack possibly empty. np.sum adds each matrix's d^2 entries
+    pairwise, alike whatever the stack's length; a flat np.vdot over them
     drifts by ~1e-15 at d = 256, the products' own accuracy does not."""
-    return m.reshape(*m.shape[:-2], -1).sum(axis=-1)
+    return m.reshape(*m.shape[:-2], m.shape[-2] * m.shape[-1]).sum(axis=-1)
 
 
 def _product_fidelities(us, vs) -> np.ndarray:
-    """product_fidelity for stacks: each factor of us and vs has shape
-    (..., d_f, d_f), and the leading axes of all factors broadcast together,
-    one fidelity per entry of them.
+    """product_fidelity for stacks of factor stacks: each of us and vs has
+    shape (..., F, d, d), F factors of one size d on axis -3; the leading
+    axes of all of them broadcast together, one fidelity per entry of them.
+    A stack may be empty (F = 0); with every stack empty the result is the
+    empty product, 1.0.
 
     Tr(u v†) = sum_ij u_ij conj(v_ij) takes O(d^2) elementwise sums in place
-    of d x d products. The overlaps of the factors are multiplied in real
-    arithmetic, as a Python complex product is, without the fused
-    multiply-adds numpy's complex array product may use; so an entry of a
-    stack rounds as the same pair compared alone.
+    of d x d products, three `_entry_sum` calls per stack whatever F is.
+    The F overlaps of a stack, and the stacks in turn, are then multiplied
+    in the given order in real arithmetic, as a Python complex product is,
+    without the fused multiply-adds numpy's complex array product may use;
+    so an entry of a stack rounds as the same factors compared alone, one
+    at a time.
     """
     re, im, den = 1.0, 0.0, 1.0
     for u, v in zip(us, vs, strict=True):
-        if u.shape[-2:] != v.shape[-2:]:
+        if u.shape[-3:] != v.shape[-3:]:
             raise DimensionMismatchError(f"shape mismatch: {u.shape} vs {v.shape}")
         z = _entry_sum(u * v.conj())
-        re, im = re * z.real - im * z.imag, re * z.imag + im * z.real
-        den = den * (_entry_sum(u * u.conj()).real * _entry_sum(v * v.conj()).real)
+        norms = _entry_sum(u * u.conj()).real * _entry_sum(v * v.conj()).real
+        # The factor axis first: a stack without leading axes then yields
+        # numpy scalars, whose arithmetic is cheaper than 0-d arrays'.
+        first = (z.ndim - 1, *range(z.ndim - 1))
+        for zr, zi, nf in zip(*(w.transpose(first) for w in (z.real, z.imag, norms))):
+            re, im = re * zr - im * zi, re * zi + im * zr
+            den = den * nf
     # Cauchy-Schwarz bounds |num| <= sqrt(den); clamp the last-ulp excess.
     return np.minimum(np.hypot(re, im) / np.sqrt(den), 1.0)
 

@@ -14,7 +14,12 @@ its own: one stack of these per-qubit factors (see
 `error_sweep` and `decoupling_order_probe` / `bare_evolution_error`.
 `error_sweep` threads c cycles through each gate segment, on the active
 factor (the system qubits the gate acts on) and on that idle stack;
-`dd_cycle` builds one cycle of idle evolution. A sweep's grid of pulse
+`dd_cycle` builds one cycle of idle evolution, with the ideal pulses
+built once at import. The fidelity takes one reduction per stack of
+equal-sized factors, whatever its length (`linalg._product_fidelities`):
+a sweep reduces the active factor and the idle stack as two stacks, and
+the decoupling probe reduces the powers of all its rungs, stacked on one
+more leading axis, in one call. A sweep's grid of pulse
 errors is one more leading axis of every stack, with the ideal pulses as
 entry 0: the pulses, the cycles, the product over segments and the
 overlap of each entry with entry 0 take a fixed number of numpy calls per
@@ -63,7 +68,6 @@ from .linalg import (
     SIGMA_Z,
     _product_fidelities,
     expm_hermitian,
-    product_fidelity,
 )
 from .pauli import PauliString, PauliSum, build_decoupling_group, group_average
 
@@ -217,6 +221,10 @@ def _pulse_stack(axis: str, errors) -> np.ndarray:
     return np.cos(angle / 2) * SIGMA_I - 1j * np.sin(angle / 2) * direction
 
 
+# The ideal pi pulses of every `dd_cycle`, built once.
+_IDEAL_X, _IDEAL_Y = (single_qubit_pulse(axis) for axis in "xy")
+
+
 def _pulse_times(p: np.ndarray, m: np.ndarray) -> np.ndarray:
     """(p (x) ... (x) p) @ m, with p on every qubit of m's d = 2^n rows.
 
@@ -253,7 +261,7 @@ def dd_cycle(free_h: np.ndarray, dt: float) -> np.ndarray:
     shape (..., d, d), one cycle each.
     """
     free_h = np.asarray(free_h, dtype=np.complex128)
-    d = _half_cycle(expm_hermitian(free_h, dt), single_qubit_pulse("x"), single_qubit_pulse("y"))
+    d = _half_cycle(expm_hermitian(free_h, dt), _IDEAL_X, _IDEAL_Y)
     return d @ d
 
 
@@ -395,7 +403,7 @@ def error_sweep(
     fidelities = []
     for start in range(0, len(models), chunk):
         u, v = _grid_propagators(factors, plan, models[start:start + chunk])
-        noisy = [u.mean(axis=1), *np.moveaxis(v.mean(axis=1), 1, 0)]
+        noisy = [u.mean(axis=1)[:, None], v.mean(axis=1)]
         if start == 0:
             reference = [f[0] for f in noisy]
         fidelities.extend(_product_fidelities(reference, noisy).tolist())
@@ -431,8 +439,8 @@ def decoupling_order_probe(
     propagator to the identity. First-order decoupling leaves a residual
     generator of order dt, so the error falls off close to dt**2. Each
     rung is one `dd_cycle` on the stack of per-qubit factors and their
-    sign patterns, raised to the cycle count; the bath reduction and the
-    fidelity are taken factor by factor.
+    sign patterns, raised to the cycle count; the rungs' powers are
+    stacked, and one `_identity_infidelity` call reduces them all.
 
     Raises
     ------
@@ -461,31 +469,36 @@ def decoupling_order_probe(
             )
         counts[cycles] = dt
     h = _qubit_patterns(bath.factor_hamiltonians(), bath.kind)
-    out = []
-    for cycles, dt in counts.items():
-        u = np.linalg.matrix_power(dd_cycle(h, dt), cycles)
-        out.append((float(dt), _identity_infidelity(u)))
-    return out
+    powers = [np.linalg.matrix_power(dd_cycle(h, dt), cycles) for cycles, dt in counts.items()]
+    errors = _identity_infidelity(np.stack(powers)).tolist()
+    return [(float(dt), err) for dt, err in zip(counts.values(), errors)]
 
 
 def bare_evolution_error(bath: BathModel, total_time: float) -> float:
     """1 - fidelity to identity of the undecoupled bath evolution, from
     the stack of per-qubit factors and their sign patterns."""
     u = expm_hermitian(_qubit_patterns(bath.factor_hamiltonians(), bath.kind), total_time)
-    return _identity_infidelity(u)
+    return float(_identity_infidelity(u))
 
 
-def _identity_infidelity(u: np.ndarray) -> float:
-    """1 - fidelity to the identity of the tensor product of the per-qubit
-    factor propagators u, stacked over sign patterns on the leading axis,
-    each reduced to the mean over its patterns."""
-    reduced = u.mean(axis=0)
-    return 1 - product_fidelity(reduced, np.broadcast_to(np.eye(2), reduced.shape))
+def _identity_infidelity(u: np.ndarray) -> np.ndarray:
+    """1 - fidelity to the identity of the tensor product of per-qubit
+    factor propagators, for each entry of the leading axes of u, shape
+    (..., patterns, n, 2, 2): each factor is reduced to the mean over its
+    sign patterns, and the n factors of every entry are one factor stack
+    of a single `_product_fidelities` call."""
+    reduced = u.mean(axis=-4)
+    return 1 - _product_fidelities([reduced], [np.broadcast_to(np.eye(2), reduced.shape)])
+
+
+# Errors at or below this are rounding, not a residual to fit an order to.
+FIT_FLOOR = 1e-13
 
 
 def fit_error_order(points) -> float:
-    """Log-log slope of error versus dt, ignoring points at the 1e-13 floor."""
-    pts = [(dt, err) for dt, err in points if err > 1e-13]
+    """Log-log slope of error versus dt, ignoring points at FIT_FLOOR or
+    below; nan when fewer than two points are above it."""
+    pts = [(dt, err) for dt, err in points if err > FIT_FLOOR]
     if len(pts) < 2:
         return float("nan")
     log_dt = np.log([p[0] for p in pts])

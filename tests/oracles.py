@@ -72,6 +72,19 @@ replaced, on the whole register:
     dense_decoupling_order_probe  one XY-4 cycle of dense pulses on the
                                   system qubits per rung;
     dense_bare_evolution_error    one full-register exponential.
+
+The library reduces each stack of equal-sized factors in one call
+(`linalg._product_fidelities`) and all rungs of the ladder together. The
+forms it replaced, which the stacked ones equal bit for bit, are the
+oracles:
+
+    per_factor_fidelities         three entry sums per factor, one factor
+                                  at a time;
+    per_rung_decoupling_order_probe
+                                  each rung's cycle power reduced alone,
+                                  through `per_factor_fidelities`;
+    per_factor_bare_evolution_error
+                                  the bare evolution the same way.
 """
 
 from __future__ import annotations
@@ -591,3 +604,51 @@ def dense_bare_evolution_error(bath: BathModel, total_time: float) -> float:
     return 1 - product_fidelity(
         [reduced_system_propagator(u, bath)], [np.eye(2**bath.n_system)]
     )
+
+
+def per_factor_fidelities(us, vs) -> np.ndarray:
+    """`linalg._product_fidelities` on a list of single factors, each of
+    shape (..., d_f, d_f), the leading axes broadcasting: per factor, the
+    trace overlap and the two Frobenius norms as sums of its entries, the
+    overlaps multiplied in real arithmetic in the given order."""
+    def entry_sum(m):
+        return m.reshape(*m.shape[:-2], -1).sum(axis=-1)
+
+    re, im, den = 1.0, 0.0, 1.0
+    for u, v in zip(us, vs, strict=True):
+        if u.shape[-2:] != v.shape[-2:]:
+            raise DimensionMismatchError(f"shape mismatch: {u.shape} vs {v.shape}")
+        z = entry_sum(u * v.conj())
+        re, im = re * z.real - im * z.imag, re * z.imag + im * z.real
+        den = den * (entry_sum(u * u.conj()).real * entry_sum(v * v.conj()).real)
+    return np.minimum(np.hypot(re, im) / np.sqrt(den), 1.0)
+
+
+def _per_factor_identity_infidelity(u: np.ndarray) -> float:
+    """1 - fidelity to the identity of the per-qubit factors u, shape
+    (patterns, n, 2, 2), each reduced to the mean over its patterns."""
+    reduced = u.mean(axis=0)
+    return 1 - float(per_factor_fidelities(list(reduced), [np.eye(2)] * len(reduced)))
+
+
+def per_rung_decoupling_order_probe(
+    bath: BathModel, dt_values, total_time: float
+) -> list[tuple[float, float]]:
+    """`noise.decoupling_order_probe` one rung at a time, for a ladder of
+    whole, distinct cycle counts: each rung's `noise.dd_cycle` power on the
+    per-qubit factor stack, reduced over sign patterns and compared with
+    the identity factor by factor."""
+    h = noise._qubit_patterns(bath.factor_hamiltonians(), bath.kind)
+    out = []
+    for dt in dt_values:
+        cycles = round(total_time / (4 * dt))
+        assert abs(total_time / (4 * dt) - cycles) <= 1e-9 and cycles >= 1
+        u = np.linalg.matrix_power(noise.dd_cycle(h, dt), cycles)
+        out.append((float(dt), _per_factor_identity_infidelity(u)))
+    return out
+
+
+def per_factor_bare_evolution_error(bath: BathModel, total_time: float) -> float:
+    """`noise.bare_evolution_error` reduced factor by factor."""
+    h = noise._qubit_patterns(bath.factor_hamiltonians(), bath.kind)
+    return _per_factor_identity_infidelity(expm_hermitian(h, total_time))

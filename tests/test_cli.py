@@ -333,6 +333,36 @@ class TestDecouple:
         order = float(out.split("fitted order: ")[1].split()[0])
         assert 1.5 <= order <= 2.5
 
+    def test_stdout_matches_golden_bytes(self, capsys):
+        # Scalar baths at N = 4 (seed 7) and at N = 8 on a four-rung
+        # ladder, then bath-qubit models at N = 4 and 8, which exit 1: the
+        # bath-reduced bare evolution is scalar * I, an error of 0 that DD
+        # cannot beat.
+        golden = (Path(__file__).parent / "golden" / "decouple_stdout.txt").read_bytes()
+        out = []
+        for argv, want in ((["--bath", "scalar", "--n", "4", "--seed", "7"], 0),
+                           (["--bath", "scalar", "--n", "8",
+                             "--dt-ladder", "0.1,0.05,0.025,0.0125"], 0),
+                           (["--bath", "qubit", "--n", "4"], 1),
+                           (["--bath", "qubit", "--n", "8"], 1)):
+            code, text, err = run_cli(capsys, "decouple", *argv)
+            assert (code, err) == (want, "")
+            out.append(text)
+        assert "".join(out).encode() == golden
+
+    def test_too_few_rungs_above_the_fit_floor(self, capsys):
+        # The first rung is above the 1e-10 "exact" bound, the second at
+        # the 1e-13 floor of the fit: one rung cannot be fitted, and the
+        # order was printed as nan.
+        code, out, _ = run_cli(capsys, "decouple", "--bath", "scalar", "--bath-width", "0.005",
+                               "--seed", "7", "--dt-ladder", "0.5,0.01")
+        assert code == 1
+        assert "nan" not in out
+        assert out.splitlines()[-2:] == [
+            "fitted order: none (1 of 2 rungs above the 1e-13 floor); DD beats bare: True",
+            "result: FAIL",
+        ]
+
     def test_bad_ladder_is_config_error(self, capsys):
         code, _, _ = run_cli(
             capsys, "decouple", "--bath", "scalar", "--dt-ladder", "0.3",

@@ -10,12 +10,13 @@ from dfsgates.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _product_fidelities,
     expm_hermitian,
     is_hermitian,
     kron_all,
     product_fidelity,
 )
-from oracles import is_unitary, kron, subspace_projector
+from oracles import is_unitary, kron, per_factor_fidelities, subspace_projector
 
 
 class TestKron:
@@ -219,6 +220,31 @@ class TestPhaseInvariantFidelity:
             product_fidelity([u, v], [u, v[:1]])
         with pytest.raises(DimensionMismatchError):
             product_fidelity([u], [u[:2, :2]])
+
+    @pytest.mark.parametrize("count", [0, 1, 5])
+    def test_factor_stacks_equal_per_factor_form(self, rng, count):
+        # Stacks of `count` factors of 2, 4 and 8 dimensions, near-unitary
+        # and unrelated, the first side with a leading axis of 3 entries:
+        # each entry equals its factors compared one at a time, bit for
+        # bit, and an empty stack is the empty product.
+        us, vs = [], []
+        for d in (2, 4, 8):
+            u = np.array([[random_unitary(d, rng) for _ in range(count)] for _ in range(3)])
+            us.append(u.reshape(3, count, d, d))
+            vs.append(np.array([u[0, f] @ expm_hermitian(random_hermitian(d, rng), 0.2)
+                                if f % 2 else random_unitary(d, rng)
+                                for f in range(count)]).reshape(count, d, d))
+        got = _product_fidelities(us, vs)
+        want = per_factor_fidelities([u[:, f] for u in us for f in range(count)],
+                                     [v[f] for v in vs for f in range(count)])
+        assert np.shape(got) == ((3,) if count else ())
+        assert np.array_equal(got, want)
+        assert np.array_equal(_product_fidelities(us[2:], vs[2:]),
+                              per_factor_fidelities(list(us[2].swapaxes(0, 1)), list(vs[2])))
+        # A stack of one factor more, and of smaller factors.
+        for bad in (np.zeros((count + 1, 8, 8)), vs[2][..., :4, :4]):
+            with pytest.raises(DimensionMismatchError):
+                _product_fidelities(us, [vs[0], vs[1], bad])
 
 
 class TestSubspaceProjector:

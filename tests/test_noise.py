@@ -50,6 +50,8 @@ from oracles import (
     interleave_oracle,
     is_unitary,
     pauli_to_matrix,
+    per_factor_bare_evolution_error,
+    per_rung_decoupling_order_probe,
     pulse,
     reduced_system_propagator,
     sign_sum,
@@ -691,6 +693,24 @@ class TestDecouplingProbe:
             assert err == pytest.approx(ref, rel=3e-8, abs=1e-15)
         assert bare_evolution_error(bath, total_time) == pytest.approx(
             dense_bare_evolution_error(bath, total_time), rel=1e-13, abs=1e-15)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_stacked_rungs_equal_per_rung_oracle(self, data):
+        # All rungs reduced in one call against each rung reduced alone,
+        # factor by factor: equal, not close, for either bath kind at
+        # N = 4, 6 or 8 and a ladder of 1-5 distinct whole cycle counts.
+        kind = data.draw(st.sampled_from(["scalar", "qubit"]))
+        n = data.draw(st.sampled_from([4, 6, 8]))
+        bath = BathModel.random(n, data.draw(st.floats(0.0, 0.5)),
+                                data.draw(st.integers(0, 10**6)), kind=kind)
+        total_time = data.draw(st.sampled_from([1.0, 2.0]))
+        cycles = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=5, unique=True))
+        ladder = [total_time / (4 * c) for c in cycles]
+        assert (decoupling_order_probe(bath, ladder, total_time)
+                == per_rung_decoupling_order_probe(bath, ladder, total_time))
+        assert (bare_evolution_error(bath, total_time)
+                == per_factor_bare_evolution_error(bath, total_time))
 
     def test_one_cycle_per_rung_on_the_factor_stack(self, monkeypatch):
         shapes = []
