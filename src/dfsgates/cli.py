@@ -318,14 +318,30 @@ def cmd_decouple(cfg: dict) -> int:
     return 0 if ok else 1
 
 
-def main(argv=None) -> int:
+def _parse(argv) -> argparse.Namespace:
+    """The command line argv parsed as `build_parser` parses it.
+
+    A known command in argv[0] goes straight to its own subparser, so only
+    that parser scans the options; the top-level one would scan them all
+    first, and search for an abbreviation of each option it does not know.
+    Anything else, help or a missing or unknown command, takes the
+    top-level parser."""
     parser = build_parser()
-    args, unread = parser.parse_known_args(argv)
+    commands = next(action for action in parser._actions if action.dest == "command").choices
+    if argv and argv[0] in commands:
+        args, unread = commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+    else:
+        args, unread = parser.parse_known_args(argv)
     if unread:
         # Refused with the command's own usage line, which lists the
         # options it does read, not the top-level one.
-        sub = next(action for action in parser._actions if action.dest == "command")
-        sub.choices[args.command].error(f"unrecognized arguments: {' '.join(unread)}")
+        commands[args.command].error(f"unrecognized arguments: {' '.join(unread)}")
+    return args
+
+
+def main(argv=None) -> int:
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         cfg = _resolve(args)
         _check_values(cfg)

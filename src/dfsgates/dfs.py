@@ -139,8 +139,9 @@ def logical_image(h: PauliSum) -> PauliSum:
 
 
 def _support_matrix(images, support: tuple[int, ...], n_logical: int) -> np.ndarray:
-    """logical_image(h).restricted(support).to_matrix() from the images of
-    _compress, on ascending logical qubits that hold all their letters."""
+    """The dense matrix of logical_image(h) on the ascending logical qubits
+    `support`, which hold every letter of its terms: each image of
+    _compress with its letters on those qubits alone."""
     terms = sorted((tuple(_letters(x, z, n_logical)[q - 1] for q in support), c)
                    for (x, z), c in images.items())
     return _mask_matrix(((c, *_masks(letters), 0) for letters, c in terms), len(support))

@@ -48,11 +48,16 @@ fields s_i b_i. So every factor is a stack over sign patterns on its
 leading axis (after the grid axis in a sweep), 2^m patterns of its m
 system qubits for a bath-qubit model and the one pattern of a scalar bath,
 and the bath reduction is the mean over that axis. The doubled register
-is never formed.
+is never formed. The patterns pair up under time reversal: with
+W = Y^(x)m, W sigma* W = -sigma for every Pauli sigma, so the slices of s
+and -s are W F^T W of each other when the gate terms are real and of even
+weight, and only the half of the patterns with a first sign of +1 is
+exponentiated (see `_factor_slices`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
@@ -69,7 +74,15 @@ from .linalg import (
     _product_fidelities,
     expm_hermitian,
 )
-from .pauli import PauliString, PauliSum, build_decoupling_group, group_average
+from .pauli import (
+    PauliString,
+    PauliSum,
+    _SIGNS,
+    _mask_matrix,
+    _masks,
+    build_decoupling_group,
+    group_average,
+)
 
 _AXES = ("x", "y", "z")
 
@@ -238,9 +251,17 @@ def _pulse_times(p: np.ndarray, m: np.ndarray) -> np.ndarray:
     multiplies its matrix alike; the result carries the broadcast leading
     axes even when d is 1 (no qubit, P = 1).
     """
-    d = m.shape[-2]
-    bits = (np.arange(d) >> np.arange(d.bit_length() - 2, -1, -1)[:, None]) & 1
+    bits = _index_bits(m.shape[-2])
     return p[..., bits[:, :, None], bits[:, None, :]].prod(axis=-3) @ m
+
+
+@functools.cache
+def _index_bits(d: int) -> np.ndarray:
+    """Bit k of every index 0..d-1, qubit 1 the most significant, as rows
+    of shape (n, d) for d = 2^n; built once per dimension and read-only."""
+    bits = (np.arange(d) >> np.arange(d.bit_length() - 2, -1, -1)[:, None]) & 1
+    bits.setflags(write=False)
+    return bits
 
 
 def _half_cycle(f: np.ndarray, p_x: np.ndarray, p_y: np.ndarray) -> np.ndarray:
@@ -274,20 +295,36 @@ def _qubit_patterns(h: np.ndarray, kind: str) -> np.ndarray:
     return np.stack([h, -h]) if kind == "qubit" else h[None]
 
 
-def _sign_stack(h: np.ndarray, patterns: int) -> np.ndarray:
-    """sum_k s_k h[k], with h[k] on qubit k + 1 of m, for the first
-    `patterns` of the sign patterns s in {+1, -1}^m, in the order of
-    itertools.product((1, -1), repeat=m): shape (patterns, 2^m, 2^m). Each
-    h[k] is scattered in place, the last qubit first, as
-    PauliSum.to_matrix adds the per-qubit terms of a sum."""
-    m = len(h)
-    cols = np.arange(2**m)
-    signs = 1 - 2 * ((np.arange(patterns)[:, None] >> np.arange(m - 1, -1, -1)) & 1)
-    out = np.zeros((patterns, 2**m, 2**m), dtype=np.complex128)
-    for k in range(m - 1, -1, -1):
-        bit, flip = (cols >> (m - 1 - k)) & 1, np.array([[0], [1]])
-        out[:, cols ^ flip << (m - 1 - k), cols] += signs[:, k, None, None] * h[k][bit ^ flip, bit]
-    return out
+@functools.lru_cache(maxsize=32)
+def _string_basis(x: int, z: int, m: int) -> np.ndarray:
+    """The m-qubit Pauli string of masks (x, z), i**popcount(x & z) X^x Z^z,
+    as a dense read-only matrix, built once per string and factor size. A
+    sweep reads at most 3m + (its terms) of them; the 32 kept take at most
+    32 MiB, at m = 8."""
+    basis = _mask_matrix([(1, x, z, 0)], m)
+    basis.setflags(write=False)
+    return basis
+
+
+def _pauli_sums(weights: np.ndarray, masks, m: int) -> np.ndarray:
+    """sum_t weights[..., t] P_t for the m-qubit strings P_t of masks, one
+    matrix per leading entry of weights: one contraction with the strings'
+    `_string_basis`, shape (..., 2^m, 2^m). Their entries are 0, +-1 and
+    +-i, so each product is exact, and an entry is its terms added in the
+    order of masks: bit for bit up to m = 6, and to a few 1e-17 at m = 7
+    and 8, where BLAS may add a long sum in another order."""
+    basis = np.array([_string_basis(x, z, m) for x, z in masks], dtype=np.complex128)
+    sums = weights @ basis.reshape(len(masks), 4**m)
+    return sums.reshape(*weights.shape[:-1], 2**m, 2**m)
+
+
+def _time_reversed(f: np.ndarray) -> np.ndarray:
+    """W f^T W for a stack f of 2^m x 2^m matrices, W = Y^(x)m, exactly:
+    W holds one entry per row i, w_i = (-i)^m (-1)^popcount(i), at column
+    ~i = 2^m - 1 - i, so (W a W)_ij = w_i conj(w_j) a_(~i, ~j), a reversal
+    of both axes and the sign (-1)^(popcount(i) + popcount(j))."""
+    signs = _SIGNS[: f.shape[-1]]
+    return f.swapaxes(-1, -2)[..., ::-1, ::-1] * np.outer(signs, signs)
 
 
 def _factor_slices(
@@ -296,17 +333,32 @@ def _factor_slices(
     """Slice propagators exp(-i (area_s H_s + H_bath) / (4c)) of each segment
     s, as (slices, idle): the active factor's and the idle per-qubit factors'.
 
-    The active factor holds every system qubit a segment term acts on, in
-    ascending order, and the identity term of the segments, if any. Its bath
-    term is the `_sign_stack` of their `BathModel.factor_hamiltonians`, every
-    sign pattern for a bath-qubit model and the all-plus one for a scalar
-    bath; one stacked exponential gives all slices, shape
-    (patterns, segments, d, d). Every other system qubit is a factor of
-    `BathModel.factor_hamiltonians`: no segment term acts on it, so its one
-    slice, of the bath term alone, serves every segment. The idle slices
-    come as one stack of `_qubit_patterns`, shape (patterns, n_idle, 2, 2),
-    empty when the schedule acts on every system qubit. The slices do not
-    depend on the pulse errors, so a sweep builds them once.
+    The active factor holds the m system qubits some segment term acts on,
+    in ascending order, and the identity term of the segments, if any. Its
+    Hamiltonians, shape (patterns, segments, d, d), come from the terms'
+    (x, z) masks restricted to the factor, with no Pauli-sum round trip:
+    two `_pauli_sums`, of the (segments, terms) coefficients with the
+    terms' strings and of the (patterns, 3m) signs times couplings with
+    the per-qubit Paulis. The patterns are every sign pattern s of a
+    bath-qubit model, in the order of itertools.product((1, -1), repeat=m),
+    and the all-plus one of a scalar bath. One stacked exponential gives
+    the slices.
+
+    Time reversal halves that exponential for a bath-qubit model. With
+    W = Y^(x)m, W sigma* W = -sigma for every Pauli sigma, so
+    W H(s)* W = H(-s) when every gate term has a real coefficient and even
+    weight, as all u1/u2/u3 terms do; then F(-s) = W F(s)^T W
+    (`_time_reversed`), and only the patterns whose first sign is +1, the
+    first half, are exponentiated. A schedule with an odd-weight or
+    complex term, such as a commutant string with an odd number of Y
+    letters, has all of its patterns exponentiated.
+
+    Every other system qubit is a factor of `BathModel.factor_hamiltonians`:
+    no segment term acts on it, so its one slice, of the bath term alone,
+    serves every segment. The idle slices come as one stack of
+    `_qubit_patterns`, shape (patterns, n_idle, 2, 2), empty when the
+    schedule acts on every system qubit. The slices do not depend on the
+    pulse errors, so a sweep builds them once.
 
     Raises
     ------
@@ -317,21 +369,41 @@ def _factor_slices(
         raise DimensionMismatchError(
             f"bath on {bath.n_system} system qubits, schedule on {schedule.n_physical}"
         )
-    supports = (segment.hamiltonian.support() for segment in schedule.segments)
-    system = tuple(sorted(frozenset().union(*supports)))
-    if bath.kind == "qubit" and len(system) > MAX_SIGN_QUBITS:
+    strings = sorted({s.letters for seg in schedule.segments for _, s in seg.hamiltonian.terms})
+    system = [q for q in range(1, bath.n_system + 1) if any(ls[q - 1] for ls in strings)]
+    m = len(system)
+    if bath.kind == "qubit" and m > MAX_SIGN_QUBITS:
         raise DimensionTooLargeError(
-            f"a bath-qubit model on {len(system)} active system qubits exceeds "
-            f"{MAX_SIGN_QUBITS}: 8^{len(system)} entries per segment"
+            f"a bath-qubit model on {m} active system qubits exceeds "
+            f"{MAX_SIGN_QUBITS}: 8^{m} entries per segment"
         )
-    couplings = bath.factor_hamiltonians()
-    patterns = 2 ** len(system) if bath.kind == "qubit" else 1
-    bath_h = _sign_stack(couplings[[q - 1 for q in system]], patterns)
-    gate_h = [s.area * s.hamiltonian.restricted(system).to_matrix() for s in schedule.segments]
+    index = {letters: t for t, letters in enumerate(strings)}
+    coefs = np.zeros((len(schedule.segments), len(strings)), dtype=np.complex128)
+    for row, segment in zip(coefs, schedule.segments):
+        for c, string in segment.hamiltonian.terms:
+            row[index[string.letters]] = c
+    masks = [_masks([letters[q - 1] for q in system]) for letters in strings]
+    areas = np.array([segment.area for segment in schedule.segments])
+    gate_h = areas[:, None, None] * _pauli_sums(coefs, masks, m)
+
+    patterns = 2**m if bath.kind == "qubit" else 1
+    # W H* W = H for real terms of even weight: then F(-s) = W F(s)^T W.
+    symmetric = not coefs.imag.any() and all((x | z).bit_count() % 2 == 0 for x, z in masks)
+    count = patterns // 2 if symmetric and patterns > 1 else patterns
+    # Bit r of a pattern's index is the sign of qubit m - r. Row 3r + a of
+    # the weights is sigma^a on that qubit, the last qubit first: the order
+    # in which PauliSum.to_matrix adds the per-qubit terms of a sum.
+    signs = 1 - 2 * ((np.arange(count)[:, None] >> np.arange(m)) & 1)
+    weights = signs[:, :, None] * bath.couplings[[q - 1 for q in reversed(system)]]
+    paulis = [(x, z) for r in range(m) for x, z in ((1 << r, 0), (1 << r, 1 << r), (0, 1 << r))]
+    bath_h = _pauli_sums(weights.reshape(count, 3 * m), paulis, m)
     scale = 1.0 / (4 * plan.cycles_per_segment)
-    slices = expm_hermitian(np.stack(gate_h) + bath_h[:, None], scale)
+    slices = expm_hermitian(gate_h + bath_h[:, None], scale)
+    partners = slices[patterns - 1 - np.arange(count, patterns)]
+    slices = np.concatenate([slices, _time_reversed(partners)])
     idle = [q for q in range(bath.n_system) if q + 1 not in system]
-    return slices, expm_hermitian(_qubit_patterns(couplings[idle], bath.kind), scale)
+    per_qubit = bath.factor_hamiltonians()[idle]
+    return slices, expm_hermitian(_qubit_patterns(per_qubit, bath.kind), scale)
 
 
 def _grid_propagators(

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BadPartitionError,
     DimensionTooLargeError,
     LengthMismatchError,
     OddQubitCountError,
@@ -224,39 +223,6 @@ class PauliSum:
         return PauliSum.from_terms(
             n_total, ((c, s.embedded(n_total)) for c, s in self.terms)
         )
-
-    def support(self) -> frozenset[int]:
-        """The 1-indexed qubits on which some term has a non-identity letter."""
-        return frozenset(
-            q + 1 for _, s in self.terms for q, letter in enumerate(s.letters) if letter
-        )
-
-    def restricted(self, sites) -> "PauliSum":
-        """The terms that act on the given 1-indexed sites, as a sum on
-        len(sites) qubits in the order given.
-
-        Terms acting only outside the sites are dropped; the identity term
-        is kept.
-
-        Raises
-        ------
-        BadPartitionError
-            A term acts both on the sites and outside them, so the sum
-            does not split over that factor.
-        """
-        sites = tuple(sites)
-        inside = {q - 1 for q in sites}
-        terms = []
-        for coef, string in self.terms:
-            acts_on = {q for q, letter in enumerate(string.letters) if letter}
-            if acts_on - inside and acts_on & inside:
-                raise BadPartitionError(
-                    f"term {string.label} acts on qubits both in and outside {sites}"
-                )
-            if acts_on <= inside:
-                letters = tuple(string.letters[q - 1] for q in sites)
-                terms.append((coef, PauliString(len(sites), letters)))
-        return PauliSum.from_terms(len(sites), terms)
 
     def text(self) -> str:
         """Round-trippable form: "<coef>*<string> + <coef>*<string> + ..."."""

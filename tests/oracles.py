@@ -48,6 +48,13 @@ These oracles compute the same propagator on the whole register:
                       schedule's term labels;
     sign_sum          sum_s U(s) (x) Pi_s of one factor's pattern stack,
                       with Pi_s built densely;
+    pattern_slices    the active factor's slices for every sign pattern,
+                      one full-stack exponential, where the library
+                      exponentiates half of them and mirrors the rest by
+                      time reversal;
+    support, restricted
+                      the qubits a Pauli sum acts on, and its terms on a
+                      subset of them as a sum on that subset, by letters;
     assemble          the engine's factor matrices put back together on the
                       full register, by a Kronecker product and a
                       permutation of the tensor axes.
@@ -157,6 +164,33 @@ def sums_isclose(h: PauliSum, other: PauliSum) -> bool:
     a = {s.letters: c for c, s in h.terms}
     b = {s.letters: c for c, s in other.terms}
     return all(abs(a.get(k, 0) - b.get(k, 0)) <= ATOL_NORM for k in keys)
+
+
+def support(h: PauliSum) -> frozenset[int]:
+    """The 1-indexed qubits on which some term of h has a non-identity letter."""
+    return frozenset(
+        q + 1 for _, s in h.terms for q, letter in enumerate(s.letters) if letter
+    )
+
+
+def restricted(h: PauliSum, sites) -> PauliSum:
+    """The terms of h that act on the given 1-indexed sites, as a sum on
+    len(sites) qubits in the order given, by letters: terms acting only
+    outside the sites are dropped, the identity term is kept, and a term
+    acting both in and outside them raises BadPartitionError."""
+    sites = tuple(sites)
+    inside = {q - 1 for q in sites}
+    terms = []
+    for coef, string in h.terms:
+        acts_on = {q for q, letter in enumerate(string.letters) if letter}
+        if acts_on - inside and acts_on & inside:
+            raise BadPartitionError(
+                f"term {string.label} acts on qubits both in and outside {sites}"
+            )
+        if acts_on <= inside:
+            letters = tuple(string.letters[q - 1] for q in sites)
+            terms.append((coef, PauliString(len(sites), letters)))
+    return PauliSum.from_terms(len(sites), terms)
 
 
 def subspace_projector(basis) -> np.ndarray:
@@ -498,6 +532,24 @@ def sign_sum(stack: np.ndarray) -> np.ndarray:
     for u, signs in zip(stack, itertools.product((1, -1), repeat=m)):
         out += kron(u, kron_all([(np.eye(2) + s * SIGMA_X) / 2 for s in signs]))
     return out
+
+
+def pattern_slices(schedule, bath, plan) -> np.ndarray:
+    """The active factor's slices for every sign pattern of a bath-qubit
+    model, or the one pattern of a scalar bath, each exponentiated: one
+    full-stack `expm_hermitian` of area_s H_s, restricted to the system
+    qubits the segment terms act on, plus sum_k s_k h_k, with the per-qubit
+    coupling h_k of `BathModel.factor_hamiltonians` Kronecker-embedded on
+    its qubit. Shape (patterns, segments, d, d)."""
+    system = sorted(frozenset().union(*(support(seg.hamiltonian) for seg in schedule.segments)))
+    m, h = len(system), bath.factor_hamiltonians()
+    eye = [np.eye(2)] * m
+    couplings = [kron_all(eye[:k] + [h[q - 1]] + eye[k + 1:]) for k, q in enumerate(system)]
+    gate = [seg.area * restricted(seg.hamiltonian, system).to_matrix()
+            for seg in schedule.segments]
+    patterns = itertools.product((1, -1), repeat=m) if bath.kind == "qubit" else [(1,) * m]
+    stack = [[g + sum(s * c for s, c in zip(signs, couplings)) for g in gate] for signs in patterns]
+    return expm_hermitian(np.array(stack), 1.0 / (4 * plan.cycles_per_segment))
 
 
 def factor_propagators(factors, plan, errors: DDErrorModel) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,6 @@ import dfsgates.cli as cli
 from dfsgates import dfs, gates, pauli
 from dfsgates.cli import MAX_BATH_WIDTH, MAX_GRID_STEPS, _grid_steps, main
 from dfsgates.noise import MAX_CYCLES_PER_SEGMENT
-from dfsgates.pauli import PauliSum
 
 
 def run_cli(capsys, *argv):
@@ -78,7 +77,7 @@ class TestVerify:
         def refuse(*args, **kwargs):
             raise AssertionError("full-size work on the verify path")
 
-        for owner, name in ((gates, "_embed"), (dfs, "logical_image"), (PauliSum, "restricted"),
+        for owner, name in ((gates, "_embed"), (dfs, "logical_image"),
                             (pauli, "commutant_split"), (gates, "commutant_split")):
             monkeypatch.setattr(owner, name, refuse)
         passes = []
@@ -462,6 +461,37 @@ class TestSharedParser:
         assert shared[3][1].startswith("usage: dfsgates sweep ")
         assert shared[4][1].startswith("verify u1 n=4 j=2 angle=0.5\n")
         assert shared[5][1].startswith("decouple n=4 bath=scalar seed=0 ")
+
+    def test_command_subparser_parses_as_the_top_level_parser(self, tmp_path):
+        # main hands a command line that starts with a command straight to
+        # that command's subparser. One argv of each benchmark workload's
+        # shape, and one per command from a config file, parse to the same
+        # namespace and the same resolved options through both routes.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 6\nseed = 3\n")
+        calls = [
+            ["verify", "--gate", "u3", "--n", "8", "--k", "2", "--l", "5", "--angle", "0.9"],
+            ["verify", "--gate", "u1", "--n", "4", "--j", "2", "--angle", "0.3"],
+            ["sweep", "--n", "4", "--bath", "qubit", "--gate", "u2", "--j", "1", "--angle",
+             "0.5", "--seed", "17", "--eps-range=0:0.05", "--delta-range=-0.05:0", "--step",
+             "0.05", "--out", str(tmp_path / "s.csv")],
+            ["sweep", "--angle", "1.1", "--seed", "9", "--out", str(tmp_path / "s.csv")],
+            ["decouple", "--bath", "qubit", "--seed", "42"],
+            ["verify"],
+            *([command, "--config", str(cfg)] for command in ("sweep", "decouple")),
+        ]
+        for argv in calls:
+            direct, top = cli._parse(argv), cli.build_parser().parse_args(argv)
+            assert direct == top
+            assert cli._resolve(direct) == cli._resolve(top)
+
+        def refusal(parse):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+                parse(["sweep", "--n", "four"])
+            return exc.value.code, err.getvalue()
+
+        assert refusal(cli._parse) == refusal(cli.build_parser().parse_args)
 
 
 def run_quiet(*argv):

@@ -27,9 +27,11 @@ from conftest import two_body_strings
 from oracles import (
     pauli_to_matrix,
     project_to_logical,
+    restricted,
     sector_projector,
     string_logical_image,
     subspace_projector,
+    support,
 )
 
 RSQRT2 = 1 / np.sqrt(2)
@@ -182,7 +184,7 @@ class TestLogicalImage:
 class TestMaskPass:
     """_compress, the one pass over a sum's terms on (x, z) bit masks,
     against the same rule by exact string products, commutant_split and
-    PauliSum.restricted(...).to_matrix()."""
+    the oracles' restricted(...).to_matrix()."""
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_random_sums_match_string_rule_split_and_restriction(self, n, rng):
@@ -200,9 +202,9 @@ class TestMaskPass:
             assert count == leaking.n_terms
             assert weight == sum(abs(c) for c, _ in leaking.terms)
             extra = {int(q) for q in rng.integers(1, n - 1, 2)}
-            support = tuple(sorted(image.support() | extra))
-            assert np.array_equal(_support_matrix(images, support, n - 2),
-                                  image.restricted(support).to_matrix())
+            sites = tuple(sorted(support(image) | extra))
+            assert np.array_equal(_support_matrix(images, sites, n - 2),
+                                  restricted(image, sites).to_matrix())
 
     def test_image_of_a_string_and_its_stabilizer_multiple_cancels(self):
         # X_1 X_2 and -(X_1 X_2)(X...X) = -X_3 X_4 act alike on the code space.

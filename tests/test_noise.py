@@ -49,6 +49,7 @@ from oracles import (
     interleave,
     interleave_oracle,
     is_unitary,
+    pattern_slices,
     pauli_to_matrix,
     per_factor_bare_evolution_error,
     per_rung_decoupling_order_probe,
@@ -442,6 +443,86 @@ class TestSignPatternReach:
         assert [f for _, _, f in rows][0] == 1.0
 
 
+def _recording_expm(monkeypatch) -> list:
+    """Record the shape of every stack noise passes to expm_hermitian."""
+    shapes = []
+
+    def recording(h, scale):
+        shapes.append(np.shape(h))
+        return expm_hermitian(h, scale)
+
+    monkeypatch.setattr(noise, "expm_hermitian", recording)
+    return shapes
+
+
+class TestTimeReversal:
+    """Under a bath-qubit model the active factor exponentiates the sign
+    patterns whose first sign is +1 and takes the others from them by time
+    reversal, F(-s) = W F(s)^T W with W = Y^(x)m."""
+
+    @pytest.mark.parametrize("make_schedule", [
+        pytest.param(lambda n: schedule_u1(n, n - 2, 0.7), id="u1"),
+        pytest.param(lambda n: schedule_u2(n, 1, 0.4), id="u2"),
+        pytest.param(lambda n: schedule_u3(n, 1, n - 2, 0.6), id="u3"),
+    ])
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_mirrored_slices_equal_full_stack(self, monkeypatch, n, make_schedule):
+        bath = BathModel.random(n, 0.1, seed=n, kind="qubit")
+        self._check_mirror(monkeypatch, make_schedule(n), bath)
+
+    def test_mirrored_slices_equal_full_stack_at_six_active_qubits(self, monkeypatch):
+        schedule = _pair_schedule(6, "1.0*+XIIIIX + 1.0*+IZIIZI + 1.0*+IIZZII")
+        self._check_mirror(monkeypatch, schedule, BathModel.random(6, 0.1, seed=6, kind="qubit"))
+
+    @staticmethod
+    def _check_mirror(monkeypatch, schedule, bath):
+        shapes = _recording_expm(monkeypatch)
+        slices, _ = noise._factor_slices(schedule, bath, InterleavingPlan(3))
+        full = pattern_slices(schedule, bath, InterleavingPlan(3))
+        assert shapes[0] == (full.shape[0] // 2, *full.shape[1:])
+        assert slices.shape == full.shape
+        assert np.abs(slices - full).max() <= 1e-14
+
+    def test_odd_weight_term_takes_the_full_stack(self, monkeypatch):
+        # X_1 Y_2 Z_3 commutes with X...X and Z...Z, and has odd weight:
+        # W (XYZ)* W = -XYZ, so the slices of s and -s are no mirror pair.
+        bath, plan = BathModel.random(4, 0.1, seed=8, kind="qubit"), InterleavingPlan(2)
+        schedule = _add_term(schedule_u1(4, 1, 0.7), 1, PauliSum.from_text(4, "0.4*+XYZI"))
+        shapes = _recording_expm(monkeypatch)
+        slices, idle = noise._factor_slices(schedule, bath, plan)
+        assert shapes == [(16, 2, 16, 16), (2, 0, 2, 2)]
+        assert np.abs(slices - pattern_slices(schedule, bath, plan)).max() <= 1e-14
+        assert np.abs(noise._time_reversed(slices[7::-1]) - slices[8:]).max() > 1e-3
+        for errors in (IDEAL_PULSES, DDErrorModel(epsilon=0.1)):
+            ref = interleave_oracle(schedule, bath, plan, errors)
+            assert np.abs(engine_propagator(schedule, bath, plan, errors) - ref).max() <= 1e-13
+
+    def test_complex_term_takes_the_full_stack(self, monkeypatch):
+        # W (c XX)* W = conj(c) XX, so a complex coefficient breaks the mirror
+        # even on an even-weight term. schedule_from_json refuses one, but a
+        # GateSchedule built by hand may hold one whose imaginary part passes
+        # expm_hermitian's tolerance; a mirror would then be off by ~1e-12.
+        bath, plan = BathModel.random(4, 0.1, seed=8, kind="qubit"), InterleavingPlan(2)
+        schedule = _add_term(schedule_u1(4, 1, 0.7), 0, PauliSum.from_text(4, "1e-11j*+XXII"))
+        shapes = _recording_expm(monkeypatch)
+        slices, _ = noise._factor_slices(schedule, bath, plan)
+        assert shapes[0] == slices.shape
+        assert np.abs(slices - pattern_slices(schedule, bath, plan)).max() <= 1e-14
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_time_reversal_is_the_dense_conjugation(self, rng, m):
+        w = pauli_to_matrix(PauliString.uniform(m, "Y")) if m else np.eye(1)
+        f = rng.normal(size=(2, 2**m, 2**m)) + 1j * rng.normal(size=(2, 2**m, 2**m))
+        for got, one in zip(noise._time_reversed(f), f):
+            assert np.array_equal(got, w @ one.T @ w)
+
+    def test_cached_tables_are_read_only(self):
+        for table in (noise._string_basis(0b101, 0b011, 3), noise._index_bits(8)):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
+
+
 class TestGateFidelity:
     def test_zero_errors_unity(self):
         plan = InterleavingPlan()
@@ -501,9 +582,10 @@ class TestGateFidelity:
         # u2 on logical qubit 1 acts on qubits 1, 2, 4: one stack of slices,
         # (patterns, segments, 8, 8), on that factor, and one stack, for every
         # segment, on the idle per-qubit factors (here qubit 3), whatever the
-        # grid size.
+        # grid size. A bath-qubit model exponentiates 4 of its 8 sign
+        # patterns; time reversal gives the other 4.
         schedule = schedule_u2(4, 1, 0.3)
-        for kind, patterns, idle in (("scalar", 1, 1), ("qubit", 8, 2)):
+        for kind, patterns, idle in (("scalar", 1, 1), ("qubit", 4, 2)):
             bath = BathModel.random(4, 0.1, seed=1, kind=kind)
             for size in (1, 3, 7):
                 calls.clear()
