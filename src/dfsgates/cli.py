@@ -185,7 +185,10 @@ def _check_values(cfg: dict) -> None:
 
 
 def _parse_range(text: str) -> tuple[float, float]:
-    lo, hi = (float(part) for part in text.split(":"))
+    try:
+        lo, hi = (float(part) for part in text.split(":"))
+    except ValueError:
+        raise ValueError(f"range {text!r} must be two numbers lo:hi") from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"range {text!r} must have finite bounds")
     if hi < lo:
@@ -224,7 +227,10 @@ def _parse_ladder(text: str) -> list[float]:
     runs; `decoupling_order_probe` then refuses a ladder whose spacings do
     not give distinct whole cycle counts in 1..MAX_CYCLES_PER_SEGMENT, so
     a ladder that runs holds at most that many rungs."""
-    dts = [float(part) for part in text.split(",")]
+    try:
+        dts = [float(part) for part in text.split(",")]
+    except ValueError:
+        raise ValueError(f"dt ladder {text!r} must be comma-separated numbers") from None
     if not all(math.isfinite(dt) and dt > 0 for dt in dts):
         raise ValueError(f"dt ladder {text!r} must hold positive, finite spacings")
     printed = {f"{dt:.6g}" for dt in dts}

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionTooLargeError, OddQubitCountError, TooFewQubitsError
-from .pauli import (_PHASE_VALUES, MAX_QUBITS, DecouplingGroup, PauliString, PauliSum, _letters,
-                    _mask_matrix, _masks)
+from .pauli import MAX_QUBITS, DecouplingGroup, PauliString, PauliSum, _letters, _masks
 
 _FLIP = str.maketrans("01", "10")
 
@@ -104,44 +103,25 @@ def dfs_decomposition(group: DecouplingGroup) -> list[tuple[tuple[int, int, int,
     return sorted(out, key=lambda item: item[0], reverse=True)
 
 
-def _compress(h: PauliSum) -> tuple[dict[tuple[int, int], complex], float, int]:
-    """One pass over the terms of h on (x, z) bit masks: the images on the
-    code space of its commutant terms, keyed by the masks of their logical
-    strings, and the sum eps of |c| and the count of the terms that
-    anticommute with X...X or Z...Z, whose image is 0. A commutant string
-    times X...X if it has X or Y on qubit N, then times Z...Z if it has Y
-    or Z on qubit 1 (both +1 on the code space; the masks flip at no sign,
-    as the string has an even number of Z or Y letters) is
-    i**#Y X_1**a (x) m (x) Z_N**b, which acts there as i**#Y m, the logical
-    Paulis of its middle letters m. Refuses h on the qubit counts that
-    build_logical_basis refuses."""
-    n = h.n_qubits
-    _check_code_size(n)
-    ones, images, leaks = (1 << n) - 1, {}, []
-    for coef, string in h.terms:
-        x, z = _masks(string.letters)
-        if (x.bit_count() | z.bit_count()) & 1:
-            leaks.append(abs(coef))
-            continue
-        k = (x & z).bit_count()
-        x, z = x ^ ones * (x & 1), z ^ ones * (z >> (n - 1))
-        key = (x >> 1 & ones >> 2, z >> 1 & ones >> 2)
-        phase = _PHASE_VALUES[(k - (key[0] & key[1]).bit_count()) % 4]
-        images[key] = images.get(key, 0) + complex(coef) * phase
-    return {key: c for key, c in images.items() if c != 0}, sum(leaks), len(leaks)
+def _image(x: int, z: int, n: int) -> PauliString | None:
+    """The code-space image of the n-qubit string of masks (x, z), a phased
+    string on the n-2 logical qubits; None, for image 0, if it anticommutes
+    with X...X or Z...Z. A commutant string times X...X if it has X or Y on
+    qubit N, then times Z...Z if it has Y or Z on qubit 1 (both +1 on the
+    code space; the masks flip at no sign, the string having an even number
+    of Z or Y letters) is i**#Y X_1**a (x) m (x) Z_N**b: i**#Y m there."""
+    if (x.bit_count() | z.bit_count()) & 1:
+        return None
+    ones, k = (1 << n) - 1, (x & z).bit_count()
+    x, z = x ^ ones * (x & 1), z ^ ones * (z >> (n - 1))
+    x, z = x >> 1 & ones >> 2, z >> 1 & ones >> 2
+    return PauliString(n - 2, _letters(x, z, n - 2), k - (x & z).bit_count())
 
 
 def logical_image(h: PauliSum) -> PauliSum:
-    """B† h B on the N-2 logical qubits (B of build_logical_basis(N)) as a Pauli sum."""
-    n = h.n_qubits - 2
-    return PauliSum.from_terms(
-        n, ((c, PauliString(n, _letters(x, z, n))) for (x, z), c in _compress(h)[0].items()))
-
-
-def _support_matrix(images, support: tuple[int, ...], n_logical: int) -> np.ndarray:
-    """The dense matrix of logical_image(h) on the ascending logical qubits
-    `support`, which hold every letter of its terms: each image of
-    _compress with its letters on those qubits alone."""
-    terms = sorted((tuple(_letters(x, z, n_logical)[q - 1] for q in support), c)
-                   for (x, z), c in images.items())
-    return _mask_matrix(((c, *_masks(letters), 0) for letters, c in terms), len(support))
+    """B† h B on the N-2 logical qubits (B of build_logical_basis(N)): the
+    `_image` of each term, like images merged. Refuses h on the qubit counts
+    that build_logical_basis refuses."""
+    _check_code_size(h.n_qubits)
+    images = ((c, _image(*_masks(s.letters), h.n_qubits)) for c, s in h.terms)
+    return PauliSum.from_terms(h.n_qubits - 2, ((c, image) for c, image in images if image))

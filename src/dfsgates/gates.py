@@ -12,13 +12,14 @@ rotations
 
 Commutant Hamiltonians commute with X...X and Z...Z, so they never leave
 the all-(+1) sector that holds the code space. The gate layer builds no
-basis: one pass over each segment's terms on Pauli bit masks compresses
-it to H_L by a stabilizer rule, exponentiated once on the logical support,
-the target qubits and those H_L acts on (one for u1/u2, two for u3, at any
-N). The weight of the terms the pass finds outside the commutant bounds how
-far a segment moves the code space, so a schedule that does leave it is
-still caught (see verify_holonomy). The full-register propagator, the dense
-code basis and the whole-block certifier are test oracles, in tests/oracles.py.
+basis: each string of the compiled schedule (_compile, read by the sweep
+engine too) maps to H_L by a stabilizer rule on its bit masks, exponentiated
+once on the logical support, the target qubits and those H_L acts on (one
+for u1/u2, two for u3, at any N). The weight of the strings outside the
+commutant bounds how far a segment moves the code space, so a schedule that
+does leave it is still caught (see verify_holonomy). The full-register
+propagator, the dense code basis and the whole-block certifier are test
+oracles, in tests/oracles.py.
 
 The holonomy checker certifies the two defining properties of a
 non-adiabatic holonomy directly from the simulated trajectory: the moving
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dfs import _check_code_size, _compress, _support_matrix
+from .dfs import _check_code_size, _image
 from .errors import (
     BadIndexPairError,
     DfsGatesError,
@@ -59,7 +60,7 @@ from .linalg import (
     kron_all,
     spectral_norm,
 )
-from .pauli import PauliString, PauliSum, commutant_split
+from .pauli import PauliString, PauliSum, _masks, _pauli_sums, commutant_split
 
 
 @dataclass(frozen=True)
@@ -179,26 +180,47 @@ def schedule_u3(n: int, k: int, l: int, phi: float) -> GateSchedule:
     ))
 
 
+def _compile(schedule: GateSchedule) -> tuple[np.ndarray, list[tuple[int, ...]], np.ndarray]:
+    """(areas, strings, coefs): the segment areas, shape (S,); the letters of
+    the T distinct terms, ascending; and their (S, T) coefficients, 0 where
+    a segment lacks one. The one reader of the segments' terms, for the
+    certifier (`_boundary_chain`) and the sweep (`noise._factor_slices`)."""
+    segments = [{s.letters: c for c, s in seg.hamiltonian.terms} for seg in schedule.segments]
+    strings = sorted(set().union(*segments))
+    coefs = np.array([[terms.get(s, 0) for s in strings] for terms in segments], dtype=complex)
+    return np.array([seg.area for seg in schedule.segments], dtype=float), strings, coefs
+
+
 def _boundary_chain(schedule: GateSchedule) -> tuple[np.ndarray, np.ndarray, tuple[int, ...], list]:
-    """(hs, chain, Q, leaks): the (S, d, d) stack of segments as H_L,s on the
-    logical support Q (the ascending target qubits and every qubit an image
-    acts on), from one pass over each segment's terms (dfs._compress); the
-    (S + 1, d, d) stack of propagators to the boundaries, M_0 = I,
-    M_s = exp(-i a_s H_L,s) M_(s-1), from one stacked exponential; and each
-    segment's eps_s and number of terms outside the commutant."""
+    """(hs, chain, Q, leaks) of verify_holonomy: H_L,s on the logical support
+    Q, shape (S, d, d); the boundary propagators M_0 = I, ..., M_S, from one
+    stacked exponential; and each segment's eps_s and count of compiled
+    strings outside the commutant. Each compiled string is mapped once
+    (dfs._image), and strings with one image merge in one product; an image
+    that is 0 in every segment adds no qubit to Q."""
     n_logical = schedule.n_physical - 2
-    compressed = [_compress(segment.hamiltonian) for segment in schedule.segments]
-    acts = [x | z for images, _, _ in compressed for x, z in images]
+    areas, strings, coefs = _compile(schedule)
+    images = [_image(*_masks(letters), n_logical + 2) for letters in strings]
+    logical = sorted({image.letters for image in images if image})
+    phases = np.zeros((len(strings), len(logical)), dtype=np.complex128)
+    for row, image in zip(phases, images):
+        if image:
+            row[logical.index(image.letters)] = image.phase_value
+    merged = coefs @ phases
+    kept = merged.any(axis=0)
+    acts = [letters for letters, k in zip(logical, kept) if k]
     support = tuple(q for q in range(1, n_logical + 1)
-                    if q in schedule.target or any(m >> (n_logical - q) & 1 for m in acts))
-    hs = np.stack([_support_matrix(images, support, n_logical) for images, _, _ in compressed])
+                    if q in schedule.target or any(letters[q - 1] for letters in acts))
+    masks = [_masks([letters[q - 1] for q in support]) for letters in acts]
+    hs = _pauli_sums(merged[:, kept], masks, len(support))
     # One area per matrix, as the scale of the stack: scaling h instead
     # would round the eigenvalues differently.
-    areas = np.array([[segment.area] for segment in schedule.segments], dtype=float)
     chain = [np.eye(2 ** len(support), dtype=np.complex128)]
-    for u in _expm_hermitian(hs, areas):
+    for u in _expm_hermitian(hs, areas[:, None]):
         chain.append(u @ chain[-1])
-    return hs, np.stack(chain), support, [leaks for _, *leaks in compressed]
+    # Each segment's eps_s, summed in term order, and its count of such terms.
+    leaks = np.abs(coefs[:, [not image for image in images]]).tolist()
+    return hs, np.stack(chain), support, [(sum(row), np.count_nonzero(row)) for row in leaks]
 
 
 def _embed(m: np.ndarray, support: tuple[int, ...], n_logical: int) -> np.ndarray:
@@ -419,19 +441,11 @@ def heisenberg_reduction(
     """
     if n < 2:
         raise TooFewQubitsError(f"chain needs n >= 2, got {n}")
-    terms = []
-    if jz_field != 0:
-        terms += [
-            (jz_field, PauliString.from_sites(n, {i: "Z"})) for i in range(1, n + 1)
-        ]
     pairs = [pair] if pair is not None else [(i, i + 1) for i in range(1, n)]
-    for a, b in pairs:
-        for coupling, letter in ((jx, "X"), (jy, "Y"), (jz, "Z")):
-            if coupling != 0:
-                terms.append(
-                    (coupling, PauliString.from_sites(n, {a: letter, b: letter}))
-                )
-    return PauliSum.from_terms(n, terms)
+    terms = [(jz_field, {i: "Z"}) for i in range(1, n + 1) if jz_field != 0]
+    terms += [(j, {a: p, b: p}) for a, b in pairs
+              for j, p in ((jx, "X"), (jy, "Y"), (jz, "Z")) if j != 0]
+    return PauliSum.from_terms(n, ((c, PauliString.from_sites(n, sites)) for c, sites in terms))
 
 
 # ---------------------------------------------------------------------------

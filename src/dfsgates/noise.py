@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadPartitionError, DimensionMismatchError, DimensionTooLargeError
-from .gates import GateSchedule
+from .gates import GateSchedule, _compile
 from .linalg import (
     SIGMA_I,
     SIGMA_X,
@@ -78,13 +78,12 @@ from .pauli import (
     PauliString,
     PauliSum,
     _SIGNS,
-    _mask_matrix,
     _masks,
+    _pauli_sums,
+    _qubit_paulis,
     build_decoupling_group,
     group_average,
 )
-
-_AXES = ("x", "y", "z")
 
 # Largest number of XY-4 cycles per gate segment. The segment propagator on
 # each register factor is the half cycle D raised to twice this power by
@@ -185,19 +184,13 @@ class BathModel:
 
     def hamiltonian_sum(self) -> PauliSum:
         """The coupling as a symbolic Pauli sum on the model's full register."""
-        n_total = self.total_qubits
-        terms = []
-        for i in range(self.n_system):
-            for a, axis in enumerate(_AXES):
-                if self.couplings[i, a] == 0:
-                    continue
-                sites = {i + 1: axis.upper()}
-                if self.kind == "qubit":
-                    sites[self.n_system + i + 1] = "X"
-                terms.append(
-                    (self.couplings[i, a], PauliString.from_sites(n_total, sites))
-                )
-        return PauliSum.from_terms(n_total, terms)
+        n_total, terms = self.total_qubits, []
+        for (i, a), b in np.ndenumerate(self.couplings):
+            sites = {i + 1: "XYZ"[a]}
+            if self.kind == "qubit":
+                sites[self.n_system + i + 1] = "X"
+            terms.append((b, PauliString.from_sites(n_total, sites)))
+        return PauliSum.from_terms(n_total, terms)  # from_terms drops zero couplings
 
     def factor_hamiltonians(self) -> np.ndarray:
         """The scalar coupling sum_a b[i, a] sigma^a of each system qubit i,
@@ -295,29 +288,6 @@ def _qubit_patterns(h: np.ndarray, kind: str) -> np.ndarray:
     return np.stack([h, -h]) if kind == "qubit" else h[None]
 
 
-@functools.lru_cache(maxsize=32)
-def _string_basis(x: int, z: int, m: int) -> np.ndarray:
-    """The m-qubit Pauli string of masks (x, z), i**popcount(x & z) X^x Z^z,
-    as a dense read-only matrix, built once per string and factor size. A
-    sweep reads at most 3m + (its terms) of them; the 32 kept take at most
-    32 MiB, at m = 8."""
-    basis = _mask_matrix([(1, x, z, 0)], m)
-    basis.setflags(write=False)
-    return basis
-
-
-def _pauli_sums(weights: np.ndarray, masks, m: int) -> np.ndarray:
-    """sum_t weights[..., t] P_t for the m-qubit strings P_t of masks, one
-    matrix per leading entry of weights: one contraction with the strings'
-    `_string_basis`, shape (..., 2^m, 2^m). Their entries are 0, +-1 and
-    +-i, so each product is exact, and an entry is its terms added in the
-    order of masks: bit for bit up to m = 6, and to a few 1e-17 at m = 7
-    and 8, where BLAS may add a long sum in another order."""
-    basis = np.array([_string_basis(x, z, m) for x, z in masks], dtype=np.complex128)
-    sums = weights @ basis.reshape(len(masks), 4**m)
-    return sums.reshape(*weights.shape[:-1], 2**m, 2**m)
-
-
 def _time_reversed(f: np.ndarray) -> np.ndarray:
     """W f^T W for a stack f of 2^m x 2^m matrices, W = Y^(x)m, exactly:
     W holds one entry per row i, w_i = (-i)^m (-1)^popcount(i), at column
@@ -335,14 +305,14 @@ def _factor_slices(
 
     The active factor holds the m system qubits some segment term acts on,
     in ascending order, and the identity term of the segments, if any. Its
-    Hamiltonians, shape (patterns, segments, d, d), come from the terms'
-    (x, z) masks restricted to the factor, with no Pauli-sum round trip:
-    two `_pauli_sums`, of the (segments, terms) coefficients with the
-    terms' strings and of the (patterns, 3m) signs times couplings with
-    the per-qubit Paulis. The patterns are every sign pattern s of a
-    bath-qubit model, in the order of itertools.product((1, -1), repeat=m),
-    and the all-plus one of a scalar bath. One stacked exponential gives
-    the slices.
+    Hamiltonians, shape (patterns, segments, d, d), come from the compiled
+    schedule (`gates._compile`), its strings' masks cut to the factor: two
+    `_pauli_sums`, of the (segments, terms) coefficients with the terms'
+    strings and of the (patterns, 3m) signs times couplings with the
+    per-qubit Paulis of `_qubit_paulis`. The patterns are every sign
+    pattern s of a bath-qubit model, in the order of
+    itertools.product((1, -1), repeat=m), and the all-plus one of a scalar
+    bath. One stacked exponential gives the slices.
 
     Time reversal halves that exponential for a bath-qubit model. With
     W = Y^(x)m, W sigma* W = -sigma for every Pauli sigma, so
@@ -369,7 +339,7 @@ def _factor_slices(
         raise DimensionMismatchError(
             f"bath on {bath.n_system} system qubits, schedule on {schedule.n_physical}"
         )
-    strings = sorted({s.letters for seg in schedule.segments for _, s in seg.hamiltonian.terms})
+    areas, strings, coefs = _compile(schedule)
     system = [q for q in range(1, bath.n_system + 1) if any(ls[q - 1] for ls in strings)]
     m = len(system)
     if bath.kind == "qubit" and m > MAX_SIGN_QUBITS:
@@ -377,13 +347,7 @@ def _factor_slices(
             f"a bath-qubit model on {m} active system qubits exceeds "
             f"{MAX_SIGN_QUBITS}: 8^{m} entries per segment"
         )
-    index = {letters: t for t, letters in enumerate(strings)}
-    coefs = np.zeros((len(schedule.segments), len(strings)), dtype=np.complex128)
-    for row, segment in zip(coefs, schedule.segments):
-        for c, string in segment.hamiltonian.terms:
-            row[index[string.letters]] = c
     masks = [_masks([letters[q - 1] for q in system]) for letters in strings]
-    areas = np.array([segment.area for segment in schedule.segments])
     gate_h = areas[:, None, None] * _pauli_sums(coefs, masks, m)
 
     patterns = 2**m if bath.kind == "qubit" else 1
@@ -395,8 +359,7 @@ def _factor_slices(
     # in which PauliSum.to_matrix adds the per-qubit terms of a sum.
     signs = 1 - 2 * ((np.arange(count)[:, None] >> np.arange(m)) & 1)
     weights = signs[:, :, None] * bath.couplings[[q - 1 for q in reversed(system)]]
-    paulis = [(x, z) for r in range(m) for x, z in ((1 << r, 0), (1 << r, 1 << r), (0, 1 << r))]
-    bath_h = _pauli_sums(weights.reshape(count, 3 * m), paulis, m)
+    bath_h = _pauli_sums(weights.reshape(count, 3 * m), _qubit_paulis(m), m)
     scale = 1.0 / (4 * plan.cycles_per_segment)
     slices = expm_hermitian(gate_h + bath_h[:, None], scale)
     partners = slices[patterns - 1 - np.arange(count, patterns)]

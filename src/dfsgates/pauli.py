@@ -13,6 +13,7 @@ Text form is sign-then-letters with qubit 1 first, e.g. "+XIZY" or "-iYY".
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,7 +142,7 @@ def _masks(letters) -> tuple[int, int]:
     i**popcount(x & z) X^x Z^z, and X^x Z^z |b> = (-1)**popcount(b & z)
     |b XOR x> (Aaronson & Gottesman, PRA 70, 052328 (2004)). This is the
     layer's one encoding: PauliString.__mul__, commutes, _mask_matrix,
-    commutant_split and the code-space rule dfs._compress all use it."""
+    commutant_split and the code-space rule dfs._image all use it."""
     x = z = 0
     for c in letters:
         x = (x << 1) | (c in (1, 2))
@@ -164,6 +165,39 @@ def _mask_matrix(terms, n: int) -> np.ndarray:
         unit = _PHASE_VALUES[(k + (x & z).bit_count()) % 4]
         out[cols ^ x, cols] += coef * (unit * _SIGNS[cols & z])
     return out
+
+
+@functools.lru_cache(maxsize=32)
+def _string_basis(x: int, z: int, m: int) -> np.ndarray:
+    """i**popcount(x & z) X^x Z^z on m qubits, dense and read-only: one gate
+    term's string. The 32 kept take at most 32 MiB, at m = 8."""
+    basis = _mask_matrix([(1, x, z, 0)], m)
+    basis.setflags(write=False)
+    return basis
+
+
+@functools.cache
+def _qubit_paulis(m: int) -> np.ndarray:
+    """X, Y and Z on each of m qubits, the last first, as one read-only stack
+    (3m, 2^m, 2^m): a bath's strings, kept apart from the gate terms'. At
+    most MAX_QUBITS stacks, 24 MiB at m = 8 and 30 MiB in all."""
+    basis = np.array([_mask_matrix([(1, x, z, 0)], m) for r in range(m)
+                      for x, z in ((1 << r, 0), (1 << r, 1 << r), (0, 1 << r))],
+                     dtype=np.complex128).reshape(3 * m, 2**m, 2**m)
+    basis.setflags(write=False)
+    return basis
+
+
+def _pauli_sums(weights: np.ndarray, masks, m: int) -> np.ndarray:
+    """sum_t weights[..., t] P_t, shape (..., 2^m, 2^m), for the m-qubit
+    strings of masks (by `_string_basis`) or a stack of them: every dense
+    segment stack. Each product is exact, and an entry adds its terms in the
+    order of masks: bit for bit up to m = 6, to 1e-17 at m = 7 and 8, where
+    BLAS may add a long sum in another order."""
+    if not isinstance(masks, np.ndarray):
+        masks = np.array([_string_basis(x, z, m) for x, z in masks], dtype=np.complex128)
+    sums = weights @ masks.reshape(len(masks), 4**m)
+    return sums.reshape(*weights.shape[:-1], 2**m, 2**m)
 
 
 @dataclass(frozen=True)

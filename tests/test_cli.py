@@ -67,13 +67,13 @@ class TestVerify:
         assert all(row.endswith("PASS") for row in rows)
         assert out.strip().endswith("result: PASS")
 
-    @pytest.mark.parametrize("gate, target, segments", [
-        ("u1", ["--j", "6"], 2), ("u2", ["--j", "3"], 4), ("u3", ["--k", "2", "--l", "5"], 2),
+    @pytest.mark.parametrize("gate, target", [
+        ("u1", ["--j", "6"]), ("u2", ["--j", "3"]), ("u3", ["--k", "2", "--l", "5"]),
     ])
-    def test_n8_splits_each_segment_once_and_forms_no_full_size_gate(
-            self, capsys, monkeypatch, gate, target, segments):
-        # The rows come off the report on the gate's logical support: one mask
-        # pass per segment, no Pauli-sum round trip, no 64 x 64 gate.
+    def test_n8_compiles_the_schedule_once_and_forms_no_full_size_gate(
+            self, capsys, monkeypatch, gate, target):
+        # The rows come off the report on the gate's logical support: one
+        # compile of the schedule, no Pauli-sum round trip, no 64 x 64 gate.
         def refuse(*args, **kwargs):
             raise AssertionError("full-size work on the verify path")
 
@@ -81,13 +81,13 @@ class TestVerify:
                             (pauli, "commutant_split"), (gates, "commutant_split")):
             monkeypatch.setattr(owner, name, refuse)
         passes = []
-        compress = gates._compress
-        monkeypatch.setattr(gates, "_compress", lambda h: passes.append(h) or compress(h))
+        compile_ = gates._compile
+        monkeypatch.setattr(gates, "_compile", lambda s: passes.append(s) or compile_(s))
         code, out, _ = run_cli(capsys, "verify", "--gate", gate, "--n", "8", *target,
                                "--angle", "0.9")
         assert code == 0
         assert out.strip().endswith("result: PASS")
-        assert len(passes) == segments
+        assert len(passes) == 1
 
     def test_stdout_matches_golden_bytes(self, capsys):
         # u1, u2 and u3 at N = 4, 6, 8 on the targets next to qubits 1 and N,
@@ -724,6 +724,29 @@ class TestInputValidation:
             extra = ["--seed", "-1"]
         code, err = run_quiet(*argv, *extra)
         assert (code, err) == (2, "error: seed must be non-negative, got -1\n")
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("command, key, text, message", [
+        ("sweep", "eps_range", "1:2:3", "range '1:2:3' must be two numbers lo:hi"),
+        ("sweep", "eps_range", "0.1", "range '0.1' must be two numbers lo:hi"),
+        ("sweep", "delta_range", "a:b", "range 'a:b' must be two numbers lo:hi"),
+        ("decouple", "dt_ladder", "0.1,,0.05",
+         "dt ladder '0.1,,0.05' must be comma-separated numbers"),
+        ("decouple", "dt_ladder", "0.1,x", "dt ladder '0.1,x' must be comma-separated numbers"),
+    ])
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_malformed_range_or_ladder_named_as_written(self, tmp_path, monkeypatch, command,
+                                                        key, text, message, from_config):
+        # Python's own messages named no input: "too many values to unpack
+        # (expected 2)", "could not convert string to float: ''".
+        monkeypatch.chdir(tmp_path)
+        if from_config:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(f"{key} = {text}\n")
+            extra = ["--config", str(cfg)]
+        else:
+            extra = [f"--{key.replace('_', '-')}={text}"]
+        assert run_quiet(command, *extra) == (2, f"error: {message}\n")
         assert not (tmp_path / "sweep.csv").exists()
 
     @settings(max_examples=20, deadline=None)

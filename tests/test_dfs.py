@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from dfsgates.dfs import (
-    _compress,
-    _support_matrix,
+    _image,
     build_logical_basis,
     dfs_decomposition,
     logical_image,
@@ -19,6 +18,7 @@ from dfsgates.errors import (
 from dfsgates.pauli import (
     PauliString,
     PauliSum,
+    _masks,
     build_decoupling_group,
     commutant_generators,
     commutant_split,
@@ -27,11 +27,9 @@ from conftest import two_body_strings
 from oracles import (
     pauli_to_matrix,
     project_to_logical,
-    restricted,
     sector_projector,
     string_logical_image,
     subspace_projector,
-    support,
 )
 
 RSQRT2 = 1 / np.sqrt(2)
@@ -182,12 +180,25 @@ class TestLogicalImage:
 
 
 class TestMaskPass:
-    """_compress, the one pass over a sum's terms on (x, z) bit masks,
-    against the same rule by exact string products, commutant_split and
-    the oracles' restricted(...).to_matrix()."""
+    """_image, the code-space rule for one string on (x, z) bit masks,
+    against the same rule by exact string products and commutant_split;
+    logical_image, that rule per term with like images merged."""
 
     @pytest.mark.parametrize("n", [4, 6, 8])
-    def test_random_sums_match_string_rule_split_and_restriction(self, n, rng):
+    def test_random_strings_match_string_rule_and_split(self, n, rng):
+        for _ in range(200):
+            string = PauliString(n, tuple(int(c) for c in rng.integers(0, 4, n)))
+            h = PauliSum.from_terms(n, [(1.0, string)])
+            image = _image(*_masks(string.letters), n)
+            assert (image is None) == bool(commutant_split(h)[1].terms)
+            want = string_logical_image(h)
+            if image is None:
+                assert not want.terms
+            else:
+                assert want == PauliSum.from_terms(n - 2, [(1.0, image)])
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_random_sums_match_string_rule(self, n, rng):
         stabilizers = [PauliString.uniform(n, letter) for letter in "XYZ"]
         for _ in range(40):
             strings = [PauliString(n, tuple(int(c) for c in rng.integers(0, 4, n)))
@@ -195,22 +206,13 @@ class TestMaskPass:
             # A string times a stabilizer has the same image: the two merge.
             strings += [s * stabilizers[int(rng.integers(3))] for s in strings[:2]]
             h = PauliSum.from_terms(n, [(complex(*rng.normal(size=2)), s) for s in strings])
-            images, weight, count = _compress(h)
-            image = logical_image(h)
-            assert image == string_logical_image(h)
-            leaking = commutant_split(h)[1]
-            assert count == leaking.n_terms
-            assert weight == sum(abs(c) for c, _ in leaking.terms)
-            extra = {int(q) for q in rng.integers(1, n - 1, 2)}
-            sites = tuple(sorted(support(image) | extra))
-            assert np.array_equal(_support_matrix(images, sites, n - 2),
-                                  restricted(image, sites).to_matrix())
+            assert logical_image(h) == string_logical_image(h)
 
     def test_image_of_a_string_and_its_stabilizer_multiple_cancels(self):
         # X_1 X_2 and -(X_1 X_2)(X...X) = -X_3 X_4 act alike on the code space.
         h = PauliSum.from_text(4, "1.0*+XXII + -1.0*+IIXX")
-        images, weight, count = _compress(h)
-        assert images == {} and weight == 0 and count == 0
+        images = [_image(*_masks(s.letters), 4) for _, s in h.terms]
+        assert images[0] == images[1] == PauliString.from_label("XI")
         assert not logical_image(h).terms
 
 

@@ -40,6 +40,7 @@ from dfsgates.linalg import product_fidelity
 from dfsgates.pauli import (
     PauliString,
     PauliSum,
+    _masks,
     build_decoupling_group,
     commutes,
 )
@@ -162,6 +163,19 @@ class TestScheduleConstruction:
                 for segment in s.segments:
                     for _, string in segment.hamiltonian.terms:
                         assert all(commutes(string, g) for g in group.elements)
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_only_two_qubit_interactions(self, n):
+        # The abstract's "only two-qubit interactions": every compiled string
+        # of u1/u2/u3, at every target, acts on exactly two physical qubits.
+        schedules = [build(n, j, 0.7) for build in (schedule_u1, schedule_u2)
+                     for j in range(1, n - 1)]
+        schedules += [schedule_u3(n, k, l, 0.7) for k in range(1, n - 2)
+                      for l in range(k + 1, n - 1)]
+        for schedule in schedules:
+            _, strings, _ = gates._compile(schedule)
+            assert strings
+            assert all((x | z).bit_count() == 2 for x, z in map(_masks, strings))
 
     def test_bad_indices(self):
         with pytest.raises(LogicalIndexError):

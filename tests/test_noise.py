@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_hermitian
 import dfsgates.noise as noise
+import dfsgates.pauli as pauli
 from dfsgates.errors import BadPartitionError, DimensionMismatchError, DimensionTooLargeError
 from dfsgates.gates import (
     GateSchedule,
@@ -37,7 +38,7 @@ from dfsgates.noise import (
     single_qubit_pulse,
     symbolic_bath_average,
 )
-from dfsgates.pauli import PauliString, PauliSum
+from dfsgates.pauli import PauliString, PauliSum, commutant_generators
 from oracles import (
     assemble,
     dense_bare_evolution_error,
@@ -516,8 +517,23 @@ class TestTimeReversal:
         for got, one in zip(noise._time_reversed(f), f):
             assert np.array_equal(got, w @ one.T @ w)
 
+    def test_second_call_on_eight_active_qubits_builds_no_string_matrix(self, monkeypatch):
+        # 24 bath strings and 10 gate terms: more than the 32 strings the
+        # per-string cache keeps, so the bath's are one stack of their own.
+        terms = [(0.1 * t + 0.2, s) for t, s in enumerate(commutant_generators(8)[:10])]
+        schedule = GateSchedule("u1", 8, (1,), 0.0,
+                                (ScheduleSegment(PauliSum.from_terms(8, terms), 0.5),))
+        bath, plan = BathModel.random(8, 0.1, seed=3), InterleavingPlan(1)
+        first = noise._factor_slices(schedule, bath, plan)
+        built, mask_matrix = [], pauli._mask_matrix
+        monkeypatch.setattr(pauli, "_mask_matrix", lambda *a: built.append(a) or mask_matrix(*a))
+        second = noise._factor_slices(schedule, bath, plan)
+        assert not built
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
     def test_cached_tables_are_read_only(self):
-        for table in (noise._string_basis(0b101, 0b011, 3), noise._index_bits(8)):
+        for table in (pauli._string_basis(0b101, 0b011, 3), pauli._qubit_paulis(3),
+                      noise._index_bits(8)):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0, 0] = 1
