@@ -169,8 +169,8 @@ def _mask_matrix(terms, n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _string_basis(x: int, z: int, m: int) -> np.ndarray:
-    """i**popcount(x & z) X^x Z^z on m qubits, dense and read-only: one gate
-    term's string. The 32 kept take at most 32 MiB, at m = 8."""
+    """i**popcount(x & z) X^x Z^z on m qubits, dense and read-only: a gate
+    term's or a logical image's string. The 32 kept take at most 32 MiB."""
     basis = _mask_matrix([(1, x, z, 0)], m)
     basis.setflags(write=False)
     return basis
@@ -192,8 +192,8 @@ def _pauli_sums(weights: np.ndarray, masks, m: int) -> np.ndarray:
     """sum_t weights[..., t] P_t, shape (..., 2^m, 2^m), for the m-qubit
     strings of masks (by `_string_basis`) or a stack of them: every dense
     segment stack. Each product is exact, and an entry adds its terms in the
-    order of masks: bit for bit up to m = 6, to 1e-17 at m = 7 and 8, where
-    BLAS may add a long sum in another order."""
+    order of masks: bit for bit up to m = 6, to a few 1e-17 at m = 7 and 8,
+    where BLAS may add a long sum in another order."""
     if not isinstance(masks, np.ndarray):
         masks = np.array([_string_basis(x, z, m) for x, z in masks], dtype=np.complex128)
     sums = weights @ masks.reshape(len(masks), 4**m)
